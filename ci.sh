@@ -27,6 +27,9 @@ lint_t0=$(date +%s%N)
 cargo run -q --offline -p wheels-lint -- \
   --baseline lint-baseline.json --json-out LINT_report.json \
   crates/ src/ examples/ tests/
+# The benchmark crate is a workspace of its own (benchmark/Cargo.toml),
+# outside the default paths; it is held to the same rules and baseline.
+cargo run -q --offline -p wheels-lint -- --baseline lint-baseline.json benchmark/
 lint_t1=$(date +%s%N)
 echo "lint stage wall time: $(( (lint_t1 - lint_t0) / 1000000 )) ms"
 
@@ -38,6 +41,11 @@ cargo test -q --offline
 
 echo "== tests (full workspace) =="
 cargo test -q --offline --workspace
+
+echo "== tests (benchmark crate) =="
+# The benchmark is its own workspace, so --workspace above does not reach
+# it; it builds on the same library crates and vendored serde.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "== sequential vs parallel equivalence (2 seeds x jobs {1,2,4}) =="
 cargo test -q --offline --test parallel_equivalence

@@ -350,9 +350,10 @@ pub struct LoadedCheckpoints {
     pub foreign_records: usize,
     /// Human-readable notes, one per rejected record, scan order.
     pub notes: Vec<String>,
-    /// The surviving records' raw bytes, concatenated in unit-key order
-    /// (see [`LoadedCheckpoints::compact_to`]).
-    compacted: Vec<u8>,
+    /// What [`LoadedCheckpoints::compact_to`] writes: the log as read and
+    /// the byte ranges of its surviving records in unit-key order. `None`
+    /// when the log already holds exactly its surviving records.
+    rewrite: Option<(Vec<u8>, Vec<Range<usize>>)>,
 }
 
 impl LoadedCheckpoints {
@@ -363,6 +364,12 @@ impl LoadedCheckpoints {
     /// is skipped using its length field, and a record too torn to frame
     /// (bad magic, truncated tail) ends the scan — everything after it
     /// is unreachable and will be recomputed.
+    ///
+    /// The log is read into one buffer and each payload is decoded
+    /// straight from its bytes. When the scan rejected or superseded a
+    /// record, the buffer is kept for [`compact_to`](Self::compact_to),
+    /// which writes the surviving records out of it; otherwise it is
+    /// freed before this returns.
     pub fn load(dir: &Path, key: CheckpointKey) -> io::Result<Self> {
         let mut out = LoadedCheckpoints::default();
         let path = dir.join(LOG_NAME);
@@ -378,6 +385,7 @@ impl LoadedCheckpoints {
         // `out.units` plus the record's byte range for compaction.
         let mut by_unit: std::collections::BTreeMap<[u64; 3], (usize, Range<usize>)> =
             std::collections::BTreeMap::new();
+        let mut superseded = false;
         let mut pos = 0usize;
         while pos < bytes.len() {
             let Some([magic, world_hash, seed, scale_bits, unit_a, unit_b, unit_c, payload_len, digest]) =
@@ -456,6 +464,7 @@ impl LoadedCheckpoints {
                             unit.1 = ck;
                         }
                         by_unit.insert(words, (idx, pos..end));
+                        superseded = true;
                     }
                     None => {
                         by_unit.insert(words, (out.units.len(), pos..end));
@@ -470,24 +479,39 @@ impl LoadedCheckpoints {
             }
             pos = end;
         }
-        // Compacted image: surviving records only, unit-key order (the
-        // BTreeMap gives a canonical order independent of commit order).
-        for (_, (_, span)) in &by_unit {
-            if let Some(record) = bytes.get(span.clone()) {
-                out.compacted.extend_from_slice(record);
-            }
+        // A log with nothing rejected (a torn tail counts as corrupt) and
+        // nothing superseded already is its surviving records.
+        if out.corrupt_records > 0 || out.foreign_records > 0 || superseded {
+            // Unit-key order: the BTreeMap gives a canonical order
+            // independent of commit order.
+            let survivors = by_unit.into_values().map(|(_, span)| span).collect();
+            out.rewrite = Some((bytes, survivors));
         }
         Ok(out)
     }
 
-    /// Rewrite the log as exactly the surviving records, atomically.
-    /// Resume calls this before appending: it heals digest-failed and
-    /// foreign records out of the file and — crucially — removes a torn
-    /// tail, so records appended *after* a real SIGKILL stay reachable
-    /// by the next scan instead of hiding behind unparseable bytes.
+    /// Rewrite the log in `dir` — the directory it was loaded from — as
+    /// exactly the surviving records, atomically. Resume calls this
+    /// before appending: it heals digest-failed, foreign and superseded
+    /// records out of the file and — crucially — removes a torn tail, so
+    /// records appended *after* a real SIGKILL stay reachable by the next
+    /// scan instead of hiding behind unparseable bytes. The records are
+    /// streamed from the buffer [`load`](Self::load) read. When the scan
+    /// found nothing to heal, the file already holds exactly its
+    /// surviving records and is left untouched.
     pub fn compact_to(&self, dir: &Path) -> io::Result<()> {
+        let Some((log, survivors)) = &self.rewrite else {
+            return Ok(());
+        };
         fs::create_dir_all(dir)?;
-        atomic_write(&dir.join(LOG_NAME), &self.compacted)
+        atomic_write_with(&dir.join(LOG_NAME), |w| {
+            for span in survivors {
+                if let Some(record) = log.get(span.clone()) {
+                    w.write_all(record)?;
+                }
+            }
+            Ok(())
+        })
     }
 }
 

@@ -163,7 +163,7 @@ impl ResumeReport {
 
 /// The campaign-wide completeness report, one entry per scheduled unit in
 /// canonical order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct IntegrityReport {
     /// Fault profile the campaign ran under.
     pub profile: String,
@@ -180,11 +180,12 @@ pub struct IntegrityReport {
     pub resume: Option<ResumeReport>,
 }
 
-// Hand-written (de)serialization: the vendored serde_derive has no
+// Hand-written serialization: the vendored serde_derive has no
 // `#[serde(skip_serializing_if)]`, and the `resume` field must vanish
 // from the JSON entirely when `None` — emitting `"resume": null` would
 // break byte-compatibility with every report written before this field
-// existed and with the uninterrupted-run goldens.
+// existed and with the uninterrupted-run goldens. Decoding is derived: a
+// missing `Option` field decodes as `None`, so those reports still load.
 impl Serialize for IntegrityReport {
     fn to_value(&self) -> serde::Value {
         let mut fields = vec![
@@ -197,19 +198,6 @@ impl Serialize for IntegrityReport {
             fields.push(("resume".to_string(), resume.to_value()));
         }
         serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for IntegrityReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(IntegrityReport {
-            profile: serde::de::field(v, "profile")?,
-            seed: serde::de::field(v, "seed")?,
-            max_retries: serde::de::field(v, "max_retries")?,
-            units: serde::de::field(v, "units")?,
-            // Missing deserializes as `None`: pre-checkpoint reports load.
-            resume: serde::de::field(v, "resume")?,
-        })
     }
 }
 
