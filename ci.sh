@@ -34,7 +34,9 @@ lint_t1=$(date +%s%N)
 echo "lint stage wall time: $(( (lint_t1 - lint_t0) / 1000000 )) ms"
 
 echo "== build (release) =="
-cargo build --release --offline
+# --workspace: the stages below run ./target/release/repro, which lives in
+# wheels-bench, not in the root package a bare `cargo build` builds.
+cargo build --release --offline --workspace
 
 echo "== tests (root package) =="
 cargo test -q --offline
@@ -69,8 +71,8 @@ for seed in 11 42; do
 done
 
 echo "== scenario layer: paper spec byte-identity + non-paper smoke =="
-# The declarative ScenarioSpec path must reproduce the hard-wired paper
-# constructors byte for byte: same export, same report, at the same seed.
+# Without --scenario, repro runs ScenarioSpec::paper(): the default must
+# be the paper spec byte for byte — same export, same report, same seed.
 ./target/release/repro --scale smoke --seed 42 \
   --export "$tmp/direct-42.json" all > "$tmp/direct-42.txt" 2> /dev/null
 ./target/release/repro --scale smoke --seed 42 --scenario paper \
@@ -89,9 +91,10 @@ grep -q "Operators" "$tmp/metro.txt"
 
 echo "== report byte-equivalence (quarter scale, fig-jobs 1 vs 4) =="
 # The figure fan-out must not change a single byte of `repro all`.
-./target/release/repro --scale quarter --fig-jobs 1 all \
+# Seed 11, like BENCH_campaign.json, so the two records describe one world.
+./target/release/repro --scale quarter --seed 11 --fig-jobs 1 all \
   > "$tmp/report-f1.txt" 2> /dev/null
-./target/release/repro --scale quarter --fig-jobs 4 --timings \
+./target/release/repro --scale quarter --seed 11 --fig-jobs 4 --timings \
   --timings-json BENCH_report.json all \
   > "$tmp/report-f4.txt"
 cmp "$tmp/report-f1.txt" "$tmp/report-f4.txt"

@@ -78,7 +78,7 @@ pub fn rtt_with_context(record: &wheels_xcal::TestRecord) -> Vec<(f64, KpiSample
 pub(crate) mod test_support {
     //! Shared miniature-campaign fixtures: built once per test binary.
     use std::sync::OnceLock;
-    use wheels_campaign::{Campaign, CampaignConfig};
+    use wheels_campaign::{Campaign, CampaignConfig, ScenarioSpec};
     use wheels_xcal::database::ConsolidatedDb;
 
     use crate::index::AnalysisIndex;
@@ -95,7 +95,7 @@ pub(crate) mod test_support {
             let mut cfg = CampaignConfig::full(2026);
             cfg.scale = 0.03;
             cfg.passive_tick_s = 8.0;
-            Campaign::new(cfg).run()
+            Campaign::from_spec(&ScenarioSpec::paper(), cfg).run(1, None).expect("tolerant run").db
         })
     }
 
@@ -108,7 +108,7 @@ pub(crate) mod test_support {
             cfg.run_apps = false;
             cfg.scale = 0.22;
             cfg.passive_tick_s = 4.0;
-            Campaign::new(cfg).run()
+            Campaign::from_spec(&ScenarioSpec::paper(), cfg).run(1, None).expect("tolerant run").db
         })
     }
 

@@ -11,7 +11,7 @@
 //! and commit the updated files under `tests/golden/`.
 
 use wheels_analysis::{report, AnalysisIndex};
-use wheels_campaign::{Campaign, CampaignConfig};
+use wheels_campaign::{Campaign, CampaignConfig, ScenarioSpec};
 
 /// Smoke-scale campaign (mirrors `ReproScale::Smoke` in wheels-bench,
 /// which this crate cannot depend on).
@@ -19,12 +19,12 @@ fn smoke_campaign(seed: u64) -> Campaign {
     let mut cfg = CampaignConfig::full(seed);
     cfg.scale = 0.02;
     cfg.passive_tick_s = 10.0;
-    Campaign::new(cfg)
+    Campaign::from_spec(&ScenarioSpec::paper(), cfg)
 }
 
 fn check_seed(seed: u64) {
     let campaign = smoke_campaign(seed);
-    let db = campaign.run();
+    let db = campaign.run(1, None).expect("tolerant run").db;
     let ix = AnalysisIndex::build(&db);
     let route = campaign.plan().route();
 

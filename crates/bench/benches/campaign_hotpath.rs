@@ -11,7 +11,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use wheels_campaign::{Campaign, CampaignConfig, WorkUnit};
+use wheels_campaign::{Campaign, CampaignConfig, ScenarioSpec, WorkUnit};
 use wheels_netsim::bbr::Bbr;
 use wheels_netsim::cubic::Cubic;
 use wheels_netsim::event::EventQueue;
@@ -119,7 +119,7 @@ fn bench_work_unit(c: &mut Criterion) {
     let mut cfg = CampaignConfig::full(42);
     cfg.scale = 0.02;
     cfg.passive_tick_s = 10.0;
-    let campaign = Campaign::new(cfg);
+    let campaign = Campaign::from_spec(&ScenarioSpec::paper(), cfg);
     let unit = WorkUnit::Drive {
         op: Operator::TMobile,
         day: 0,

@@ -2,26 +2,25 @@
 //!
 //! The dataset export is the dominant post-campaign phase (the paper
 //! publishes its dataset, so this is a first-class artifact, not a debug
-//! dump). These benches pin the three layers the streaming serializer
-//! rebuilt: whole-database `to_json` (streamed) against the historical
-//! Value-tree path, the sharded `to_json_parts` fan-out, and the CSV
-//! writer. The ci.sh bench stage records the end-to-end number
+//! dump). These benches pin the three layers of the streaming
+//! serializer: whole-database `to_json`, the sharded `to_json_parts`
+//! fan-out, and the CSV writer. The ci.sh bench stage records the end-to-end number
 //! (`export_s` in BENCH_campaign.json); these isolate where it goes.
 //!
 //! Run with `cargo bench --bench export`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use serde::Serialize;
-use wheels_bench::{run_campaign, ReproScale};
+use wheels_bench::ReproScale;
+use wheels_campaign::{Campaign, ScenarioSpec};
 use wheels_xcal::database::ConsolidatedDb;
 use wheels_xcal::export;
 
 /// One smoke-scale database, shared across every bench in the group
 /// (campaign setup dwarfs any single measurement otherwise).
 fn smoke_db() -> ConsolidatedDb {
-    let (_campaign, db) = run_campaign(ReproScale::Smoke, 11);
-    db
+    let campaign = Campaign::from_spec(&ScenarioSpec::paper(), ReproScale::Smoke.config(11));
+    campaign.run(1, None).expect("tolerant run").db
 }
 
 fn benches(c: &mut Criterion) {
@@ -35,17 +34,6 @@ fn benches(c: &mut Criterion) {
     // into one buffer. This is what `repro --export` runs.
     g.bench_function("to_json_streamed_smoke", |b| {
         b.iter(|| black_box(export::to_json(&db).expect("database serializes").len()))
-    });
-
-    // The historical tree path: lower to a `Value` tree, then pretty-print
-    // it. Kept alive for hand-written `Serialize` impls, and benchmarked so
-    // the streamed path's advantage stays measured, not asserted.
-    g.bench_function("to_json_tree_smoke", |b| {
-        b.iter(|| {
-            let mut out = String::new();
-            serde_json::write_value(&db.to_value(), Some(2), 0, &mut out);
-            black_box(out.len())
-        })
     });
 
     // The sharded fragment fan-out (byte-identity is proven by tests;

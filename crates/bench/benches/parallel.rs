@@ -8,14 +8,19 @@
 //! is itself a useful sanity check that the scheduler adds no overhead.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use wheels_bench::{run_campaign_jobs, ReproScale};
+use wheels_bench::ReproScale;
+use wheels_campaign::{Campaign, ScenarioSpec};
 
 fn bench_worker_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("parallel");
     g.sample_size(10);
     for jobs in [1usize, 2, 4, 8] {
         g.bench_function(format!("run_smoke_jobs_{jobs}").as_str(), |b| {
-            b.iter(|| black_box(run_campaign_jobs(ReproScale::Smoke, 7, jobs)))
+            b.iter(|| {
+                let campaign =
+                    Campaign::from_spec(&ScenarioSpec::paper(), ReproScale::Smoke.config(7));
+                black_box(campaign.run(jobs, None).expect("tolerant run"))
+            })
         });
     }
     g.finish();

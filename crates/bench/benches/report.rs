@@ -7,12 +7,20 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::OnceLock;
 
 use wheels_analysis::{report, AnalysisIndex};
-use wheels_bench::{run_campaign, ReproScale};
+use wheels_bench::ReproScale;
+use wheels_campaign::{Campaign, ScenarioSpec};
 use wheels_xcal::database::ConsolidatedDb;
 
-fn db() -> &'static (wheels_campaign::Campaign, ConsolidatedDb) {
-    static DB: OnceLock<(wheels_campaign::Campaign, ConsolidatedDb)> = OnceLock::new();
-    DB.get_or_init(|| run_campaign(ReproScale::Smoke, 2026))
+/// The paper's world at smoke scale, and its dataset.
+fn smoke(seed: u64) -> (Campaign, ConsolidatedDb) {
+    let campaign = Campaign::from_spec(&ScenarioSpec::paper(), ReproScale::Smoke.config(seed));
+    let db = campaign.run(1, None).expect("tolerant run").db;
+    (campaign, db)
+}
+
+fn db() -> &'static (Campaign, ConsolidatedDb) {
+    static DB: OnceLock<(Campaign, ConsolidatedDb)> = OnceLock::new();
+    DB.get_or_init(|| smoke(2026))
 }
 
 fn ix() -> &'static AnalysisIndex<'static> {

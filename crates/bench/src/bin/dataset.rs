@@ -14,9 +14,9 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use wheels_bench::{run_campaign, ReproScale};
+use wheels_bench::ReproScale;
 use wheels_campaign::stats::Table1;
-use wheels_campaign::{atomic_write, atomic_write_with, write_all_chunked};
+use wheels_campaign::{atomic_write, atomic_write_with, write_all_chunked, Campaign, ScenarioSpec};
 use wheels_xcal::logger::XcalLogger;
 use wheels_xcal::{drm, export};
 
@@ -64,7 +64,14 @@ fn main() {
     }
 
     eprintln!("running campaign at {scale:?} (seed {seed})...");
-    let (campaign, db) = run_campaign(scale, seed);
+    let campaign = Campaign::from_spec(&ScenarioSpec::paper(), scale.config(seed));
+    let db = match campaign.run(1, None) {
+        Ok(outcome) => outcome.db,
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }
+    };
     // lint:allow(D7): dev-tool setup; an unwritable output directory should abort before the export starts
     fs::create_dir_all(out.join("drm")).expect("create output directory");
 

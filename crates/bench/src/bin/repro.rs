@@ -16,9 +16,10 @@
 //!
 //! `--scenario NAME|FILE.json` runs the campaign in a declarative world
 //! from the scenario registry (or a JSON spec file) instead of the
-//! hard-wired paper constructors; `--scenario paper` is byte-identical to
-//! omitting the flag. `--scenario-dump` prints the active scenario's JSON
-//! and exits; `--list` prints every artifact id and registered scenario.
+//! paper's world; `--scenario paper` is the default, so it is
+//! byte-identical to omitting the flag. `--scenario-dump` prints the
+//! active scenario's JSON and exits; `--list` prints every artifact id
+//! and registered scenario.
 //!
 //! `--jobs N` runs the campaign's work units on N worker threads;
 //! `--fig-jobs N` fans figure/table rendering out the same way, and
@@ -66,14 +67,11 @@ use std::time::{Duration, Instant};
 
 use wheels_analysis::figures as figs;
 use wheels_analysis::AnalysisIndex;
-use wheels_bench::{
-    run_campaign_checkpointed, run_campaign_supervised, run_scenario_checkpointed,
-    run_scenario_supervised, FaultOpts, ReproScale, EXPERIMENTS, EXTENSIONS,
-};
+use wheels_bench::{ReproScale, EXPERIMENTS, EXTENSIONS};
 use wheels_campaign::stats::Table1;
 use wheels_campaign::{
-    atomic_write, atomic_write_with, write_all_chunked, CampaignError, CheckpointOptions,
-    FaultProfile, ProcessKill, ScenarioSpec,
+    atomic_write, atomic_write_with, write_all_chunked, Campaign, CampaignConfig, CampaignError,
+    CheckpointOptions, FaultProfile, ProcessKill, ScenarioSpec,
 };
 
 /// Write `bytes` to `path` atomically, or exit 1 with the error on
@@ -186,12 +184,12 @@ fn main() {
     let mut export_jobs = 1usize;
     let mut timings = false;
     let mut timings_json: Option<String> = None;
-    let mut faults = FaultOpts::default();
+    // The fault and fleet flags; overlaid on the scale preset's config.
+    let mut flags = CampaignConfig::default();
     let mut export: Option<String> = None;
     let mut checkpoint_dir: Option<String> = None;
     let mut resume = false;
     let mut kill_after: Option<usize> = None;
-    let mut population: Option<u64> = None;
     let mut scenario: Option<ScenarioSpec> = None;
     let mut scenario_dump = false;
     let mut wanted: Vec<String> = Vec::new();
@@ -276,7 +274,7 @@ fn main() {
             }
             "--fault-profile" => {
                 i += 1;
-                faults.profile = args
+                flags.fault_profile = args
                     .get(i)
                     .and_then(|s| FaultProfile::parse(s))
                     .unwrap_or_else(|| {
@@ -286,7 +284,7 @@ fn main() {
             }
             "--max-retries" => {
                 i += 1;
-                faults.max_retries = args
+                flags.max_retries = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| {
@@ -294,10 +292,10 @@ fn main() {
                         std::process::exit(2);
                     });
             }
-            "--fail-fast" => faults.fail_fast = true,
+            "--fail-fast" => flags.fail_fast = true,
             "--population" => {
                 i += 1;
-                population = Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(
+                flags.population = Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(
                     || {
                         eprintln!("--population needs a subscriber count");
                         std::process::exit(2);
@@ -359,54 +357,49 @@ fn main() {
         std::process::exit(2);
     }
 
+    let cfg = CampaignConfig {
+        fault_profile: flags.fault_profile,
+        max_retries: flags.max_retries,
+        fail_fast: flags.fail_fast,
+        population: flags.population,
+        ..scale.config(seed)
+    };
     eprintln!(
         "running campaign (scale {scale:?}, seed {seed}, jobs {jobs}, faults {}{})...",
-        faults.profile.label(),
+        cfg.fault_profile.label(),
         scenario
             .as_ref()
             .map(|s| format!(", scenario {}", s.name))
             .unwrap_or_default()
     );
-    let t0 = Instant::now(); // lint:allow(D3): phase timing, reported only
-    let run = match (&checkpoint_dir, &scenario) {
-        (Some(dir), spec) => {
-            let mut opts = if resume {
-                CheckpointOptions::resume(dir)
-            } else {
-                CheckpointOptions::fresh(dir)
-            };
-            if let Some(k) = kill_after {
-                opts = opts.with_kill(ProcessKill::after_units(k));
-            }
-            let run = match spec {
-                Some(spec) => {
-                    run_scenario_checkpointed(spec, scale, seed, jobs, faults, population, &opts)
-                }
-                None => run_campaign_checkpointed(scale, seed, jobs, faults, population, &opts),
-            };
-            match run {
-                Err(CampaignError::Killed { committed }) => {
-                    // The chaos hook "killed the process": exit the way a
-                    // SIGKILLed process would, with the completed units
-                    // durable in the checkpoint log and nothing exported.
-                    eprintln!(
-                        "killed after {committed} durable unit commits \
-                         (checkpoints in {dir}; rerun with --resume)"
-                    );
-                    std::process::exit(137);
-                }
-                other => other.map_err(|e| e.to_string()),
-            }
+    let checkpoint = checkpoint_dir.as_ref().map(|dir| {
+        let opts = if resume {
+            CheckpointOptions::resume(dir)
+        } else {
+            CheckpointOptions::fresh(dir)
+        };
+        match kill_after {
+            Some(k) => opts.with_kill(ProcessKill::after_units(k)),
+            None => opts,
         }
-        (None, Some(spec)) => run_scenario_supervised(spec, scale, seed, jobs, faults, population)
-            .map_err(|e| e.to_string()),
-        (None, None) => run_campaign_supervised(scale, seed, jobs, faults, population)
-            .map_err(|e| e.to_string()),
-    };
-    let (campaign, outcome) = match run {
-        Ok(r) => r,
-        Err(message) => {
-            eprintln!("{message}");
+    });
+    let t0 = Instant::now(); // lint:allow(D3): phase timing, reported only
+    let campaign = Campaign::from_spec(&scenario.unwrap_or_else(ScenarioSpec::paper), cfg);
+    let outcome = match campaign.run(jobs, checkpoint.as_ref()) {
+        Ok(outcome) => outcome,
+        Err(CampaignError::Killed { committed }) => {
+            // The chaos hook "killed the process": exit the way a
+            // SIGKILLed process would, with the completed units durable
+            // in the checkpoint log and nothing exported.
+            eprintln!(
+                "killed after {committed} durable unit commits \
+                 (checkpoints in {}; rerun with --resume)",
+                checkpoint_dir.unwrap_or_default()
+            );
+            std::process::exit(137);
+        }
+        Err(e) => {
+            eprintln!("{e}");
             std::process::exit(1);
         }
     };
@@ -529,7 +522,7 @@ fn main() {
 
 fn render_one(
     id: &str,
-    campaign: &wheels_campaign::Campaign,
+    campaign: &Campaign,
     ix: &AnalysisIndex<'_>,
     fleet: Option<&wheels_campaign::FleetSummary>,
     fig_jobs: usize,

@@ -13,11 +13,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use wheels_campaign::{
-    Campaign, CampaignAborted, CampaignConfig, CampaignError, CampaignOutcome, CheckpointOptions,
-    FaultProfile, ScenarioSpec,
-};
-use wheels_xcal::database::ConsolidatedDb;
+use wheels_campaign::CampaignConfig;
 
 /// Scale presets for the repro binary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,137 +42,6 @@ impl ReproScale {
     }
 }
 
-/// Run a campaign and return both the database and the campaign (for
-/// route/Table-1 context).
-pub fn run_campaign(scale: ReproScale, seed: u64) -> (Campaign, ConsolidatedDb) {
-    run_campaign_jobs(scale, seed, 1)
-}
-
-/// [`run_campaign`] on `jobs` worker threads. Output is byte-identical
-/// for every `jobs` value (see `tests/parallel_equivalence.rs`); only
-/// wall-clock time changes.
-pub fn run_campaign_jobs(scale: ReproScale, seed: u64, jobs: usize) -> (Campaign, ConsolidatedDb) {
-    let campaign = Campaign::new(scale.config(seed));
-    let db = campaign.run_jobs(jobs);
-    (campaign, db)
-}
-
-/// Fault-injection knobs of the repro binary (`--fault-profile`,
-/// `--max-retries`, `--fail-fast`).
-#[derive(Debug, Clone, Copy)]
-pub struct FaultOpts {
-    /// Apparatus fault profile.
-    pub profile: FaultProfile,
-    /// Supervisor retry budget per unit.
-    pub max_retries: u32,
-    /// Abort the campaign on the first lost unit.
-    pub fail_fast: bool,
-}
-
-impl Default for FaultOpts {
-    fn default() -> Self {
-        FaultOpts {
-            profile: FaultProfile::None,
-            max_retries: 2,
-            fail_fast: false,
-        }
-    }
-}
-
-/// [`run_campaign_jobs`] under supervision: returns the dataset plus the
-/// per-unit integrity report, or a [`CampaignAborted`] if `fail_fast` is
-/// set and a unit was lost. With the default [`FaultOpts`] and no
-/// `population` override, the dataset is byte-identical to
-/// [`run_campaign_jobs`]. `population` maps to
-/// [`wheels_campaign::CampaignConfig::population`]: `None`/`Some(0)` run
-/// the strict fleetless paths, `Some(n)` drives the hidden load with `n`
-/// seeded subscribers.
-pub fn run_campaign_supervised(
-    scale: ReproScale,
-    seed: u64,
-    jobs: usize,
-    opts: FaultOpts,
-    population: Option<u64>,
-) -> Result<(Campaign, CampaignOutcome), CampaignAborted> {
-    let mut cfg = scale.config(seed);
-    cfg.fault_profile = opts.profile;
-    cfg.max_retries = opts.max_retries;
-    cfg.fail_fast = opts.fail_fast;
-    cfg.population = population;
-    let campaign = Campaign::new(cfg);
-    let outcome = campaign.run_supervised_jobs(jobs)?;
-    Ok((campaign, outcome))
-}
-
-/// [`run_campaign_supervised`] for a declarative scenario: the campaign
-/// world (route, day plans, operator panel, server fleet, round-robin) is
-/// compiled from `spec` instead of the hard-wired paper constructors.
-/// With `ScenarioSpec::paper()` the dataset is byte-identical to
-/// [`run_campaign_supervised`] at the same scale and seed.
-pub fn run_scenario_supervised(
-    spec: &ScenarioSpec,
-    scale: ReproScale,
-    seed: u64,
-    jobs: usize,
-    opts: FaultOpts,
-    population: Option<u64>,
-) -> Result<(Campaign, CampaignOutcome), CampaignAborted> {
-    let mut cfg = scale.config(seed);
-    cfg.fault_profile = opts.profile;
-    cfg.max_retries = opts.max_retries;
-    cfg.fail_fast = opts.fail_fast;
-    cfg.population = population;
-    let campaign = Campaign::from_spec(spec, cfg);
-    let outcome = campaign.run_supervised_jobs(jobs)?;
-    Ok((campaign, outcome))
-}
-
-/// [`run_campaign_supervised`] with durable per-unit checkpoints (the
-/// direct paper-world path; see [`run_scenario_checkpointed`] for the
-/// declarative-spec variant and the full durability contract).
-pub fn run_campaign_checkpointed(
-    scale: ReproScale,
-    seed: u64,
-    jobs: usize,
-    fault_opts: FaultOpts,
-    population: Option<u64>,
-    opts: &CheckpointOptions,
-) -> Result<(Campaign, CampaignOutcome), CampaignError> {
-    let mut cfg = scale.config(seed);
-    cfg.fault_profile = fault_opts.profile;
-    cfg.max_retries = fault_opts.max_retries;
-    cfg.fail_fast = fault_opts.fail_fast;
-    cfg.population = population;
-    let campaign = Campaign::new(cfg);
-    let outcome = campaign.run_checkpointed_jobs(jobs, opts)?;
-    Ok((campaign, outcome))
-}
-
-/// [`run_scenario_supervised`] with durable per-unit checkpoints — the
-/// crash-safe entry point behind `repro --checkpoint-dir` / `--resume`.
-/// A fresh run streams every completed unit to `opts.dir`; a resumed run
-/// restores valid records, recomputes the rest, and returns an outcome
-/// byte-identical to an uninterrupted run at the same `(spec, scale,
-/// seed)`, at any `jobs` count.
-pub fn run_scenario_checkpointed(
-    spec: &ScenarioSpec,
-    scale: ReproScale,
-    seed: u64,
-    jobs: usize,
-    fault_opts: FaultOpts,
-    population: Option<u64>,
-    opts: &CheckpointOptions,
-) -> Result<(Campaign, CampaignOutcome), CampaignError> {
-    let mut cfg = scale.config(seed);
-    cfg.fault_profile = fault_opts.profile;
-    cfg.max_retries = fault_opts.max_retries;
-    cfg.fail_fast = fault_opts.fail_fast;
-    cfg.population = population;
-    let campaign = Campaign::from_spec(spec, cfg);
-    let outcome = campaign.run_checkpointed_jobs(jobs, opts)?;
-    Ok((campaign, outcome))
-}
-
 /// The experiment ids the repro binary understands, in paper order.
 pub const EXPERIMENTS: &[&str] = &[
     "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table2", "fig9",
@@ -190,23 +55,6 @@ pub const EXTENSIONS: &[&str] = &["ext-mptcp", "ext-fleet"];
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn smoke_scale_runs() {
-        let (_c, db) = run_campaign(ReproScale::Smoke, 1);
-        assert!(!db.records.is_empty());
-    }
-
-    #[test]
-    fn supervised_default_opts_match_plain_run() {
-        let (_c, db) = run_campaign(ReproScale::Smoke, 1);
-        let (_c2, outcome) =
-            run_campaign_supervised(ReproScale::Smoke, 1, 1, FaultOpts::default(), None)
-                .expect("no faults, no abort");
-        assert_eq!(db.records.len(), outcome.db.records.len());
-        assert_eq!(outcome.integrity.lost_count(), 0);
-        assert_eq!(outcome.integrity.degraded_count(), 0);
-    }
 
     #[test]
     fn experiment_list_covers_every_artifact() {

@@ -36,8 +36,9 @@ pub struct CampaignConfig {
     /// of `n` subscribers. `None`/0 is a strict no-op: the run is
     /// byte-identical to a build without the fleet subsystem.
     pub population: Option<u64>,
-    /// Abort the whole campaign if any unit ends `Lost` (only honored by
-    /// the supervised entry points; `run`/`run_jobs` always tolerate).
+    /// Abort the whole campaign if any unit ends `Lost`: `Campaign::run`
+    /// then fails with `CampaignError::Aborted`, at any worker count and
+    /// with or without a checkpoint log.
     pub fail_fast: bool,
 }
 

@@ -8,8 +8,8 @@
 //! whether units run on one thread or many. Workers pull unit indexes
 //! from a shared atomic counter (dynamic load balancing), write each
 //! unit's outcome into its slot, and [`merge_shards`] folds the shards
-//! back together in canonical unit order — which makes `run()` and
-//! `run_jobs(n)` byte-identical for every `n`.
+//! back together in canonical unit order — which makes
+//! [`Campaign::run`] byte-identical for every worker count.
 //!
 //! Units run under a supervisor ([`Campaign::run_unit_supervised`]): the
 //! configured [`FaultPlan`] may abort an attempt (server outage, timeout
@@ -22,7 +22,6 @@
 //! missing days.
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -36,7 +35,7 @@ use wheels_xcal::handover_logger::PassiveLogger;
 
 use crate::checkpoint::CheckpointWriter;
 use crate::integrity::{UnitError, UnitReport, UnitStatus};
-use crate::runner::Campaign;
+use crate::runner::{io_err, Campaign, CampaignError};
 use crate::static_tests::static_sites;
 
 /// One independent slice of the campaign.
@@ -72,6 +71,15 @@ impl WorkUnit {
             WorkUnit::Drive { op, day } => [1, op as u64, day as u64],
             WorkUnit::Static { op, site_od } => [2, op as u64, site_od.to_bits()],
             WorkUnit::Passive { op } => [3, op as u64, 0],
+        }
+    }
+
+    /// The unit's operator.
+    pub fn op(&self) -> Operator {
+        match *self {
+            WorkUnit::Drive { op, .. }
+            | WorkUnit::Static { op, .. }
+            | WorkUnit::Passive { op } => op,
         }
     }
 
@@ -137,8 +145,7 @@ impl Campaign {
         }
         if self.cfg.run_static && self.sched.run_static {
             for &op in &self.ops {
-                let db = self.db_for(op);
-                for (_city, site_od, _tech) in static_sites(&db, self.plan.route()) {
+                for (_city, site_od, _tech) in static_sites(&self.slot(op).db, self.plan.route()) {
                     units.push(WorkUnit::Static { op, site_od });
                 }
             }
@@ -223,57 +230,42 @@ impl Campaign {
     }
 
     /// Run `units` under supervision, returning one outcome per unit in
-    /// unit order.
+    /// canonical unit order, regardless of which units were restored and
+    /// which workers ran the rest.
     ///
     /// `jobs <= 1` runs inline on the caller's thread; otherwise a scoped
     /// pool of `jobs` workers drains a shared index queue, so a slow unit
     /// (a full drive day) never serializes the rest of the schedule. A
     /// slot left empty after execution becomes an explicit
     /// [`UnitError::MissingSlot`] loss, never a panic.
-    pub(crate) fn execute_units(&self, units: &[WorkUnit], jobs: usize) -> Vec<UnitOutcome> {
-        match self.execute_units_hooked(units, jobs, BTreeMap::new(), None, None) {
-            Ok(outcomes) => outcomes,
-            // Interrupts only come from the checkpoint/kill hooks, and
-            // neither is installed on this path.
-            // lint:allow(D7): no hook is installed, so the Err arm cannot be reached
-            Err(i) => unreachable!("unhooked execution interrupted: {i}"),
-        }
-    }
-
-    /// [`Campaign::execute_units`] with the durability hooks installed.
     ///
     /// `restored` holds outcomes recovered from a checkpoint log, keyed by
     /// [`WorkUnit::fault_words`]: matching units are *not* re-run (and not
     /// re-committed — their records are already durable). Every newly
     /// computed outcome is committed to `checkpoint` — written and fsynced
     /// — **before** it counts as done; a commit failure interrupts the run
-    /// with [`ExecInterrupt::Io`] rather than silently continuing with a
+    /// with [`CampaignError::Io`] rather than silently continuing with a
     /// checkpoint stream that lies. `kill` is the chaos hook: it observes
     /// every durable commit and, when it fires, the run stops with
-    /// [`ExecInterrupt::Killed`] exactly as if the process had died —
+    /// [`CampaignError::Killed`] exactly as if the process had died —
     /// except in-process, so tests can sweep kill points deterministically.
-    ///
-    /// Outcome order is canonical unit order regardless of which units
-    /// were restored and which workers ran the rest.
-    pub(crate) fn execute_units_hooked(
+    pub(crate) fn execute_units(
         &self,
         units: &[WorkUnit],
         jobs: usize,
         mut restored: BTreeMap<[u64; 3], UnitOutcome>,
         checkpoint: Option<&CheckpointWriter>,
         kill: Option<&ProcessKill>,
-    ) -> Result<Vec<UnitOutcome>, ExecInterrupt> {
+    ) -> Result<Vec<UnitOutcome>, CampaignError> {
         let plan = FaultPlan::new(self.cfg.seed, self.cfg.fault_profile);
-        let commit = |unit: &WorkUnit, outcome: &UnitOutcome| -> Result<(), ExecInterrupt> {
+        let commit = |unit: &WorkUnit, outcome: &UnitOutcome| -> Result<(), CampaignError> {
             if let Some(w) = checkpoint {
-                w.commit(unit, outcome).map_err(|e| ExecInterrupt::Io {
-                    context: format!("checkpoint commit for {}", unit.label()),
-                    error: e.to_string(),
-                })?;
+                w.commit(unit, outcome)
+                    .map_err(io_err(format!("checkpoint commit for {}", unit.label())))?;
             }
             if let Some(k) = kill {
                 if k.on_commit() {
-                    return Err(ExecInterrupt::Killed {
+                    return Err(CampaignError::Killed {
                         committed: k.committed(),
                     });
                 }
@@ -302,7 +294,7 @@ impl Campaign {
             }
         }
         let dead = AtomicBool::new(false);
-        let interrupt: Mutex<Option<ExecInterrupt>> = Mutex::new(None);
+        let interrupt: Mutex<Option<CampaignError>> = Mutex::new(None);
         std::thread::scope(|scope| {
             for _ in 0..jobs.min(units.len()) {
                 scope.spawn(|| loop {
@@ -345,40 +337,6 @@ impl Campaign {
             .collect())
     }
 }
-
-/// Why a hooked execution stopped before finishing every unit.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExecInterrupt {
-    /// A checkpoint commit could not be made durable; continuing would
-    /// leave units that *look* done but would vanish on a crash.
-    Io {
-        /// What the executor was doing, e.g. the unit being committed.
-        context: String,
-        /// The underlying I/O error, stringified (keeps this `Clone`).
-        error: String,
-    },
-    /// The [`ProcessKill`] chaos hook fired: the run is dead, exactly as
-    /// if the OS had killed it, after `committed` durable unit commits.
-    Killed {
-        /// Durable commits observed when the hook fired.
-        committed: usize,
-    },
-}
-
-impl fmt::Display for ExecInterrupt {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExecInterrupt::Io { context, error } => {
-                write!(f, "checkpoint I/O failure ({context}): {error}")
-            }
-            ExecInterrupt::Killed { committed } => {
-                write!(f, "process killed after {committed} durable unit commits")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ExecInterrupt {}
 
 /// Best-effort text of a caught panic payload.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -488,6 +446,8 @@ pub fn merge_shard_slots(slots: Vec<Option<Shard>>) -> ConsolidatedDb {
 mod tests {
     use super::*;
     use crate::config::CampaignConfig;
+    use crate::runner::CheckpointOptions;
+    use crate::scenario::ScenarioSpec;
     use wheels_netsim::faults::FaultProfile;
 
     fn tiny(seed: u64, profile: FaultProfile) -> Campaign {
@@ -496,7 +456,7 @@ mod tests {
         cfg.run_static = false;
         cfg.run_passive = false;
         cfg.fault_profile = profile;
-        Campaign::new(cfg)
+        Campaign::from_spec(&ScenarioSpec::paper(), cfg)
     }
 
     #[test]
@@ -514,26 +474,21 @@ mod tests {
     }
 
     #[test]
-    fn none_profile_is_all_ok_and_matches_unsupervised() {
+    fn none_profile_is_all_ok() {
         let campaign = tiny(42, FaultProfile::None);
-        let outcome = campaign.run_supervised().expect("no fail-fast");
+        let outcome = campaign.run(1, None).expect("no fail-fast");
+        assert!(!outcome.db.records.is_empty());
         assert!(outcome
             .integrity
             .units
             .iter()
             .all(|u| u.status == UnitStatus::Ok && u.attempts == 1 && u.faults.is_empty()));
-        let plain = campaign.run();
-        assert_eq!(plain.records.len(), outcome.db.records.len());
-        for (a, b) in plain.records.iter().zip(&outcome.db.records) {
-            assert_eq!(a.start_s, b.start_s);
-            assert_eq!(a.kpi.len(), b.kpi.len());
-        }
     }
 
     #[test]
     fn harsh_profile_survives_and_accounts_for_losses() {
         let campaign = tiny(42, FaultProfile::Harsh);
-        let outcome = campaign.run_supervised().expect("tolerant by default");
+        let outcome = campaign.run(1, None).expect("tolerant by default");
         let report = &outcome.integrity;
         assert_eq!(report.units.len(), campaign.plan_units().len());
         assert!(
@@ -560,18 +515,27 @@ mod tests {
         cfg.fault_profile = FaultProfile::Harsh;
         cfg.max_retries = 0;
         cfg.fail_fast = true;
-        let campaign = Campaign::new(cfg);
+        let campaign = Campaign::from_spec(&ScenarioSpec::paper(), cfg);
         // With no retry budget under harsh faults, some of the 24 drive
         // units is statistically certain to abort its only attempt.
-        let a = campaign.run_supervised().expect_err("must abort");
-        let b = campaign.run_supervised_jobs(4).expect_err("must abort");
+        let a = campaign.run(1, None).expect_err("must abort");
+        assert!(matches!(a, CampaignError::Aborted { .. }), "{a}");
+        let b = campaign.run(4, None).expect_err("must abort");
         assert_eq!(a, b, "fail-fast abort must not depend on job count");
+        // Unit tests have no CARGO_TARGET_TMPDIR; use the target dir.
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../target/checkpoint-unit-tests/fail-fast");
+        let _ = std::fs::remove_dir_all(&dir);
+        let c = campaign
+            .run(4, Some(&CheckpointOptions::fresh(&dir)))
+            .expect_err("must abort");
+        assert_eq!(a, c, "fail-fast abort must not depend on the checkpoint path");
     }
 
     #[test]
     fn retries_are_bounded_by_budget() {
         let campaign = tiny(11, FaultProfile::Harsh);
-        let outcome = campaign.run_supervised().expect("tolerant");
+        let outcome = campaign.run(1, None).expect("tolerant");
         for u in &outcome.integrity.units {
             assert!(u.attempts >= 1 && u.attempts <= campaign.cfg.max_retries + 1);
             if u.attempts == 1 {

@@ -187,17 +187,21 @@ pub struct IntegrityReport {
 // existed and with the uninterrupted-run goldens. Decoding is derived: a
 // missing `Option` field decodes as `None`, so those reports still load.
 impl Serialize for IntegrityReport {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("profile".to_string(), self.profile.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("max_retries".to_string(), self.max_retries.to_value()),
-            ("units".to_string(), self.units.to_value()),
-        ];
+    fn stream(&self, w: &mut serde::ser::JsonWriter<'_>) {
+        w.begin_object();
+        w.key("profile");
+        self.profile.stream(w);
+        w.key("seed");
+        self.seed.stream(w);
+        w.key("max_retries");
+        self.max_retries.stream(w);
+        w.key("units");
+        self.units.stream(w);
         if let Some(resume) = &self.resume {
-            fields.push(("resume".to_string(), resume.to_value()));
+            w.key("resume");
+            resume.stream(w);
         }
-        serde::Value::Object(fields)
+        w.end_object();
     }
 }
 

@@ -38,11 +38,9 @@ pub use checkpoint::{
     LoadedCheckpoints,
 };
 pub use config::CampaignConfig;
-pub use executor::{merge_shard_slots, merge_shards, ExecInterrupt, Shard, WorkUnit};
+pub use executor::{merge_shard_slots, merge_shards, Shard, WorkUnit};
 pub use integrity::{IntegrityReport, ResumeReport, UnitError, UnitReport, UnitStatus};
-pub use runner::{
-    Campaign, CampaignAborted, CampaignError, CampaignOutcome, CheckpointOptions, FleetSummary,
-};
+pub use runner::{Campaign, CampaignError, CampaignOutcome, CheckpointOptions, FleetSummary};
 pub use scenario::{LoadScaleSpec, ScenarioSpec, ScenarioWorld, SubscriberSpec};
 pub use wheels_fleet::FleetUnitSketch;
 pub use stats::Table1;

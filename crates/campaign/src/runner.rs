@@ -1,5 +1,7 @@
 //! The campaign runner: executes the paper's §3 methodology.
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::Path;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -16,7 +18,7 @@ use wheels_netsim::rtt::RttModel;
 use wheels_netsim::server::{Server, ServerSelector};
 use wheels_fleet::FleetUnitSketch;
 use wheels_ran::cell::CellDb;
-use wheels_ran::deployment::{build_all, build_ops};
+use wheels_ran::deployment::build_ops;
 use wheels_ran::fleet::{FleetLoad, FleetParams};
 use wheels_ran::handover::HandoverEvent;
 use wheels_ran::load::LoadParams;
@@ -36,7 +38,7 @@ use wheels_netsim::rng;
 use crate::checkpoint::{self, CheckpointKey, CheckpointWriter, LoadedCheckpoints};
 use crate::config::CampaignConfig;
 use crate::driver::{demand_for, tcp_base_rtt_s, AppLinkAdapter, LinkDriver};
-use crate::executor::{merge_shard_slots, ExecInterrupt, Shard, UnitOutcome, WorkUnit};
+use crate::executor::{merge_shard_slots, Shard, UnitOutcome, WorkUnit};
 use crate::integrity::{IntegrityReport, ResumeReport, UnitStatus};
 use crate::scenario::{Schedule, ScenarioSpec};
 use wheels_netsim::faults::ProcessKill;
@@ -64,7 +66,7 @@ impl Phone {
     }
 }
 
-/// The full result of a supervised campaign: the merged dataset plus the
+/// The full result of a campaign run: the merged dataset plus the
 /// per-unit integrity (data-completeness) report.
 #[derive(Debug)]
 pub struct CampaignOutcome {
@@ -72,12 +74,13 @@ pub struct CampaignOutcome {
     pub db: ConsolidatedDb,
     /// Per-unit completeness accounting, canonical schedule order.
     pub integrity: IntegrityReport,
-    /// Resume accounting when the run came from
-    /// [`Campaign::run_checkpointed_jobs`] with `resume` set: how many
-    /// units were restored versus recomputed and what the checkpoint scan
-    /// rejected. `None` for non-checkpointed and fresh runs. (The copy in
-    /// [`IntegrityReport::resume`] is exported only when the scan saw
-    /// damage; this one is always present on resumed runs, for the CLI.)
+    /// Resume accounting when [`Campaign::run`] resumed from a checkpoint
+    /// log ([`CheckpointOptions::resume`]): how many units were restored
+    /// versus recomputed and what the checkpoint scan rejected. `None`
+    /// for runs without a checkpoint and for fresh checkpointed runs.
+    /// (The copy in [`IntegrityReport::resume`] is exported only when
+    /// the scan saw damage; this one is always present on resumed runs,
+    /// for the CLI.)
     pub resume: Option<ResumeReport>,
     /// Merged fleet ground truth, `None` when the campaign ran without a
     /// subscriber population.
@@ -96,30 +99,7 @@ pub struct FleetSummary {
     pub per_op: Vec<(Operator, FleetUnitSketch)>,
 }
 
-/// A fail-fast abort: some unit was lost and
-/// [`CampaignConfig::fail_fast`](crate::CampaignConfig) is set.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignAborted {
-    /// The first lost unit, canonical schedule order.
-    pub unit: String,
-    /// Its terminal error.
-    pub error: String,
-}
-
-impl std::fmt::Display for CampaignAborted {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "campaign aborted (fail-fast): unit {} lost — {}",
-            self.unit, self.error
-        )
-    }
-}
-
-impl std::error::Error for CampaignAborted {}
-
-/// How [`Campaign::run_checkpointed_jobs`] should treat the checkpoint
-/// directory.
+/// How [`Campaign::run`] should treat the checkpoint directory.
 #[derive(Debug)]
 pub struct CheckpointOptions {
     /// Directory holding the checkpoint log (created if missing).
@@ -158,11 +138,17 @@ impl CheckpointOptions {
     }
 }
 
-/// Why a checkpointed campaign returned no outcome.
+/// Why a campaign run returned no outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CampaignError {
-    /// Fail-fast abort: a unit was lost (see [`CampaignAborted`]).
-    Aborted(CampaignAborted),
+    /// Fail-fast abort: a unit was lost and
+    /// [`CampaignConfig::fail_fast`] is set.
+    Aborted {
+        /// The first lost unit, canonical schedule order.
+        unit: String,
+        /// Its terminal error.
+        error: String,
+    },
     /// A checkpoint or output write could not be made durable.
     Io {
         /// What was being written.
@@ -181,7 +167,9 @@ pub enum CampaignError {
 impl std::fmt::Display for CampaignError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CampaignError::Aborted(a) => a.fmt(f),
+            CampaignError::Aborted { unit, error } => {
+                write!(f, "campaign aborted (fail-fast): unit {unit} lost — {error}")
+            }
             CampaignError::Io { context, error } => {
                 write!(f, "campaign I/O failure ({context}): {error}")
             }
@@ -197,12 +185,6 @@ impl std::fmt::Display for CampaignError {
 
 impl std::error::Error for CampaignError {}
 
-impl From<CampaignAborted> for CampaignError {
-    fn from(a: CampaignAborted) -> Self {
-        CampaignError::Aborted(a)
-    }
-}
-
 /// Optional side products of a run (for log-sync verification).
 #[derive(Debug, Default)]
 pub struct CampaignLogs {
@@ -210,6 +192,18 @@ pub struct CampaignLogs {
     pub xcal: Vec<XcalLog>,
     /// App-side logs, one per test, in the same order.
     pub app: Vec<AppLog>,
+}
+
+/// One operator's share of the world, [`Campaign::ops`] order.
+pub(crate) struct OpSlot {
+    pub(crate) db: Arc<CellDb>,
+    /// Deployment tuning (load scales).
+    tuning: OperatorTuning,
+    /// Edge-server entitlement.
+    edge: bool,
+    /// Fleet load model; `None` when the campaign has no subscriber
+    /// population.
+    fleet: Option<Arc<FleetLoad>>,
 }
 
 /// The campaign: world construction + test execution.
@@ -222,14 +216,8 @@ pub struct Campaign {
     pub(crate) plan: DrivePlan,
     /// The operator panel, in schedule order.
     pub(crate) ops: Vec<Operator>,
-    /// Per-operator edge-server entitlement, [`Campaign::ops`] order.
-    pub(crate) edge: Vec<bool>,
-    pub(crate) dbs: Vec<Arc<CellDb>>,
-    /// Per-operator tuning (load scales), [`Campaign::ops`] order.
-    pub(crate) tunings: Vec<OperatorTuning>,
-    /// Per-operator fleet load models, [`Campaign::ops`] order; all
-    /// `None` when the campaign has no subscriber population.
-    pub(crate) fleet: Vec<Option<Arc<FleetLoad>>>,
+    /// Per-operator world state, [`Campaign::ops`] order.
+    panel: Vec<OpSlot>,
     pub(crate) selector: ServerSelector,
     pub(crate) sched: Schedule,
     /// Hash of the world definition (scenario spec + output-affecting
@@ -239,57 +227,37 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// Build the paper's world (route, drive plan, cell deployments) for
-    /// `cfg` — the direct code path, equivalent to compiling
-    /// [`ScenarioSpec::paper`] (a test asserts byte-identity).
-    pub fn new(cfg: CampaignConfig) -> Self {
-        let plan = DrivePlan::cross_country(cfg.seed);
-        let dbs: Vec<Arc<CellDb>> = build_all(plan.route(), cfg.seed)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        let world_hash = checkpoint::world_hash(&ScenarioSpec::paper(), &cfg);
-        let ops = Operator::ALL.to_vec();
-        let fleet = build_fleet(&cfg, None, &ops, &dbs);
-        Campaign {
-            cfg,
-            plan,
-            edge: ops.iter().map(|op| op.has_edge_servers()).collect(),
-            tunings: ops.iter().map(|_| OperatorTuning::NEUTRAL).collect(),
-            fleet,
-            ops,
-            dbs,
-            selector: ServerSelector::new(),
-            sched: Schedule::paper(),
-            world_hash,
-        }
-    }
-
-    /// Build the world a [`ScenarioSpec`] describes. The `paper` spec
-    /// reproduces [`Campaign::new`] byte-for-byte; other specs swap in
-    /// their own route, operator panel, server fleet, and schedule.
+    /// Build the world a [`ScenarioSpec`] describes: its route, drive
+    /// plan, operator panel (cell deployments and fleet), server fleet,
+    /// and schedule. [`ScenarioSpec::paper`] is the paper's world.
     ///
     /// # Panics
     /// Panics on an invalid spec; call [`ScenarioSpec::validate`] first
     /// when the spec comes from outside.
     pub fn from_spec(spec: &ScenarioSpec, cfg: CampaignConfig) -> Self {
         let world = spec.build(cfg.seed);
-        let panel: Vec<_> = world.ops.iter().map(|&(op, tuning, _)| (op, tuning)).collect();
-        let dbs: Vec<Arc<CellDb>> = build_ops(world.plan.route(), cfg.seed, &panel)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
+        let tuned: Vec<_> = world.ops.iter().map(|&(op, tuning, _)| (op, tuning)).collect();
+        let dbs = build_ops(world.plan.route(), cfg.seed, &tuned);
         let world_hash = checkpoint::world_hash(spec, &cfg);
         let ops: Vec<Operator> = world.ops.iter().map(|&(op, _, _)| op).collect();
         let fleet = build_fleet(&cfg, world.subscribers, &ops, &dbs);
+        let panel = world
+            .ops
+            .iter()
+            .zip(dbs)
+            .zip(fleet)
+            .map(|((&(_, tuning, edge), db), fleet)| OpSlot {
+                db: Arc::new(db),
+                tuning,
+                edge,
+                fleet,
+            })
+            .collect();
         Campaign {
             cfg,
             plan: world.plan,
-            edge: world.ops.iter().map(|&(_, _, e)| e).collect(),
-            tunings: world.ops.iter().map(|&(_, t, _)| t).collect(),
-            fleet,
             ops,
-            dbs,
+            panel,
             selector: world.selector,
             sched: world.schedule,
             world_hash,
@@ -311,104 +279,74 @@ impl Campaign {
         self.cfg.run_apps && self.sched.run_apps
     }
 
-    /// The cell database of one operator.
-    pub fn db_for(&self, op: Operator) -> Arc<CellDb> {
-        let (_, db) = self
-            .ops
+    /// One operator's share of the world.
+    pub(crate) fn slot(&self, op: Operator) -> &OpSlot {
+        self.ops
             .iter()
-            .zip(&self.dbs)
-            .find(|(&o, _)| o == op)
+            .zip(&self.panel)
+            .find_map(|(&o, slot)| (o == op).then_some(slot))
             // lint:allow(D7): every work unit is generated from self.ops, so the operator is always on the panel
-            .expect("operator in panel");
-        Arc::clone(db)
+            .expect("operator in panel")
     }
 
-    /// One operator's tuning.
-    fn tuning_for(&self, op: Operator) -> &OperatorTuning {
-        let (_, tuning) = self
-            .ops
-            .iter()
-            .zip(&self.tunings)
-            .find(|(&o, _)| o == op)
-            // lint:allow(D7): every work unit is generated from self.ops, so the operator is always on the panel
-            .expect("operator in panel");
-        tuning
-    }
-
-    /// One operator's fleet load model, when the campaign has one.
-    fn fleet_for(&self, op: Operator) -> Option<Arc<FleetLoad>> {
-        let (_, fleet) = self
-            .ops
-            .iter()
-            .zip(&self.fleet)
-            .find(|(&o, _)| o == op)
-            // lint:allow(D7): every work unit is generated from self.ops, so the operator is always on the panel
-            .expect("operator in panel");
-        fleet.clone()
-    }
-
-    /// The panel-total subscriber population (0 without a fleet).
-    pub fn fleet_population(&self) -> u64 {
-        self.fleet
-            .iter()
-            .flatten()
-            .map(|f| f.population())
-            .sum()
-    }
-
-    /// One operator's edge-server entitlement.
-    fn has_edge(&self, op: Operator) -> bool {
-        let (_, edge) = self
-            .ops
-            .iter()
-            .zip(&self.edge)
-            .find(|(&o, _)| o == op)
-            // lint:allow(D7): every work unit is generated from self.ops, so the operator is always on the panel
-            .expect("operator in panel");
-        *edge
-    }
-
-    /// Execute the campaign and return the consolidated database.
-    pub fn run(&self) -> ConsolidatedDb {
-        self.run_jobs(1)
-    }
-
-    /// Execute the campaign on `jobs` worker threads.
+    /// Execute the campaign on `jobs` worker threads, returning the
+    /// dataset *and* the per-unit integrity report.
     ///
-    /// The output is byte-identical to [`Campaign::run`] for every `jobs`
-    /// value: both paths run the same per-unit schedule with per-unit
-    /// derived RNG streams and merge shards in canonical unit order (see
-    /// `tests/parallel_equivalence.rs`). This tolerant path never aborts
-    /// — lost units simply leave gaps (it ignores
-    /// [`CampaignConfig::fail_fast`]; use [`Campaign::run_supervised_jobs`]
-    /// for fail-fast semantics and the integrity report).
-    pub fn run_jobs(&self, jobs: usize) -> ConsolidatedDb {
-        self.execute_and_merge(jobs).db
-    }
-
-    /// [`Campaign::run_supervised_jobs`] on the caller's thread.
-    pub fn run_supervised(&self) -> Result<CampaignOutcome, CampaignAborted> {
-        self.run_supervised_jobs(1)
-    }
-
-    /// Execute the campaign under supervision on `jobs` worker threads,
-    /// returning the dataset *and* the per-unit integrity report.
+    /// The output is byte-identical for every `jobs` value: units run
+    /// with per-unit derived RNG streams and merge in canonical unit
+    /// order (see `tests/parallel_equivalence.rs`). Lost units leave gaps
+    /// in the dataset — unless [`CampaignConfig::fail_fast`] is set, in
+    /// which case the run fails with [`CampaignError::Aborted`] naming
+    /// the first lost unit in canonical order.
     ///
-    /// With [`CampaignConfig::fail_fast`] set, a campaign with any
-    /// [`UnitStatus::Lost`] unit aborts with [`CampaignAborted`] naming
-    /// the first lost unit in canonical order (deterministic regardless
-    /// of `jobs`); otherwise lost units degrade to gaps in the dataset
-    /// and the run always succeeds.
-    pub fn run_supervised_jobs(&self, jobs: usize) -> Result<CampaignOutcome, CampaignAborted> {
-        let outcome = self.execute_and_merge(jobs);
+    /// With `checkpoint` set, every completed unit is appended to
+    /// `dir/`[`checkpoint::LOG_NAME`] and fsynced before it counts as
+    /// done. If the process dies (or the [`CheckpointOptions::kill`]
+    /// chaos hook fires), a later run with [`CheckpointOptions::resume`]
+    /// restores every valid record, recomputes only what is missing or
+    /// corrupt, and returns an outcome **byte-identical** to an
+    /// uninterrupted run — unit outputs are pure functions of `(config,
+    /// unit)`, so where the work happened leaves no trace in the dataset.
+    /// Fresh runs truncate any existing log. Resumed runs first compact
+    /// the log (corrupt, foreign, and torn-tail bytes are healed out
+    /// atomically) and account for the damage in
+    /// [`CampaignOutcome::resume`] and, when records were actually
+    /// rejected, in [`IntegrityReport::resume`].
+    pub fn run(
+        &self,
+        jobs: usize,
+        checkpoint: Option<&CheckpointOptions>,
+    ) -> Result<CampaignOutcome, CampaignError> {
+        let units = self.plan_units();
+        let mut restored = BTreeMap::new();
+        let mut resume = None;
+        let mut writer = None;
+        if let Some(opts) = checkpoint {
+            if opts.resume {
+                let (saved, report) = self.restore(&units, &opts.dir)?;
+                restored = saved;
+                resume = Some(report);
+            }
+            writer = Some(
+                CheckpointWriter::open(&opts.dir, self.checkpoint_key(), !opts.resume)
+                    .map_err(io_err(format!("opening checkpoint log in {}", opts.dir.display())))?,
+            );
+        }
+        let kill = checkpoint.and_then(|o| o.kill.as_ref());
+        let outcomes = self.execute_units(&units, jobs, restored, writer.as_ref(), kill)?;
+        let mut outcome = self.fold_outcomes(&units, outcomes);
+        if let Some(r) = resume {
+            // Export the accounting only when the scan rejected records:
+            // a clean resume's integrity report must stay byte-identical
+            // to the uninterrupted run's (CI `cmp`s them).
+            if r.saw_damage() {
+                outcome.integrity.resume = Some(r.clone());
+            }
+            outcome.resume = Some(r);
+        }
         if self.cfg.fail_fast {
-            if let Some(u) = outcome
-                .integrity
-                .units
-                .iter()
-                .find(|u| u.status == UnitStatus::Lost)
-            {
-                return Err(CampaignAborted {
+            if let Some(u) = outcome.integrity.units.iter().find(|u| u.status == UnitStatus::Lost) {
+                return Err(CampaignError::Aborted {
                     unit: u.unit.clone(),
                     error: u.error.clone().unwrap_or_else(|| "unknown".into()),
                 });
@@ -417,12 +355,40 @@ impl Campaign {
         Ok(outcome)
     }
 
-    /// Run the full supervised schedule and fold the surviving shards
-    /// plus the per-unit reports into a [`CampaignOutcome`].
-    fn execute_and_merge(&self, jobs: usize) -> CampaignOutcome {
-        let units = self.plan_units();
-        let outcomes = self.execute_units(&units, jobs);
-        self.fold_outcomes(&units, outcomes)
+    /// Load and compact the checkpoint log in `dir`, returning the
+    /// restorable outcomes of scheduled `units` (keyed by
+    /// [`WorkUnit::fault_words`]) and the scan's accounting.
+    fn restore(
+        &self,
+        units: &[WorkUnit],
+        dir: &Path,
+    ) -> Result<(BTreeMap<[u64; 3], UnitOutcome>, ResumeReport), CampaignError> {
+        let loaded = LoadedCheckpoints::load(dir, self.checkpoint_key())
+            .map_err(io_err(format!("scanning checkpoints in {}", dir.display())))?;
+        loaded
+            .compact_to(dir)
+            .map_err(io_err(format!("compacting checkpoint log in {}", dir.display())))?;
+        let scheduled: BTreeSet<[u64; 3]> = units.iter().map(|u| u.fault_words()).collect();
+        let mut restored = BTreeMap::new();
+        let mut foreign = loaded.foreign_records;
+        let mut notes = loaded.notes;
+        for (words, ck) in loaded.units {
+            if scheduled.contains(&words) {
+                restored.insert(words, ck.into_outcome());
+            } else {
+                // Matching key but no such unit: treat as foreign.
+                foreign += 1;
+                notes.push(format!("record for unscheduled unit {words:?}; ignored"));
+            }
+        }
+        let report = ResumeReport {
+            restored_units: restored.len(),
+            recomputed_units: units.len() - restored.len(),
+            corrupt_records: loaded.corrupt_records,
+            foreign_records: foreign,
+            notes,
+        };
+        Ok((restored, report))
     }
 
     /// Fold per-unit outcomes (canonical order) into the merged dataset
@@ -431,47 +397,32 @@ impl Campaign {
     fn fold_outcomes(&self, units: &[WorkUnit], outcomes: Vec<UnitOutcome>) -> CampaignOutcome {
         let mut slots = Vec::with_capacity(outcomes.len());
         let mut reports = Vec::with_capacity(outcomes.len());
-        // Fleet sketches merge in canonical unit order (`outcomes` is in
-        // `units` order regardless of worker scheduling), grouped by the
-        // unit's operator.
-        let mut per_op: Vec<Option<FleetUnitSketch>> = self.ops.iter().map(|_| None).collect();
+        // Fleet sketches, canonical unit order (`outcomes` is in `units`
+        // order regardless of worker scheduling).
+        let mut sketches = Vec::new();
         for (unit, mut o) in units.iter().zip(outcomes) {
-            if let Some(shard) = o.shard.as_mut() {
-                if let Some(sketch) = shard.fleet.take() {
-                    let op = match *unit {
-                        WorkUnit::Drive { op, .. }
-                        | WorkUnit::Static { op, .. }
-                        | WorkUnit::Passive { op } => op,
-                    };
-                    let slot = self
-                        .ops
-                        .iter()
-                        .position(|&o2| o2 == op)
-                        .and_then(|idx| per_op.get_mut(idx))
-                        // lint:allow(D7): every work unit is generated from self.ops, so the operator is always on the panel
-                        .expect("operator in panel");
-                    match slot {
-                        Some(acc) => acc.merge(&sketch),
-                        slot => *slot = Some(sketch),
-                    }
-                }
+            if let Some(sketch) = o.shard.as_mut().and_then(|s| s.fleet.take()) {
+                sketches.push((unit.op(), sketch));
             }
             slots.push(o.shard);
             reports.push(o.report);
         }
-        let fleet = if self.fleet.iter().any(Option::is_some) {
-            Some(FleetSummary {
-                population: self.fleet_population(),
-                per_op: self
-                    .ops
-                    .iter()
-                    .zip(per_op)
-                    .map(|(&op, s)| (op, s.unwrap_or_else(FleetUnitSketch::empty)))
-                    .collect(),
-            })
-        } else {
-            None
-        };
+        let fleets: Vec<&FleetLoad> =
+            self.panel.iter().filter_map(|s| s.fleet.as_deref()).collect();
+        let fleet = (!fleets.is_empty()).then(|| FleetSummary {
+            population: fleets.iter().map(|f| f.population()).sum(),
+            per_op: self
+                .ops
+                .iter()
+                .map(|&op| {
+                    let mut acc = FleetUnitSketch::empty();
+                    for (_, s) in sketches.iter().filter(|(o, _)| *o == op) {
+                        acc.merge(s);
+                    }
+                    (op, acc)
+                })
+                .collect(),
+        });
         CampaignOutcome {
             db: merge_shard_slots(slots),
             integrity: IntegrityReport {
@@ -497,115 +448,11 @@ impl Campaign {
         }
     }
 
-    /// [`Campaign::run_supervised_jobs`] with durable per-unit
-    /// checkpoints — the crash-safe way to run a long campaign.
-    ///
-    /// Every completed unit is appended to
-    /// `opts.dir/`[`checkpoint::LOG_NAME`] and fsynced before the next
-    /// unit starts counting; if the process dies (or the
-    /// [`CheckpointOptions::kill`] chaos hook fires), a later run with
-    /// [`CheckpointOptions::resume`] set restores every valid record,
-    /// recomputes only what's missing or corrupt, and returns a
-    /// [`CampaignOutcome`] **byte-identical** to an uninterrupted run —
-    /// unit outputs are pure functions of `(config, unit)`, so where the
-    /// work happened (before the crash, after it, on which worker) leaves
-    /// no trace in the dataset.
-    ///
-    /// Fresh runs (`resume == false`) truncate any existing log: a
-    /// non-resume run must never inherit another run's records. Resumed
-    /// runs first compact the log — corrupt, foreign, and torn-tail bytes
-    /// are healed out (atomically) so newly appended records stay
-    /// reachable. Scan damage is accounted in the returned
-    /// [`CampaignOutcome::resume`] and, when records were actually
-    /// rejected, in [`IntegrityReport::resume`].
-    pub fn run_checkpointed_jobs(
-        &self,
-        jobs: usize,
-        opts: &CheckpointOptions,
-    ) -> Result<CampaignOutcome, CampaignError> {
-        let io_err = |context: String| {
-            move |e: std::io::Error| CampaignError::Io {
-                context,
-                error: e.to_string(),
-            }
-        };
-        let key = self.checkpoint_key();
-        let units = self.plan_units();
-        let mut restored: std::collections::BTreeMap<[u64; 3], UnitOutcome> =
-            std::collections::BTreeMap::new();
-        let mut resume_report = None;
-        if opts.resume {
-            let loaded = LoadedCheckpoints::load(&opts.dir, key)
-                .map_err(io_err(format!("scanning checkpoints in {}", opts.dir.display())))?;
-            loaded
-                .compact_to(&opts.dir)
-                .map_err(io_err(format!("compacting checkpoint log in {}", opts.dir.display())))?;
-            let scheduled: std::collections::BTreeSet<[u64; 3]> =
-                units.iter().map(|u| u.fault_words()).collect();
-            let mut foreign = loaded.foreign_records;
-            let mut notes = loaded.notes;
-            for (words, ck) in loaded.units {
-                if scheduled.contains(&words) {
-                    restored.insert(words, ck.into_outcome());
-                } else {
-                    // Matching key but no such unit: treat as foreign.
-                    foreign += 1;
-                    notes.push(format!("record for unscheduled unit {words:?}; ignored"));
-                }
-            }
-            resume_report = Some(ResumeReport {
-                restored_units: restored.len(),
-                recomputed_units: units.len() - restored.len(),
-                corrupt_records: loaded.corrupt_records,
-                foreign_records: foreign,
-                notes,
-            });
-        }
-        let writer = CheckpointWriter::open(&opts.dir, key, !opts.resume)
-            .map_err(io_err(format!("opening checkpoint log in {}", opts.dir.display())))?;
-        let outcomes = self
-            .execute_units_hooked(&units, jobs, restored, Some(&writer), opts.kill.as_ref())
-            .map_err(|i| match i {
-                ExecInterrupt::Io { context, error } => CampaignError::Io { context, error },
-                ExecInterrupt::Killed { committed } => CampaignError::Killed { committed },
-            })?;
-        let mut outcome = self.fold_outcomes(&units, outcomes);
-        if let Some(r) = resume_report {
-            // Export the accounting only when the scan rejected records:
-            // a clean resume's integrity report must stay byte-identical
-            // to the uninterrupted run's (CI `cmp`s them).
-            if r.saw_damage() {
-                outcome.integrity.resume = Some(r.clone());
-            }
-            outcome.resume = Some(r);
-        }
-        if self.cfg.fail_fast {
-            if let Some(u) = outcome
-                .integrity
-                .units
-                .iter()
-                .find(|u| u.status == UnitStatus::Lost)
-            {
-                return Err(CampaignError::Aborted(CampaignAborted {
-                    unit: u.unit.clone(),
-                    error: u.error.clone().unwrap_or_else(|| "unknown".into()),
-                }));
-            }
-        }
-        Ok(outcome)
-    }
-
-    /// Execute and also reconstruct the raw XCAL/app logs for log-sync
-    /// verification (costs extra memory; use at reduced scale).
-    pub fn run_with_logs(&self) -> (ConsolidatedDb, CampaignLogs) {
-        let db = self.run();
-        let logs = self.build_logs(&db);
-        (db, logs)
-    }
-
-    /// Reconstruct what the two logging sides would have produced for
-    /// each record, in final (merged) record order.
-    fn build_logs(&self, db: &ConsolidatedDb) -> CampaignLogs {
+    /// Reconstruct what the two logging sides (XCAL and the apps) would
+    /// have produced for each record of `db`, in final (merged) record
+    /// order — for log-sync verification (costs extra memory; use at
+    /// reduced scale).
+    pub fn build_logs(&self, db: &ConsolidatedDb) -> CampaignLogs {
         let mut logs = CampaignLogs::default();
         for record in &db.records {
             let mut xl = XcalLogger::start(record.op, record.kind.label(), record.start_s);
@@ -656,12 +503,13 @@ impl Campaign {
     fn run_drive_day(&self, op: Operator, day_idx: usize) -> Shard {
         let mut records = Vec::new();
         let mut next_id: u32 = 0;
+        let slot = self.slot(op);
         let mut phone = Phone::new(
             op,
-            self.db_for(op),
+            Arc::clone(&slot.db),
             UeParams {
-                load: LoadParams::driving().scaled(&self.tuning_for(op).load),
-                fleet: self.fleet_for(op),
+                load: LoadParams::driving().scaled(&slot.tuning.load),
+                fleet: slot.fleet.clone(),
                 ..Default::default()
             },
             rng::derive_seed(self.cfg.seed, rng::DOMAIN_PHONE, &[op as u64, day_idx as u64]),
@@ -691,7 +539,7 @@ impl Campaign {
         // operator's ground-truth load over the day's span (static and
         // passive units fold nothing, so campaign totals count each
         // subscriber-hour exactly once).
-        let fleet = self.fleet_for(op).map(|f| {
+        let fleet = slot.fleet.as_ref().map(|f| {
             let mut sketch = FleetUnitSketch::empty();
             f.fold_span(day_start_s, day_end_s, &mut sketch);
             sketch
@@ -772,7 +620,7 @@ impl Campaign {
                 (state.pos, state.timezone)
             }
         };
-        self.selector.select_for(self.has_edge(op), pos, tz)
+        self.selector.select_for(self.slot(op).edge, pos, tz)
     }
 
     fn run_tput(
@@ -1075,7 +923,7 @@ impl Campaign {
     /// fresh UEs (walking around looking for the beam, as the authors
     /// did); each attempt's streams are keyed by `(op, site, attempt)`.
     fn run_static_site(&self, op: Operator, site_od: f64) -> Shard {
-        let db = self.db_for(op);
+        let slot = self.slot(op);
         let mut records = Vec::new();
         let mut next_id: u32 = 0;
         // Test while passing/parked near the city.
@@ -1096,11 +944,11 @@ impl Campaign {
             );
             let mut phone = Phone::new(
                 op,
-                Arc::clone(&db),
+                Arc::clone(&slot.db),
                 UeParams {
-                    load: LoadParams::static_urban().scaled(&self.tuning_for(op).load),
+                    load: LoadParams::static_urban().scaled(&slot.tuning.load),
                     clutter_scale: 0.25,
-                    fleet: self.fleet_for(op),
+                    fleet: slot.fleet.clone(),
                     ..Default::default()
                 },
                 seed,
@@ -1146,12 +994,13 @@ impl Campaign {
 
     /// The passive handover-logger phone for one operator.
     fn run_passive(&self, op: Operator) -> PassiveLogger {
+        let slot = self.slot(op);
         let mut ue = UeRadio::new(
             op,
-            self.db_for(op),
+            Arc::clone(&slot.db),
             UeParams {
-                load: LoadParams::driving().scaled(&self.tuning_for(op).load),
-                fleet: self.fleet_for(op),
+                load: LoadParams::driving().scaled(&slot.tuning.load),
+                fleet: slot.fleet.clone(),
                 ..Default::default()
             },
             rng::derive_seed(self.cfg.seed, rng::DOMAIN_PASSIVE, &[op as u64]),
@@ -1170,6 +1019,14 @@ impl Campaign {
     }
 }
 
+/// Map an I/O error on a checkpoint step to [`CampaignError::Io`].
+pub(crate) fn io_err(context: String) -> impl FnOnce(std::io::Error) -> CampaignError {
+    move |e| CampaignError::Io {
+        context,
+        error: e.to_string(),
+    }
+}
+
 /// Compile the effective fleet template — the scenario's `subscribers`
 /// axis overridden by [`CampaignConfig::population`] — into per-operator
 /// load models. The panel total is apportioned evenly with the remainder
@@ -1181,7 +1038,7 @@ fn build_fleet(
     cfg: &CampaignConfig,
     template: Option<FleetParams>,
     ops: &[Operator],
-    dbs: &[Arc<CellDb>],
+    dbs: &[CellDb],
 ) -> Vec<Option<Arc<FleetLoad>>> {
     let params = match cfg.population {
         Some(0) => None,
@@ -1266,12 +1123,16 @@ mod tests {
         cfg.scale = 0.01;
         cfg.run_static = false;
         cfg.run_passive = false;
-        Campaign::new(cfg)
+        Campaign::from_spec(&ScenarioSpec::paper(), cfg)
+    }
+
+    fn run_db(campaign: &Campaign) -> ConsolidatedDb {
+        campaign.run(1, None).expect("tolerant run").db
     }
 
     #[test]
     fn tiny_run_produces_records() {
-        let db = tiny_campaign().run();
+        let db = run_db(&tiny_campaign());
         assert!(!db.records.is_empty());
         // Every operator gets tests.
         for op in Operator::ALL {
@@ -1284,7 +1145,7 @@ mod tests {
 
     #[test]
     fn tput_records_have_60_kpi_windows_with_throughput() {
-        let db = tiny_campaign().run();
+        let db = run_db(&tiny_campaign());
         let r = db
             .records
             .iter()
@@ -1297,7 +1158,7 @@ mod tests {
 
     #[test]
     fn rtt_records_have_100_samples() {
-        let db = tiny_campaign().run();
+        let db = run_db(&tiny_campaign());
         let r = db
             .records
             .iter()
@@ -1309,8 +1170,8 @@ mod tests {
 
     #[test]
     fn deterministic_runs() {
-        let a = tiny_campaign().run();
-        let b = tiny_campaign().run();
+        let a = run_db(&tiny_campaign());
+        let b = run_db(&tiny_campaign());
         assert_eq!(a.records.len(), b.records.len());
         for (x, y) in a.records.iter().zip(&b.records) {
             assert_eq!(x.start_s, y.start_s);
@@ -1323,7 +1184,7 @@ mod tests {
         let mut cfg = CampaignConfig::quick_network_only(7);
         cfg.scale = 0.0; // static only
         cfg.run_passive = false;
-        let db = Campaign::new(cfg).run();
+        let db = run_db(&Campaign::from_spec(&ScenarioSpec::paper(), cfg));
         let statics: Vec<_> = db.records.iter().filter(|r| r.is_static).collect();
         assert!(statics.len() >= 10, "{} static records", statics.len());
         for r in &statics {
@@ -1343,7 +1204,9 @@ mod tests {
         cfg.scale = 0.005;
         cfg.run_static = false;
         cfg.run_passive = false;
-        let (db, logs) = Campaign::new(cfg).run_with_logs();
+        let campaign = Campaign::from_spec(&ScenarioSpec::paper(), cfg);
+        let db = run_db(&campaign);
+        let logs = campaign.build_logs(&db);
         assert_eq!(logs.xcal.len(), db.records.len());
         let matches = wheels_xcal::sync::match_logs(&logs.app, &logs.xcal);
         for (i, m) in matches.iter().enumerate() {

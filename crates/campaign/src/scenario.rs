@@ -8,15 +8,15 @@
 //! `repro --scenario FILE.json`.
 //!
 //! The paper's world is [`ScenarioSpec::paper`], built field-by-field
-//! from the same constants the direct code path uses — so compiling it
-//! reproduces [`Campaign::new`](crate::Campaign::new) byte-for-byte (a
-//! test and a CI gate assert this). Operator behavior is expressed as a
-//! *slot* (one of the three calibrated parameter families: `verizon`,
-//! `tmobile`, `att`) plus multiplicative per-technology scales on
-//! coverage, cell spacing, and upgrade-policy promotion — the neutral
-//! scale 1.0 is an exact IEEE-754 no-op, which is what makes the paper
-//! spec's identity guarantee possible without duplicating every
-//! calibrated table into the spec.
+//! from the calibrated constants of the route, trip, RAN, and server
+//! crates; it is the world every campaign runs in unless another spec is
+//! given, and the smoke-scale golden digests pin its output. Operator
+//! behavior is expressed as a *slot* (one of the three calibrated
+//! parameter families: `verizon`, `tmobile`, `att`) plus multiplicative
+//! per-technology scales on coverage, cell spacing, and upgrade-policy
+//! promotion — the neutral scale 1.0 is an exact IEEE-754 no-op, so the
+//! paper spec runs the calibrated tables unchanged without duplicating
+//! every one of them into the spec.
 
 use wheels_geo::cities::{City, ROUTE_CITIES};
 use wheels_geo::coord::LatLon;
@@ -275,23 +275,6 @@ pub struct Schedule {
     pub run_passive: bool,
 }
 
-impl Schedule {
-    /// The paper's §3 round-robin: 30 s throughput each way, 20 s ping,
-    /// 20 s per offload variant, 180 s video, 60 s gaming; all suites on.
-    pub fn paper() -> Self {
-        Schedule {
-            tput_s: 30.0,
-            rtt_s: 20.0,
-            app_offload_s: 20.0,
-            video_s: 180.0,
-            game_s: 60.0,
-            run_apps: true,
-            run_static: true,
-            run_passive: true,
-        }
-    }
-}
-
 /// A compiled scenario: the concrete world objects a campaign needs.
 #[derive(Debug)]
 pub struct ScenarioWorld {
@@ -340,9 +323,9 @@ fn tech_pos(tech: Technology) -> usize {
 }
 
 impl ScenarioSpec {
-    /// The paper's world, expressed as data. Every field is copied from
-    /// the constant the direct code path reads, so compiling this spec is
-    /// byte-identical to [`Campaign::new`](crate::Campaign::new).
+    /// The paper's world, expressed as data: every field is copied from
+    /// the calibrated constant it describes, and every operator tuning is
+    /// neutral.
     pub fn paper() -> Self {
         let profile = SpeedProfile::default();
         ScenarioSpec {

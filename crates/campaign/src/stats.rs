@@ -167,6 +167,7 @@ mod tests {
     use super::*;
     use crate::config::CampaignConfig;
     use crate::runner::Campaign;
+    use crate::scenario::ScenarioSpec;
 
     #[test]
     fn table1_from_tiny_campaign() {
@@ -174,8 +175,8 @@ mod tests {
         cfg.scale = 0.01;
         cfg.run_static = false;
         cfg.passive_tick_s = 20.0;
-        let campaign = Campaign::new(cfg);
-        let db = campaign.run();
+        let campaign = Campaign::from_spec(&ScenarioSpec::paper(), cfg);
+        let db = campaign.run(1, None).expect("tolerant run").db;
         let t1 = Table1::compute(&db, campaign.plan().route());
         assert!((t1.distance_km - 5_711.0).abs() < 2.0);
         assert_eq!(t1.major_cities, 10);

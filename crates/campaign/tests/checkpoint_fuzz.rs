@@ -28,7 +28,7 @@ use wheels_campaign::checkpoint::{
 };
 use wheels_campaign::executor::UnitOutcome;
 use wheels_campaign::{
-    Campaign, CampaignConfig, LoadedCheckpoints, UnitReport, UnitStatus, WorkUnit,
+    Campaign, CampaignConfig, LoadedCheckpoints, ScenarioSpec, UnitReport, UnitStatus, WorkUnit,
 };
 use wheels_ran::operator::Operator;
 
@@ -75,7 +75,7 @@ fn payloads() -> &'static [String; 3] {
         let mut cfg = CampaignConfig::quick_network_only(5);
         cfg.scale = 0.02;
         cfg.passive_tick_s = 120.0;
-        let campaign = Campaign::new(cfg);
+        let campaign = Campaign::from_spec(&ScenarioSpec::paper(), cfg);
         let ok = |unit: WorkUnit| {
             let mut report = UnitReport::new(unit.label());
             report.status = UnitStatus::Ok;

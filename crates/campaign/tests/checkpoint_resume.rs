@@ -24,19 +24,19 @@ use std::path::PathBuf;
 
 use wheels_campaign::checkpoint::{record_spans, HEADER_LEN, LOG_NAME};
 use wheels_campaign::{
-    Campaign, CampaignConfig, CampaignError, CheckpointOptions, ProcessKill,
+    Campaign, CampaignConfig, CampaignError, CheckpointOptions, ProcessKill, ScenarioSpec,
 };
 use wheels_xcal::export;
 
 const SEEDS: [u64; 2] = [11, 42];
 
-/// Tiny but fully representative config: all three unit kinds (drive,
-/// static, passive) are scheduled; only the app layer is off.
-fn tiny(seed: u64) -> CampaignConfig {
+/// Tiny but fully representative paper campaign: all three unit kinds
+/// (drive, static, passive) are scheduled; only the app layer is off.
+fn tiny(seed: u64) -> Campaign {
     let mut cfg = CampaignConfig::quick_network_only(seed);
     cfg.scale = 0.02;
     cfg.passive_tick_s = 30.0;
-    cfg
+    Campaign::from_spec(&ScenarioSpec::paper(), cfg)
 }
 
 /// Fresh scratch dir under the cargo-provided tmp root.
@@ -55,12 +55,10 @@ struct Golden {
     units: usize,
 }
 
-/// Cold run: supervised, no checkpointing anywhere near it.
+/// Cold run: no checkpointing anywhere near it.
 fn golden(seed: u64) -> Golden {
-    let campaign = Campaign::new(tiny(seed));
-    let outcome = campaign
-        .run_supervised_jobs(1)
-        .expect("tiny campaign completes");
+    let campaign = tiny(seed);
+    let outcome = campaign.run(1, None).expect("tiny campaign completes");
     Golden {
         export: export::to_json(&outcome.db).expect("export serializes"),
         integrity: serde_json::to_string_pretty(&outcome.integrity)
@@ -77,14 +75,14 @@ fn export_bytes(outcome: &wheels_campaign::CampaignOutcome) -> (String, String) 
 }
 
 /// A checkpointed-but-uninterrupted run is already byte-identical to a
-/// plain supervised run: checkpointing must be observationally free.
+/// plain run: checkpointing must be observationally free.
 #[test]
 fn fresh_checkpointed_run_matches_supervised() {
     let g = golden(11);
     let dir = scratch("fresh-matches");
-    let campaign = Campaign::new(tiny(11));
+    let campaign = tiny(11);
     let outcome = campaign
-        .run_checkpointed_jobs(1, &CheckpointOptions::fresh(&dir))
+        .run(1, Some(&CheckpointOptions::fresh(&dir)))
         .expect("checkpointed run completes");
     let (exp, integ) = export_bytes(&outcome);
     assert_eq!(exp, g.export);
@@ -111,11 +109,9 @@ fn kill_sweep_resume_reproduces_golden_bytes() {
         kill_points.push(n); // crash after the final commit: resume is a pure replay
         for &k in &kill_points {
             let dir = scratch(&format!("sweep-{seed}-{k}"));
-            let campaign = Campaign::new(tiny(seed));
-            let killed = campaign.run_checkpointed_jobs(
-                1,
-                &CheckpointOptions::fresh(&dir).with_kill(ProcessKill::after_units(k)),
-            );
+            let campaign = tiny(seed);
+            let kill = CheckpointOptions::fresh(&dir).with_kill(ProcessKill::after_units(k));
+            let killed = campaign.run(1, Some(&kill));
             match killed {
                 Err(CampaignError::Killed { committed }) => {
                     assert_eq!(committed, k, "seed {seed}: sequential kill is exact")
@@ -126,7 +122,7 @@ fn kill_sweep_resume_reproduces_golden_bytes() {
                 ),
             }
             let resumed = campaign
-                .run_checkpointed_jobs(1, &CheckpointOptions::resume(&dir))
+                .run(1, Some(&CheckpointOptions::resume(&dir)))
                 .expect("resume completes");
             let (exp, integ) = export_bytes(&resumed);
             assert_eq!(exp, g.export, "seed {seed} kill point {k}: export bytes");
@@ -148,11 +144,9 @@ fn parallel_kill_and_resume_match_sequential_golden() {
     let g = golden(seed);
     let k = g.units / 2;
     let dir = scratch("parallel-kill");
-    let campaign = Campaign::new(tiny(seed));
-    let killed = campaign.run_checkpointed_jobs(
-        4,
-        &CheckpointOptions::fresh(&dir).with_kill(ProcessKill::after_units(k)),
-    );
+    let campaign = tiny(seed);
+    let kill = CheckpointOptions::fresh(&dir).with_kill(ProcessKill::after_units(k));
+    let killed = campaign.run(4, Some(&kill));
     match killed {
         Err(CampaignError::Killed { committed }) => {
             // Workers already past the commit gate may land extra units.
@@ -161,7 +155,7 @@ fn parallel_kill_and_resume_match_sequential_golden() {
         other => panic!("expected Killed, got ok={}", other.is_ok()),
     }
     let resumed = campaign
-        .run_checkpointed_jobs(4, &CheckpointOptions::resume(&dir))
+        .run(4, Some(&CheckpointOptions::resume(&dir)))
         .expect("resume completes");
     let (exp, integ) = export_bytes(&resumed);
     assert_eq!(exp, g.export);
@@ -176,9 +170,9 @@ fn corrupt_records_are_rejected_recomputed_and_reported() {
     let seed = 11;
     let g = golden(seed);
     let dir = scratch("corrupt");
-    let campaign = Campaign::new(tiny(seed));
+    let campaign = tiny(seed);
     campaign
-        .run_checkpointed_jobs(1, &CheckpointOptions::fresh(&dir))
+        .run(1, Some(&CheckpointOptions::fresh(&dir)))
         .expect("clean run completes");
     let log_path = dir.join(LOG_NAME);
     let mut bytes = fs::read(&log_path).expect("log exists");
@@ -198,7 +192,7 @@ fn corrupt_records_are_rejected_recomputed_and_reported() {
     fs::write(&log_path, &bytes).expect("plant damage");
 
     let resumed = campaign
-        .run_checkpointed_jobs(1, &CheckpointOptions::resume(&dir))
+        .run(1, Some(&CheckpointOptions::resume(&dir)))
         .expect("resume completes despite damage");
     let exp = export::to_json(&resumed.db).expect("export serializes");
     assert_eq!(exp, g.export, "damaged units recomputed to golden bytes");
@@ -237,12 +231,12 @@ fn resume_of_complete_log_recomputes_nothing() {
     let seed = 42;
     let g = golden(seed);
     let dir = scratch("complete-replay");
-    let campaign = Campaign::new(tiny(seed));
+    let campaign = tiny(seed);
     campaign
-        .run_checkpointed_jobs(1, &CheckpointOptions::fresh(&dir))
+        .run(1, Some(&CheckpointOptions::fresh(&dir)))
         .expect("clean run completes");
     let resumed = campaign
-        .run_checkpointed_jobs(1, &CheckpointOptions::resume(&dir))
+        .run(1, Some(&CheckpointOptions::resume(&dir)))
         .expect("replay completes");
     let (exp, integ) = export_bytes(&resumed);
     assert_eq!(exp, g.export);
@@ -271,9 +265,9 @@ mod prefix_proptest {
         S.get_or_init(|| {
             let seed = 42;
             let dir = scratch("prefix-universe");
-            let campaign = Campaign::new(tiny(seed));
+            let campaign = tiny(seed);
             let outcome = campaign
-                .run_checkpointed_jobs(1, &CheckpointOptions::fresh(&dir))
+                .run(1, Some(&CheckpointOptions::fresh(&dir)))
                 .expect("universe run completes");
             let (export, integrity) = export_bytes(&outcome);
             let log = fs::read(dir.join(LOG_NAME)).expect("log exists");
@@ -296,9 +290,9 @@ mod prefix_proptest {
             let cut = if keep == 0 { 0 } else { s.spans[keep - 1].end };
             let dir = scratch(&format!("prefix-{keep}"));
             fs::write(dir.join(LOG_NAME), &s.log[..cut]).expect("plant prefix");
-            let campaign = Campaign::new(tiny(42));
+            let campaign = tiny(42);
             let resumed = campaign
-                .run_checkpointed_jobs(1, &CheckpointOptions::resume(&dir))
+                .run(1, Some(&CheckpointOptions::resume(&dir)))
                 .expect("prefix resume completes");
             let (exp, integ) = export_bytes(&resumed);
             prop_assert_eq!(exp, s.export.clone());

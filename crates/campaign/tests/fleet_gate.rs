@@ -21,6 +21,10 @@ fn tiny(seed: u64) -> CampaignConfig {
     cfg
 }
 
+fn paper(cfg: CampaignConfig) -> Campaign {
+    Campaign::from_spec(&ScenarioSpec::paper(), cfg)
+}
+
 fn scratch(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
     if dir.exists() {
@@ -32,12 +36,10 @@ fn scratch(name: &str) -> PathBuf {
 
 #[test]
 fn population_zero_is_a_strict_noop() {
-    let base = Campaign::new(tiny(11))
-        .run_supervised_jobs(1)
-        .expect("completes");
+    let base = paper(tiny(11)).run(1, None).expect("completes");
     let mut cfg = tiny(11);
     cfg.population = Some(0);
-    let zero = Campaign::new(cfg).run_supervised_jobs(1).expect("completes");
+    let zero = paper(cfg).run(1, None).expect("completes");
     assert!(base.fleet.is_none() && zero.fleet.is_none());
     assert_eq!(
         export::to_json(&base.db).expect("serializes"),
@@ -49,9 +51,9 @@ fn population_zero_is_a_strict_noop() {
 fn fleet_runs_are_byte_identical_across_jobs() {
     let mut cfg = tiny(42);
     cfg.population = Some(2_000);
-    let campaign = Campaign::new(cfg);
-    let a = campaign.run_supervised_jobs(1).expect("completes");
-    let b = campaign.run_supervised_jobs(3).expect("completes");
+    let campaign = paper(cfg);
+    let a = campaign.run(1, None).expect("completes");
+    let b = campaign.run(3, None).expect("completes");
     let fa = a.fleet.expect("fleet summary present");
     let fb = b.fleet.expect("fleet summary present");
     assert_eq!(fa.population, 2_000);
@@ -67,10 +69,10 @@ fn fleet_runs_are_byte_identical_across_jobs() {
 fn fleet_calibration_changes_the_dataset() {
     // The no-op guard is strict at population 0 — and only there: an
     // actual fleet must visibly re-anchor the load the probes see.
-    let base = Campaign::new(tiny(7)).run_supervised_jobs(1).expect("completes");
+    let base = paper(tiny(7)).run(1, None).expect("completes");
     let mut cfg = tiny(7);
     cfg.population = Some(2_000_000);
-    let loaded = Campaign::new(cfg).run_supervised_jobs(1).expect("completes");
+    let loaded = paper(cfg).run(1, None).expect("completes");
     assert_ne!(
         export::to_json(&base.db).expect("serializes"),
         export::to_json(&loaded.db).expect("serializes"),
@@ -114,23 +116,23 @@ fn pre_fleet_style_checkpoint_log_is_rejected_as_foreign() {
     // world hash. Every record must be rejected as foreign, everything
     // recomputed, and the accounting must say exactly that.
     let dir = scratch("pre-fleet-foreign");
-    let fleetless = Campaign::new(tiny(11));
+    let fleetless = paper(tiny(11));
     let written = fleetless
-        .run_checkpointed_jobs(1, &CheckpointOptions::fresh(&dir))
+        .run(1, Some(&CheckpointOptions::fresh(&dir)))
         .expect("fleetless checkpointed run completes");
     assert!(written.resume.is_none());
     let unit_count = fleetless.plan_units().len();
 
     let mut cfg = tiny(11);
     cfg.population = Some(2_000);
-    let fleet = Campaign::new(cfg);
+    let fleet = paper(cfg);
     assert_ne!(
         fleetless.checkpoint_key().world_hash,
         fleet.checkpoint_key().world_hash,
         "fleet axis must change the world hash"
     );
     let resumed = fleet
-        .run_checkpointed_jobs(1, &CheckpointOptions::resume(&dir))
+        .run(1, Some(&CheckpointOptions::resume(&dir)))
         .expect("resume over a foreign log completes");
     let r = resumed.resume.as_ref().expect("resume accounting present");
     assert_eq!(r.restored_units, 0, "foreign records must not restore");
@@ -141,9 +143,7 @@ fn pre_fleet_style_checkpoint_log_is_rejected_as_foreign() {
     // And the recomputed run is byte-identical to a cold fleet run.
     let mut cold_cfg = tiny(11);
     cold_cfg.population = Some(2_000);
-    let cold = Campaign::new(cold_cfg)
-        .run_supervised_jobs(1)
-        .expect("completes");
+    let cold = paper(cold_cfg).run(1, None).expect("completes");
     assert_eq!(
         export::to_json(&cold.db).expect("serializes"),
         export::to_json(&resumed.db).expect("serializes"),
@@ -157,16 +157,16 @@ fn fleet_sketches_survive_crash_and_resume() {
     let dir = scratch("fleet-crash-resume");
     let mut cfg = tiny(42);
     cfg.population = Some(2_000);
-    let campaign = Campaign::new(cfg);
-    let golden = campaign.run_supervised_jobs(1).expect("completes");
+    let campaign = paper(cfg);
+    let golden = campaign.run(1, None).expect("completes");
 
     let kill = CheckpointOptions::fresh(&dir).with_kill(ProcessKill::after_units(3));
-    match campaign.run_checkpointed_jobs(1, &kill) {
+    match campaign.run(1, Some(&kill)) {
         Err(CampaignError::Killed { committed }) => assert_eq!(committed, 3),
         other => panic!("expected the kill hook to fire, got {other:?}"),
     }
     let resumed = campaign
-        .run_checkpointed_jobs(1, &CheckpointOptions::resume(&dir))
+        .run(1, Some(&CheckpointOptions::resume(&dir)))
         .expect("resume completes");
     let r = resumed.resume.as_ref().expect("resume accounting present");
     assert_eq!(r.restored_units, 3);

@@ -2,10 +2,11 @@
 //!
 //! The campaign inner loop is under continuous optimization, and every
 //! transformation there must be a *pure* speedup — same exported bytes,
-//! faster. ci.sh proves that against a pre-refactor baseline binary, but
-//! that gate only runs in CI; this test pins a digest of the smoke-scale
-//! export at two seeds so a behavior change is caught at `cargo test`
-//! speed, pointing at the exact seed that moved.
+//! faster. ci.sh's byte gates compare runs of one binary with each other
+//! (jobs 1 vs 4, crash vs resume), so they cannot see a change that moves
+//! every run alike; this test pins a digest of the smoke-scale export of
+//! the paper's world at two seeds, so a behavior change across commits is
+//! caught at `cargo test` speed, pointing at the exact seed that moved.
 //!
 //! When a change is *intended* to alter output (a model change, not an
 //! optimization), refresh the pins with:
@@ -20,7 +21,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use wheels_campaign::{Campaign, CampaignConfig};
+use wheels_campaign::{Campaign, CampaignConfig, ScenarioSpec};
 
 const SEEDS: [u64; 2] = [11, 42];
 
@@ -52,9 +53,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn current_digests() -> String {
     let mut out = String::new();
     for seed in SEEDS {
-        let campaign = Campaign::new(smoke_config(seed));
-        let db = campaign.run();
-        let json = wheels_xcal::export::to_json(&db).expect("export serializes");
+        let campaign = Campaign::from_spec(&ScenarioSpec::paper(), smoke_config(seed));
+        let outcome = campaign.run(1, None).expect("tolerant run");
+        let json = wheels_xcal::export::to_json(&outcome.db).expect("export serializes");
         writeln!(out, "{seed} {:016x}", fnv1a(json.as_bytes())).unwrap();
     }
     out

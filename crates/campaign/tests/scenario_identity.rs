@@ -1,27 +1,7 @@
-//! The scenario layer's load-bearing invariant: compiling the campaign
-//! world from `ScenarioSpec::paper()` must reproduce the hard-wired
-//! direct constructors byte for byte, and specs must survive a JSON
-//! round trip without changing the campaign they describe.
+//! Specs must survive a JSON round trip without changing the campaign
+//! they describe.
 
 use wheels_campaign::{Campaign, CampaignConfig, ScenarioSpec};
-
-fn small_cfg(seed: u64) -> CampaignConfig {
-    let mut cfg = CampaignConfig::full(seed);
-    cfg.scale = 0.02;
-    cfg.passive_tick_s = 10.0;
-    cfg
-}
-
-#[test]
-fn paper_spec_output_is_byte_identical_to_direct_path() {
-    for seed in [11u64, 42] {
-        let direct = Campaign::new(small_cfg(seed)).run();
-        let spec = Campaign::from_spec(&ScenarioSpec::paper(), small_cfg(seed)).run();
-        let a = wheels_xcal::export::to_json(&direct).expect("direct serializes");
-        let b = wheels_xcal::export::to_json(&spec).expect("spec serializes");
-        assert!(a == b, "seed {seed}: spec-compiled paper world diverged from direct path");
-    }
-}
 
 #[test]
 fn specs_survive_json_round_trip() {
@@ -43,10 +23,10 @@ fn round_tripped_spec_runs_identical_campaign() {
         let mut cfg = CampaignConfig::quick_network_only(9);
         cfg.scale = 0.01;
         cfg.passive_tick_s = 30.0;
-        let a = Campaign::from_spec(&spec, cfg.clone()).run();
-        let b = Campaign::from_spec(&back, cfg).run();
-        let a = wheels_xcal::export::to_json(&a).expect("original serializes");
-        let b = wheels_xcal::export::to_json(&b).expect("round-tripped serializes");
+        let a = Campaign::from_spec(&spec, cfg.clone()).run(1, None).expect("tolerant run");
+        let b = Campaign::from_spec(&back, cfg).run(1, None).expect("tolerant run");
+        let a = wheels_xcal::export::to_json(&a.db).expect("original serializes");
+        let b = wheels_xcal::export::to_json(&b.db).expect("round-tripped serializes");
         assert!(a == b, "{}: round-tripped spec ran a different campaign", spec.name);
     }
 }

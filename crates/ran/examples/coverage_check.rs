@@ -11,14 +11,15 @@
 use std::sync::Arc;
 use wheels_geo::trip::DrivePlan;
 use wheels_radio::band::Technology;
-use wheels_ran::deployment::build_all;
+use wheels_ran::deployment::build_ops;
 use wheels_ran::policy::TrafficDemand;
+use wheels_ran::tuning::OperatorTuning;
 use wheels_ran::ue::{UeParams, UeRadio};
 use wheels_ran::{Direction, Operator};
 
 fn main() {
     let plan = DrivePlan::cross_country(11);
-    let dbs = build_all(plan.route(), 11);
+    let dbs = build_ops(plan.route(), 11, &Operator::ALL.map(|op| (op, OperatorTuning::NEUTRAL)));
     for (i, op) in Operator::ALL.iter().enumerate() {
         let db = Arc::new(dbs[i].clone());
         let mut ue = UeRadio::new(*op, db, UeParams::default(), 42 + i as u64);

@@ -287,7 +287,7 @@ pub fn layer_plan_tuned(
 ///
 /// Deterministic in `(op, seed)`. Cell ids are unique within the returned
 /// database; combine operators with distinct seeds and id offsets via
-/// [`build_all`].
+/// [`build_ops`].
 pub fn build_cells(route: &Route, op: Operator, seed: u64, id_offset: u32) -> CellDb {
     build_cells_tuned(route, op, seed, id_offset, &OperatorTuning::NEUTRAL)
 }
@@ -358,22 +358,10 @@ pub fn build_cells_tuned(
     CellDb::new(op, sites)
 }
 
-/// Build the cell databases of all three operators with non-overlapping
-/// cell-id ranges.
-pub fn build_all(route: &Route, seed: u64) -> [CellDb; 3] {
-
-    [
-        build_cells(route, Operator::Verizon, seed, 0),
-        build_cells(route, Operator::TMobile, seed.wrapping_add(1), 1_000_000),
-        build_cells(route, Operator::Att, seed.wrapping_add(2), 2_000_000),
-    ]
-}
-
 /// Build the cell databases of an arbitrary operator set with per-operator
 /// tuning. Seeds and id offsets are keyed on the operator *slot* (not the
 /// list position), so a subset scenario sees exactly the deployment the
-/// full panel would — and the full three-operator panel with neutral
-/// tunings reproduces [`build_all`] bit-for-bit.
+/// full panel would. Cell-id ranges are disjoint across operators.
 pub fn build_ops(
     route: &Route,
     seed: u64,
@@ -395,6 +383,12 @@ pub fn build_ops(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The three-operator panel with neutral tunings.
+    fn neutral_panel(route: &Route, seed: u64) -> Vec<CellDb> {
+        let ops = Operator::ALL.map(|op| (op, OperatorTuning::NEUTRAL));
+        build_ops(route, seed, &ops)
+    }
 
     fn route() -> Route {
         Route::cross_country()
@@ -508,7 +502,7 @@ mod tests {
     #[test]
     fn tmobile_has_most_midband_cells() {
         let r = route();
-        let dbs = build_all(&r, 7);
+        let dbs = neutral_panel(&r, 7);
         let mid = |db: &CellDb| db.layer_len(Technology::Nr5gMid);
         assert!(mid(&dbs[1]) > 2 * mid(&dbs[0]));
         assert!(mid(&dbs[1]) > 5 * mid(&dbs[2]));
@@ -517,7 +511,7 @@ mod tests {
     #[test]
     fn verizon_has_most_mmwave_cells() {
         let r = route();
-        let dbs = build_all(&r, 7);
+        let dbs = neutral_panel(&r, 7);
         let mm = |db: &CellDb| db.layer_len(Technology::Nr5gMmWave);
         assert!(mm(&dbs[0]) > mm(&dbs[1]));
         assert!(mm(&dbs[0]) > mm(&dbs[2]));
@@ -526,7 +520,7 @@ mod tests {
     #[test]
     fn ids_disjoint_across_operators() {
         let r = route();
-        let dbs = build_all(&r, 7);
+        let dbs = neutral_panel(&r, 7);
         // id ranges offset by 1M per operator; sizes far below 1M.
         for db in &dbs {
             assert!(db.len() < 1_000_000);

@@ -16,14 +16,16 @@ use wheels_ran::handover::{draw_interruption_ms, A3Tracker, HandoverKind, A3_HYS
 use wheels_ran::load::{LoadParams, LoadProcess};
 use wheels_ran::policy::{TrafficDemand, UpgradePolicy};
 use wheels_ran::selection::sub_rng;
+use wheels_ran::tuning::OperatorTuning;
 use wheels_ran::ue::{UeParams, UeRadio};
 use wheels_ran::{CellId, Direction, Operator};
 
-fn world() -> &'static (DrivePlan, [CellDb; 3]) {
-    static W: OnceLock<(DrivePlan, [CellDb; 3])> = OnceLock::new();
+fn world() -> &'static (DrivePlan, Vec<CellDb>) {
+    static W: OnceLock<(DrivePlan, Vec<CellDb>)> = OnceLock::new();
     W.get_or_init(|| {
         let plan = DrivePlan::cross_country(3);
-        let dbs = wheels_ran::deployment::build_all(plan.route(), 3);
+        let ops = Operator::ALL.map(|op| (op, OperatorTuning::NEUTRAL));
+        let dbs = wheels_ran::deployment::build_ops(plan.route(), 3, &ops);
         (plan, dbs)
     })
 }

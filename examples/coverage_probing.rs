@@ -13,15 +13,16 @@ use std::sync::Arc;
 
 use wheels::geo::trip::DrivePlan;
 use wheels::radio::band::Technology;
-use wheels::ran::deployment::build_all;
+use wheels::ran::deployment::build_ops;
 use wheels::ran::policy::TrafficDemand;
+use wheels::ran::tuning::OperatorTuning;
 use wheels::ran::ue::{UeParams, UeRadio};
 use wheels::ran::{Direction, Operator};
 
 fn main() {
     println!("== passive vs active coverage probing (Fig. 1) ==\n");
     let plan = DrivePlan::cross_country(7);
-    let dbs = build_all(plan.route(), 7);
+    let dbs = build_ops(plan.route(), 7, &Operator::ALL.map(|op| (op, OperatorTuning::NEUTRAL)));
     // A representative afternoon: day 3, two hours into driving
     // (Wyoming/Utah highway into suburbs).
     let t0 = plan.days()[2].start_time_s as f64 + 2.0 * 3_600.0;

@@ -9,7 +9,8 @@ use wheels::geo::cities::CityId;
 use wheels::geo::region::RegionKind;
 use wheels::geo::trip::DrivePlan;
 use wheels::radio::band::Technology;
-use wheels::ran::deployment::build_all;
+use wheels::ran::deployment::build_ops;
+use wheels::ran::tuning::OperatorTuning;
 use wheels::ran::Operator;
 
 fn main() {
@@ -48,7 +49,7 @@ fn main() {
     );
 
     println!("Cell deployments along the route:");
-    let dbs = build_all(route, 7);
+    let dbs = build_ops(route, 7, &Operator::ALL.map(|op| (op, OperatorTuning::NEUTRAL)));
     for (i, op) in Operator::ALL.iter().enumerate() {
         print!("  {:<9}", op.label());
         for tech in Technology::ALL {

@@ -9,7 +9,7 @@
 
 use wheels::analysis::figures::{fig11_handovers, fig12_ho_impact};
 use wheels::analysis::AnalysisIndex;
-use wheels::campaign::{Campaign, CampaignConfig};
+use wheels::campaign::{Campaign, CampaignConfig, ScenarioSpec};
 use wheels::ran::{Direction, Operator};
 
 fn main() {
@@ -17,7 +17,8 @@ fn main() {
     let mut cfg = CampaignConfig::quick_network_only(11);
     cfg.scale = 0.15;
     cfg.run_static = false;
-    let db = Campaign::new(cfg).run();
+    let campaign = Campaign::from_spec(&ScenarioSpec::paper(), cfg);
+    let db = campaign.run(1, None).expect("tolerant run").db;
 
     let ix = AnalysisIndex::build(&db);
     let stats = fig11_handovers::compute(&ix);

@@ -8,7 +8,7 @@
 
 use wheels::analysis::figures::ext_multipath;
 use wheels::analysis::AnalysisIndex;
-use wheels::campaign::{Campaign, CampaignConfig};
+use wheels::campaign::{Campaign, CampaignConfig, ScenarioSpec};
 use wheels::netsim::mptcp::{MptcpMode, MultipathFlow};
 use wheels::ran::Direction;
 
@@ -43,7 +43,8 @@ fn main() {
     cfg.scale = 0.12;
     cfg.run_static = false;
     cfg.run_passive = false;
-    let db = Campaign::new(cfg).run();
+    let campaign = Campaign::from_spec(&ScenarioSpec::paper(), cfg);
+    let db = campaign.run(1, None).expect("tolerant run").db;
     let whatif = ext_multipath::compute(&AnalysisIndex::build(&db));
     println!("{}", whatif.render());
 

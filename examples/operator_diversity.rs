@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use wheels::analysis::figures::fig06_operator_diversity::{self, PAIRS};
 use wheels::analysis::AnalysisIndex;
-use wheels::campaign::{Campaign, CampaignConfig};
+use wheels::campaign::{Campaign, CampaignConfig, ScenarioSpec};
 use wheels::ran::{Direction, Operator};
 use wheels::xcal::database::TestKind;
 
@@ -21,7 +21,8 @@ fn main() {
     let mut cfg = CampaignConfig::quick_network_only(21);
     cfg.scale = 0.15;
     cfg.run_static = false;
-    let db = Campaign::new(cfg).run();
+    let campaign = Campaign::from_spec(&ScenarioSpec::paper(), cfg);
+    let db = campaign.run(1, None).expect("tolerant run").db;
 
     let f = fig06_operator_diversity::compute(&AnalysisIndex::build(&db));
     for pair in PAIRS {

@@ -8,13 +8,13 @@
 use wheels::analysis::figures::{fig02_coverage, fig03_static_driving, share_5g, share_hs5g};
 use wheels::analysis::AnalysisIndex;
 use wheels::campaign::stats::Table1;
-use wheels::campaign::{Campaign, CampaignConfig};
+use wheels::campaign::{Campaign, CampaignConfig, ScenarioSpec};
 use wheels::ran::Operator;
 
 fn main() {
     println!("== wheels quickstart: miniature LA -> Boston campaign ==\n");
-    let campaign = Campaign::new(CampaignConfig::quick(42));
-    let db = campaign.run();
+    let campaign = Campaign::from_spec(&ScenarioSpec::paper(), CampaignConfig::quick(42));
+    let db = campaign.run(1, None).expect("tolerant run").db;
 
     let t1 = Table1::compute(&db, campaign.plan().route());
     println!("{}", t1.render());

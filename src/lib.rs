@@ -5,10 +5,11 @@
 //! and offers a couple of one-call entry points.
 //!
 //! ```no_run
-//! use wheels::campaign::{Campaign, CampaignConfig};
+//! use wheels::campaign::{Campaign, CampaignConfig, ScenarioSpec};
 //!
 //! // A miniature version of the paper's 8-day campaign:
-//! let db = Campaign::new(CampaignConfig::quick(42)).run();
+//! let campaign = Campaign::from_spec(&ScenarioSpec::paper(), CampaignConfig::quick(42));
+//! let db = campaign.run(1, None).expect("tolerant run").db;
 //! println!("{} tests", db.records.len());
 //! ```
 //!
@@ -27,17 +28,26 @@ pub use wheels_radio as radio;
 pub use wheels_ran as ran;
 pub use wheels_xcal as xcal;
 
-use wheels_campaign::{Campaign, CampaignConfig};
+use wheels_campaign::{Campaign, CampaignConfig, ScenarioSpec};
 use wheels_xcal::database::ConsolidatedDb;
 
 /// Run a miniature campaign (all test kinds, statics, passive loggers)
 /// and return its consolidated database. Takes a few seconds.
 pub fn quick_campaign(seed: u64) -> ConsolidatedDb {
-    Campaign::new(CampaignConfig::quick(seed)).run()
+    run_paper(CampaignConfig::quick(seed))
 }
 
 /// Run a miniature network-tests-only campaign (no apps): the fastest way
 /// to get a dataset with throughput/RTT/handover records.
 pub fn quick_network_campaign(seed: u64) -> ConsolidatedDb {
-    Campaign::new(CampaignConfig::quick_network_only(seed)).run()
+    run_paper(CampaignConfig::quick_network_only(seed))
+}
+
+/// Run the paper's world under `cfg` on one thread. Without fail-fast or
+/// a checkpoint log the run tolerates every lost unit, so it cannot fail.
+fn run_paper(cfg: CampaignConfig) -> ConsolidatedDb {
+    Campaign::from_spec(&ScenarioSpec::paper(), cfg)
+        .run(1, None)
+        .expect("tolerant run")
+        .db
 }

@@ -2,7 +2,7 @@
 
 use std::sync::OnceLock;
 
-use wheels::campaign::{Campaign, CampaignConfig};
+use wheels::campaign::{Campaign, CampaignConfig, ScenarioSpec};
 use wheels::xcal::database::{ConsolidatedDb, TestKind};
 
 fn db() -> &'static ConsolidatedDb {
@@ -12,7 +12,7 @@ fn db() -> &'static ConsolidatedDb {
         cfg.scale = 0.035;
         cfg.passive_tick_s = 60.0;
         cfg.run_passive = false;
-        Campaign::new(cfg).run()
+        Campaign::from_spec(&ScenarioSpec::paper(), cfg).run(1, None).expect("tolerant run").db
     })
 }
 

@@ -1,7 +1,7 @@
 //! Dataset export round-trips: the paper publishes its dataset; ours must
 //! survive JSON serialization and produce coherent CSV.
 
-use wheels::campaign::{Campaign, CampaignConfig};
+use wheels::campaign::{Campaign, CampaignConfig, ScenarioSpec};
 use wheels::xcal::database::ConsolidatedDb;
 use wheels::xcal::export;
 
@@ -10,7 +10,7 @@ fn mini() -> ConsolidatedDb {
     cfg.scale = 0.008;
     cfg.run_static = false;
     cfg.passive_tick_s = 60.0;
-    Campaign::new(cfg).run()
+    Campaign::from_spec(&ScenarioSpec::paper(), cfg).run(1, None).expect("tolerant run").db
 }
 
 #[test]

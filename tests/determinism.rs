@@ -1,6 +1,6 @@
 //! Reproducibility: a campaign is a pure function of (config, seed).
 
-use wheels::campaign::{Campaign, CampaignConfig};
+use wheels::campaign::{Campaign, CampaignConfig, ScenarioSpec};
 use wheels::xcal::database::ConsolidatedDb;
 
 fn mini(seed: u64) -> ConsolidatedDb {
@@ -8,7 +8,7 @@ fn mini(seed: u64) -> ConsolidatedDb {
     cfg.scale = 0.01;
     cfg.run_static = false;
     cfg.passive_tick_s = 30.0;
-    Campaign::new(cfg).run()
+    Campaign::from_spec(&ScenarioSpec::paper(), cfg).run(1, None).expect("tolerant run").db
 }
 
 #[test]

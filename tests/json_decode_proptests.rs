@@ -168,7 +168,7 @@ fn shards() -> &'static (Shard, Shard) {
         cfg.scale = 0.02;
         cfg.passive_tick_s = 60.0;
         cfg.population = Some(1_000);
-        let campaign = Campaign::new(cfg);
+        let campaign = Campaign::from_spec(&ScenarioSpec::paper(), cfg);
         let drive = campaign.run_unit_payload(&WorkUnit::Drive {
             op: Operator::TMobile,
             day: 0,

@@ -7,7 +7,7 @@
 //! the logs alone.
 
 use wheels::campaign::runner::CampaignLogs;
-use wheels::campaign::{Campaign, CampaignConfig};
+use wheels::campaign::{Campaign, CampaignConfig, ScenarioSpec};
 use wheels::xcal::logger::XcalLog;
 use wheels::xcal::sync::{match_logs, match_logs_naive};
 use wheels::xcal::timestamp::Timestamp;
@@ -17,8 +17,9 @@ fn logs() -> CampaignLogs {
     cfg.scale = 0.015;
     cfg.run_static = false;
     cfg.run_passive = false;
-    let (_db, logs) = Campaign::new(cfg).run_with_logs();
-    logs
+    let campaign = Campaign::from_spec(&ScenarioSpec::paper(), cfg);
+    let db = campaign.run(1, None).expect("tolerant run").db;
+    campaign.build_logs(&db)
 }
 
 /// Hours the XCAL filename stamp lags the (EDT) content stamp — 0 in the

@@ -9,7 +9,7 @@ use wheels::analysis::figures::{
     share_hs5g, table2_correlations,
 };
 use wheels::analysis::AnalysisIndex;
-use wheels::campaign::{Campaign, CampaignConfig};
+use wheels::campaign::{Campaign, CampaignConfig, ScenarioSpec};
 use wheels::ran::{Direction, Operator};
 use wheels::xcal::database::ConsolidatedDb;
 
@@ -19,7 +19,7 @@ fn db() -> &'static ConsolidatedDb {
         let mut cfg = CampaignConfig::quick_network_only(314);
         cfg.scale = 0.12;
         cfg.passive_tick_s = 6.0;
-        Campaign::new(cfg).run()
+        Campaign::from_spec(&ScenarioSpec::paper(), cfg).run(1, None).expect("tolerant run").db
     })
 }
 
@@ -110,7 +110,8 @@ fn finding_handovers_rare_and_brief() {
 #[test]
 fn finding_table1_statistics_in_paper_ballpark() {
     let d = db();
-    let campaign = Campaign::new(CampaignConfig::quick_network_only(314));
+    let cfg = CampaignConfig::quick_network_only(314);
+    let campaign = Campaign::from_spec(&ScenarioSpec::paper(), cfg);
     let t1 = wheels::campaign::stats::Table1::compute(d, campaign.plan().route());
     assert!((t1.distance_km - 5_711.0).abs() < 2.0);
     assert_eq!(t1.timezones, 4);

@@ -1,4 +1,4 @@
-//! The parallel executor's core guarantee: `run_jobs(n)` produces a
+//! The parallel executor's core guarantee: `run(n, ..)` produces a
 //! byte-identical exported dataset for every worker count, at every seed.
 //!
 //! Work units derive their RNG streams from `(campaign_seed, unit key)`
@@ -6,7 +6,7 @@
 //! completion order must not leak into the output. These tests prove it
 //! on the exported JSON — the strongest equality the dataset has.
 
-use wheels_campaign::{Campaign, CampaignConfig, FaultProfile, UnitStatus};
+use wheels_campaign::{Campaign, CampaignConfig, FaultProfile, ScenarioSpec, UnitStatus};
 use wheels_xcal::export::to_json;
 
 /// A miniature campaign exercising every unit kind: drive cycles,
@@ -21,17 +21,22 @@ fn mini_faulted(seed: u64, profile: FaultProfile) -> Campaign {
     cfg.scale = 0.004;
     cfg.passive_tick_s = 120.0;
     cfg.fault_profile = profile;
-    Campaign::new(cfg)
+    Campaign::from_spec(&ScenarioSpec::paper(), cfg)
+}
+
+/// The exported dataset of `campaign` run on `jobs` workers.
+fn export(campaign: &Campaign, jobs: usize) -> String {
+    to_json(&campaign.run(jobs, None).expect("tolerant run").db).expect("export")
 }
 
 #[test]
 fn sequential_equals_parallel_at_every_worker_count() {
     for seed in [11, 42] {
         let campaign = mini(seed);
-        let baseline = to_json(&campaign.run()).expect("export");
+        let baseline = export(&campaign, 1);
         assert!(!baseline.is_empty());
         for jobs in [1, 2, 4] {
-            let parallel = to_json(&campaign.run_jobs(jobs)).expect("export");
+            let parallel = export(&campaign, jobs);
             assert_eq!(
                 baseline, parallel,
                 "seed {seed}: jobs={jobs} diverged from sequential run"
@@ -43,7 +48,7 @@ fn sequential_equals_parallel_at_every_worker_count() {
 #[test]
 fn parallel_covers_every_unit_kind() {
     let campaign = mini(11);
-    let db = campaign.run_jobs(4);
+    let db = campaign.run(4, None).expect("tolerant run").db;
     assert!(db.records.iter().any(|r| !r.is_static), "no drive records");
     assert!(db.records.iter().any(|r| r.is_static), "no static records");
     assert_eq!(db.passive.len(), 3, "one passive log per operator");
@@ -51,7 +56,7 @@ fn parallel_covers_every_unit_kind() {
 
 #[test]
 fn merged_ids_are_strictly_increasing_and_time_sorted() {
-    let db = mini(42).run_jobs(2);
+    let db = mini(42).run(2, None).expect("tolerant run").db;
     for (i, r) in db.records.iter().enumerate() {
         assert_eq!(r.id, i as u32, "ids are 0..n in final order");
     }
@@ -67,9 +72,7 @@ fn merged_ids_are_strictly_increasing_and_time_sorted() {
 fn oversubscribed_workers_are_harmless() {
     // More workers than units: extra workers find the queue drained.
     let campaign = mini(42);
-    let a = to_json(&campaign.run_jobs(64)).expect("export");
-    let b = to_json(&campaign.run()).expect("export");
-    assert_eq!(a, b);
+    assert_eq!(export(&campaign, 64), export(&campaign, 1));
 }
 
 #[test]
@@ -80,12 +83,12 @@ fn fault_injected_runs_are_byte_identical_at_every_worker_count() {
     for profile in [FaultProfile::Paper, FaultProfile::Harsh] {
         for seed in [11, 42] {
             let campaign = mini_faulted(seed, profile);
-            let base = campaign.run_supervised().expect("tolerant by default");
+            let base = campaign.run(1, None).expect("tolerant by default");
             let base_json = to_json(&base.db).expect("export");
             let base_report =
                 serde_json::to_string_pretty(&base.integrity).expect("report export");
             for jobs in [2, 4, 64] {
-                let par = campaign.run_supervised_jobs(jobs).expect("tolerant");
+                let par = campaign.run(jobs, None).expect("tolerant");
                 assert_eq!(
                     base_json,
                     to_json(&par.db).expect("export"),
@@ -107,7 +110,7 @@ fn fault_injected_runs_are_byte_identical_at_every_worker_count() {
 fn harsh_profile_degrades_but_completes() {
     for seed in [11, 42] {
         let outcome = mini_faulted(seed, FaultProfile::Harsh)
-            .run_supervised()
+            .run(1, None)
             .expect("tolerant by default");
         let hit = outcome
             .integrity
@@ -126,17 +129,15 @@ fn harsh_profile_degrades_but_completes() {
 #[test]
 fn fault_profiles_change_the_dataset_none_does_not() {
     let seed = 42;
-    let clean = to_json(&mini(seed).run()).expect("export");
-    let clean_supervised = {
-        let outcome = mini(seed).run_supervised().expect("no faults");
-        to_json(&outcome.db).expect("export")
-    };
-    assert_eq!(clean, clean_supervised, "fault machinery must be a no-op when off");
-    let harsh = {
-        let outcome = mini_faulted(seed, FaultProfile::Harsh)
-            .run_supervised()
-            .expect("tolerant");
-        to_json(&outcome.db).expect("export")
-    };
-    assert_ne!(clean, harsh, "harsh faults should visibly cost data");
+    let clean = mini(seed).run(1, None).expect("no faults");
+    assert!(
+        clean.integrity.units.iter().all(|u| u.status == UnitStatus::Ok && u.faults.is_empty()),
+        "fault machinery must be a no-op when off"
+    );
+    let harsh = export(&mini_faulted(seed, FaultProfile::Harsh), 1);
+    assert_ne!(
+        to_json(&clean.db).expect("export"),
+        harsh,
+        "harsh faults should visibly cost data"
+    );
 }
