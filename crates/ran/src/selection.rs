@@ -469,6 +469,63 @@ mod tests {
     }
 
     #[test]
+    fn rescan_at_unchanged_odometer_is_identical_and_draws_nothing() {
+        // The premise of `UeRadio::step`'s scan reuse while the UE stands
+        // still: a second scan at the same odometer returns the same
+        // candidates bit for bit and leaves every RNG stream where it was.
+        let tech = Technology::Lte;
+        let db = db_with(
+            (0..12)
+                .map(|i| (i, tech, f64::from(i) * 900.0, 150.0 + f64::from(i) * 20.0))
+                .collect(),
+        );
+        let pl = PathLossModel::new(tech.band(), layer_clutter(tech, RegionKind::Suburban, 1.0));
+        let window = tech.nominal_range_m() * 1.6;
+        let od = 4_321.0;
+        let range = db.window_range(tech, od, window);
+        assert!(range.len() > 2, "the scan must see several cells");
+        let bits = |c: Option<LayerCandidate>| {
+            c.map(|c| {
+                (
+                    c.cell,
+                    c.rsrp_dbm.to_bits(),
+                    c.second_cell,
+                    c.second_rsrp_dbm.map(f64::to_bits),
+                )
+            })
+        };
+        let mut twice = ShadowStore::new(8);
+        let mut once = ShadowStore::new(8);
+        for sh in [&mut twice, &mut once] {
+            // Live fields partway along their streams, as on a drive.
+            let earlier = od - 55.0;
+            let r = db.window_range(tech, earlier, window);
+            evaluate_layer_span(&db, tech, r, earlier, &pl, sh);
+        }
+        let first = evaluate_layer_span(&db, tech, range.clone(), od, &pl, &mut twice);
+        let second = evaluate_layer_span(&db, tech, range.clone(), od, &pl, &mut twice);
+        let single = evaluate_layer_span(&db, tech, range.clone(), od, &pl, &mut once);
+        assert!(first.is_some());
+        assert_eq!(bits(first), bits(second));
+        assert_eq!(bits(first), bits(single));
+        // Had the second scan drawn, `twice`'s streams would now be ahead
+        // of `once`'s and the next advance would differ.
+        let ids = db.layer(tech).ids();
+        let ahead = od + 37.0;
+        let a: Vec<u64> = twice
+            .advance_span(tech, range.clone(), ids, ahead)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let b: Vec<u64> = once
+            .advance_span(tech, range, ids, ahead)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(a, b);
+    }
+
+    #[test]
     fn shadow_at_deterministic_for_same_cell_identity() {
         // The field realization depends on (UE seed, cell id) and the query
         // distances — never on the layer position used to address it.

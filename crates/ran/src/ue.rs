@@ -146,6 +146,12 @@ pub struct UeRadio {
     /// Per-layer audible-window cursor: slides forward with the (monotone)
     /// odometer instead of binary-searching the layer every tick.
     win: [WindowCursor; 5],
+    /// The last five-layer scan, per layer in `Technology::ALL` order.
+    cands: [Option<LayerCandidate>; 5],
+    /// `(odometer bits, region)` the last scan ran at: while the UE stands
+    /// still the scan's inputs are unchanged, so [`UeRadio::step`] reuses
+    /// `cands` instead of rescanning.
+    scan_key: Option<(u64, RegionKind)>,
     rng: SmallRng,
     load_dl: LoadProcess,
     load_ul: LoadProcess,
@@ -181,6 +187,8 @@ impl UeRadio {
             shadows: ShadowStore::new(seed),
             pl_cache: [None; 5],
             win: [WindowCursor::default(); 5],
+            cands: [None; 5],
+            scan_key: None,
             rng: sub_rng(seed, 11),
             load_dl: LoadProcess::new(params.load, seed ^ 0xD1),
             load_ul: LoadProcess::new(params.load, seed ^ 0xB7),
@@ -203,19 +211,33 @@ impl UeRadio {
     /// traffic pattern `demand`; returns the link state.
     ///
     /// Must be called with non-decreasing `t_s` and odometer.
+    ///
+    /// The five-layer candidate scan runs only when the odometer (bit
+    /// for bit) or the region changed since the last step. At an
+    /// unchanged odometer a rescan would return the same candidates and
+    /// draw nothing: every audible field was advanced to this odometer by
+    /// the last scan, and a shadowing field advanced by Δ ≤ 0 returns its
+    /// stored value; path loss depends only on distance and the region's
+    /// clutter; the window cursor does not move. So a parked or static UE
+    /// skips the scan with byte-identical output.
     pub fn step(&mut self, t_s: f64, drive: &DriveState, demand: TrafficDemand) -> LinkSnapshot {
         let od = drive.odometer_m;
         let region = drive.region;
         self.shadows.maybe_prune(od, self.params.shadow_keep_window_m);
 
-        // Evaluate all layers.
-        let mut cands: [Option<LayerCandidate>; 5] = [None; 5];
-        for (i, tech) in Technology::ALL.iter().enumerate() {
-            let pl = self.pl_for(*tech, region);
-            let window = tech.nominal_range_m() * 1.6;
-            let range = self.win[i].range(self.db.layer(*tech).od_m(), od, window);
-            cands[i] = evaluate_layer_span(&self.db, *tech, range, od, &pl, &mut self.shadows);
+        // Evaluate all layers, unless the UE has not moved.
+        let key = (od.to_bits(), region);
+        if self.scan_key != Some(key) {
+            for (i, tech) in Technology::ALL.iter().enumerate() {
+                let pl = self.pl_for(*tech, region);
+                let window = tech.nominal_range_m() * 1.6;
+                let range = self.win[i].range(self.db.layer(*tech).od_m(), od, window);
+                self.cands[i] =
+                    evaluate_layer_span(&self.db, *tech, range, od, &pl, &mut self.shadows);
+            }
+            self.scan_key = Some(key);
         }
+        let cands = self.cands;
 
         // Policy evaluation: on schedule, on demand change, or if the
         // serving layer vanished.
