@@ -84,6 +84,17 @@ cmp "$tmp/direct-42.txt" "$tmp/scenario-42.txt"
 ./target/release/repro --scale smoke --seed 7 --scenario rail-corridor all \
   > "$tmp/rail.txt" 2> /dev/null
 grep -q "T-Mobile (T), AT&T (A)" "$tmp/rail.txt"
+# The worker pool's dispatch order must not leak into the output of the
+# 2- and 3-operator registry worlds either: export and integrity report
+# byte-identical at --jobs 1 and --jobs 4.
+for world in rail-corridor metro-loop; do
+  for jobs in 1 4; do
+    ./target/release/repro --scale smoke --seed 7 --scenario "$world" \
+      --jobs "$jobs" --export "$tmp/$world-j$jobs.json" table1 > /dev/null 2> /dev/null
+  done
+  cmp "$tmp/$world-j1.json" "$tmp/$world-j4.json"
+  cmp "$tmp/$world-j1.json.integrity.json" "$tmp/$world-j4.json.integrity.json"
+done
 ./target/release/repro --scenario metro-loop --scenario-dump > "$tmp/metro.json"
 ./target/release/repro --scale smoke --seed 7 --scenario "$tmp/metro.json" table1 \
   > "$tmp/metro.txt" 2> /dev/null

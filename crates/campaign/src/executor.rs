@@ -11,6 +11,14 @@
 //! back together in canonical unit order — which makes
 //! [`Campaign::run`] byte-identical for every worker count.
 //!
+//! Dispatch order and merge order are separate. The pool hands units
+//! out longest kind first (passive loggers span every plan day, a drive
+//! unit one day, a static site one test cycle), canonical within each
+//! kind, so no worker is left idling behind a long unit handed out
+//! last. Slots, merge, checkpoint restore and the inline `jobs <= 1`
+//! path all keep canonical order, so outputs never see the dispatch
+//! order.
+//!
 //! Units run under a supervisor ([`Campaign::run_unit_supervised`]): the
 //! configured [`FaultPlan`] may abort an attempt (server outage, timeout
 //! overrun) or degrade its output (probe crash, modem detach), panics are
@@ -80,6 +88,16 @@ impl WorkUnit {
             WorkUnit::Drive { op, .. }
             | WorkUnit::Static { op, .. }
             | WorkUnit::Passive { op } => op,
+        }
+    }
+
+    /// Where the unit's kind sits in the pool's dispatch order: the
+    /// longest kind first. Taken from the unit alone, never from timing.
+    fn dispatch_rank(&self) -> u8 {
+        match self {
+            WorkUnit::Passive { .. } => 0,
+            WorkUnit::Drive { .. } => 1,
+            WorkUnit::Static { .. } => 2,
         }
     }
 
@@ -234,8 +252,9 @@ impl Campaign {
     /// which workers ran the rest.
     ///
     /// `jobs <= 1` runs inline on the caller's thread; otherwise a scoped
-    /// pool of `jobs` workers drains a shared index queue, so a slow unit
-    /// (a full drive day) never serializes the rest of the schedule. A
+    /// pool of `jobs` workers drains a shared index queue in
+    /// [`dispatch_order`], so a slow unit (a passive logger, a full drive
+    /// day) starts early and never serializes the tail of the schedule. A
     /// slot left empty after execution becomes an explicit
     /// [`UnitError::MissingSlot`] loss, never a panic.
     ///
@@ -285,6 +304,7 @@ impl Campaign {
             }
             return Ok(out);
         }
+        let order = dispatch_order(units);
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<UnitOutcome>>> =
             units.iter().map(|_| Mutex::new(None)).collect();
@@ -301,7 +321,9 @@ impl Campaign {
                     if dead.load(Ordering::SeqCst) {
                         break;
                     }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                        break;
+                    };
                     let Some(unit) = units.get(i) else { break };
                     // In range whenever `units.get(i)` is: one slot per unit.
                     let Some(slot) = slots.get(i) else { break };
@@ -336,6 +358,17 @@ impl Campaign {
             })
             .collect())
     }
+}
+
+/// The order in which the worker pool hands out `units`: indexes into
+/// `units`, longest kind first ([`WorkUnit::dispatch_rank`]), canonical
+/// within each kind. Only the pool uses it; outcomes still land in
+/// canonical slots.
+fn dispatch_order(units: &[WorkUnit]) -> Vec<usize> {
+    // (rank, canonical index) pairs are distinct, so the sort is total.
+    let mut keyed: Vec<(u8, usize)> = units.iter().map(WorkUnit::dispatch_rank).zip(0..).collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, i)| i).collect()
 }
 
 /// Best-effort text of a caught panic payload.
@@ -471,6 +504,35 @@ mod tests {
         labels.dedup();
         assert_eq!(words.len(), units.len(), "fault_words collide");
         assert_eq!(labels.len(), units.len(), "labels collide");
+    }
+
+    #[test]
+    fn pool_dispatches_longest_kind_first_canonical_within_kind() {
+        let mut cfg = CampaignConfig::quick_network_only(42);
+        cfg.scale = 0.01;
+        let campaign = Campaign::from_spec(&ScenarioSpec::paper(), cfg);
+        let units = campaign.plan_units();
+        let order = dispatch_order(&units);
+        let mut seen = order.clone();
+        seen.sort_unstable();
+        assert_eq!(
+            seen,
+            (0..units.len()).collect::<Vec<_>>(),
+            "not a permutation"
+        );
+        let kinds: Vec<u8> = order.iter().map(|&i| units[i].dispatch_rank()).collect();
+        for kind in 0..3 {
+            assert!(kinds.contains(&kind), "schedule lacks unit kind {kind}");
+        }
+        for (a, b) in order.iter().zip(&order[1..]) {
+            let (ka, kb) = (units[*a].dispatch_rank(), units[*b].dispatch_rank());
+            assert!(
+                ka < kb || (ka == kb && a < b),
+                "{} before {}",
+                units[*a].label(),
+                units[*b].label()
+            );
+        }
     }
 
     #[test]
