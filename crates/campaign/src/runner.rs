@@ -801,7 +801,10 @@ impl Campaign {
                 server,
                 efficiency: 0.85,
             };
-            VideoSession::default().run(t0, &mut link)
+            VideoSession {
+                duration_s: self.sched.video_s,
+            }
+            .run(t0, &mut link)
         };
         let metrics = AppMetrics {
             qoe: Some(summary.qoe as f32),
@@ -841,7 +844,10 @@ impl Campaign {
                 server,
                 efficiency: 0.85,
             };
-            GamingSession::default().run(t0, &mut link)
+            GamingSession {
+                duration_s: self.sched.game_s,
+            }
+            .run(t0, &mut link)
         };
         let metrics = AppMetrics {
             send_bitrate_mbps: Some(summary.send_bitrate_mbps as f32),
