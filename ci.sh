@@ -172,6 +172,39 @@ for jobs in 1 4; do
   cmp "$tmp/resume-j$jobs.txt" "$tmp/q-j1.txt"
 done
 
+echo "== smoke crash-resume gates: rail-corridor and a 10^4 fleet (jobs 4) =="
+# The same kill -> resume -> cmp loop on paths the quarter gate above
+# leaves cold: rail-corridor's scenario session lengths, and the fleet
+# sketch each drive unit of a populated run commits. Both go through the
+# checkpoint codec: the resume must restore units, not just recompute.
+smoke_resume_gate() {
+  local name=$1
+  shift
+  ./target/release/repro --scale smoke --seed 11 --jobs 4 "$@" \
+    --export "$tmp/$name-cold.json" table1 > "$tmp/$name-cold.txt" 2> /dev/null
+  set +e
+  ./target/release/repro --scale smoke --seed 11 --jobs 4 "$@" \
+    --checkpoint-dir "$tmp/ck-$name" --kill-after 5 \
+    --export "$tmp/$name-crash.json" table1 > /dev/null 2> /dev/null
+  local status=$?
+  set -e
+  [ "$status" -eq 137 ] || {
+    echo "$name: expected kill exit 137, got $status"; exit 1;
+  }
+  ./target/release/repro --scale smoke --seed 11 --jobs 4 "$@" \
+    --checkpoint-dir "$tmp/ck-$name" --resume \
+    --export "$tmp/$name-resume.json" table1 \
+    > "$tmp/$name-resume.txt" 2> "$tmp/$name-resume.err"
+  grep -q "resume: [1-9][0-9]* units restored" "$tmp/$name-resume.err" || {
+    echo "$name: resume restored no units"; exit 1;
+  }
+  cmp "$tmp/$name-resume.json" "$tmp/$name-cold.json"
+  cmp "$tmp/$name-resume.json.integrity.json" "$tmp/$name-cold.json.integrity.json"
+  cmp "$tmp/$name-resume.txt" "$tmp/$name-cold.txt"
+}
+smoke_resume_gate rail --scenario rail-corridor
+smoke_resume_gate fleet --population 10000
+
 echo "== fleet gate: population-0 no-op + 10^4-subscriber byte gates =="
 # The fleet axis must be a strict no-op when off: --population 0 is
 # byte-identical — export and full report — to the same binary without

@@ -11,7 +11,8 @@
 //!    executor appends one self-describing record per finished work unit
 //!    to `<dir>/checkpoint.log`: a fixed 72-byte header (magic, world
 //!    hash, seed, scale bits, unit key, payload length, FNV-1a digest)
-//!    followed by the JSON-encoded [`UnitCheckpoint`]. Each record is
+//!    followed by the [`UnitCheckpoint`] in the positional binary
+//!    encoding of [`crate::wire`]. Each record is
 //!    fsynced before the unit counts as committed, so a crash can tear at
 //!    most the record being written — and a torn or bit-rotted record is
 //!    detected by its digest, dropped, and simply recomputed on resume.
@@ -43,10 +44,17 @@ use crate::config::CampaignConfig;
 use crate::executor::{Shard, UnitOutcome, WorkUnit};
 use crate::integrity::UnitReport;
 use crate::scenario::ScenarioSpec;
+use crate::wire;
 
-/// Record-header magic: `WHL_CKP1` as a big-endian word, so a hexdump of
-/// the log starts with something legible.
-pub const MAGIC: u64 = 0x57484C5F_434B5031;
+/// Record-header magic: `WHL_CKP2` as a big-endian word, so a hexdump of
+/// the log starts with something legible. The digit is the payload
+/// format: `WHL_CKP1` logs carried JSON payloads and are rejected, so
+/// their units are recomputed.
+pub const MAGIC: u64 = 0x57484C5F_434B5032;
+
+/// The magic of the JSON-payload records older builds wrote, named only
+/// so the scan can say why it stopped.
+const MAGIC_JSON: u64 = 0x57484C5F_434B5031;
 
 /// Header length: 9 little-endian `u64` words (magic, world hash, seed,
 /// scale bits, 3 unit-key words, payload length, payload digest).
@@ -187,13 +195,13 @@ pub struct UnitCheckpoint {
     /// The shard's passive-logger output, if any.
     pub passive: Option<(Operator, PassiveLogger)>,
     /// The shard's fleet-load sketch (drive units of fleet-enabled
-    /// campaigns). Optional in the wire format, so a payload without the
-    /// field restores as `None`.
+    /// campaigns).
     pub fleet: Option<FleetUnitSketch>,
 }
 
 impl UnitCheckpoint {
-    /// Capture a supervised outcome for the log.
+    /// An owned copy of a supervised outcome's checkpoint. The log is
+    /// written from the borrowed outcome instead; tests compare the two.
     pub fn from_outcome(outcome: &UnitOutcome) -> Self {
         match &outcome.shard {
             Some(shard) => UnitCheckpoint {
@@ -226,25 +234,18 @@ impl UnitCheckpoint {
     }
 }
 
-/// Serialize one log record: header + JSON payload.
-fn encode_record(key: CheckpointKey, words: [u64; 3], payload: &[u8]) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(HEADER_LEN + payload.len());
-    let [unit_a, unit_b, unit_c] = words;
-    for w in [
-        MAGIC,
-        key.world_hash,
-        key.seed,
-        key.scale_bits,
-        unit_a,
-        unit_b,
-        unit_c,
-        payload.len() as u64,
-        fnv1a64(payload),
-    ] {
-        rec.extend_from_slice(&w.to_le_bytes());
+/// Append the payload of `outcome`'s checkpoint to `out`: the bytes
+/// `UnitCheckpoint::from_outcome(outcome)` encodes to, without the clone.
+fn put_outcome(outcome: &UnitOutcome, out: &mut Vec<u8>) {
+    let UnitOutcome { shard, report } = outcome;
+    match shard {
+        Some(Shard {
+            records,
+            passive,
+            fleet,
+        }) => wire::put_checkpoint(true, report, records, passive.as_ref(), fleet.as_ref(), out),
+        None => wire::put_checkpoint(false, report, &[], None, None, out),
     }
-    rec.extend_from_slice(payload);
-    rec
 }
 
 /// Append-only checkpoint writer for one run. `Sync`: executor workers
@@ -284,9 +285,28 @@ impl CheckpointWriter {
     /// and fsynced before this returns, so a crash after `commit` can
     /// never lose the unit.
     pub fn commit(&self, unit: &WorkUnit, outcome: &UnitOutcome) -> io::Result<()> {
-        let payload = serde_json::to_string(&UnitCheckpoint::from_outcome(outcome))
-            .map_err(|e| io::Error::other(format!("checkpoint serialization: {e}")))?;
-        let rec = encode_record(self.key, unit.fault_words(), payload.as_bytes());
+        // One buffer: the payload is encoded after a reserved header,
+        // which is filled in once the payload's length and digest are
+        // known.
+        let mut rec = vec![0u8; HEADER_LEN];
+        put_outcome(outcome, &mut rec);
+        let payload = rec.get(HEADER_LEN..).unwrap_or_default();
+        let (payload_len, digest) = (payload.len() as u64, fnv1a64(payload));
+        let [unit_a, unit_b, unit_c] = unit.fault_words();
+        let header = [
+            MAGIC,
+            self.key.world_hash,
+            self.key.seed,
+            self.key.scale_bits,
+            unit_a,
+            unit_b,
+            unit_c,
+            payload_len,
+            digest,
+        ];
+        for (slot, w) in rec.chunks_exact_mut(8).zip(header) {
+            slot.copy_from_slice(&w.to_le_bytes());
+        }
         let f = self.file.lock();
         (&*f).write_all(&rec)?;
         f.sync_data()?;
@@ -366,10 +386,10 @@ impl LoadedCheckpoints {
     /// is unreachable and will be recomputed.
     ///
     /// The log is read into one buffer and each payload is decoded
-    /// straight from its bytes. When the scan rejected or superseded a
-    /// record, the buffer is kept for [`compact_to`](Self::compact_to),
-    /// which writes the surviving records out of it; otherwise it is
-    /// freed before this returns.
+    /// straight from its bytes ([`wire::decode`]). When the scan rejected
+    /// or superseded a record, the buffer is kept for
+    /// [`compact_to`](Self::compact_to), which writes the surviving
+    /// records out of it; otherwise it is freed before this returns.
     pub fn load(dir: &Path, key: CheckpointKey) -> io::Result<Self> {
         let mut out = LoadedCheckpoints::default();
         let path = dir.join(LOG_NAME);
@@ -398,8 +418,11 @@ impl LoadedCheckpoints {
             };
             if magic != MAGIC {
                 out.corrupt_records += 1;
-                out.notes
-                    .push(format!("bad record magic at byte {pos}; dropping remainder"));
+                out.notes.push(if magic == MAGIC_JSON {
+                    format!("JSON-payload (WHL_CKP1) record at byte {pos}; dropping remainder")
+                } else {
+                    format!("bad record magic at byte {pos}; dropping remainder")
+                });
                 break;
             }
             let rec_key = CheckpointKey {
@@ -445,17 +468,7 @@ impl LoadedCheckpoints {
                 pos = end;
                 continue;
             }
-            let text = match std::str::from_utf8(payload) {
-                Ok(t) => t,
-                Err(_) => {
-                    out.corrupt_records += 1;
-                    out.notes
-                        .push(format!("non-UTF-8 payload at byte {pos}; record dropped"));
-                    pos = end;
-                    continue;
-                }
-            };
-            match serde_json::from_str::<UnitCheckpoint>(text) {
+            match wire::decode::<UnitCheckpoint>(payload) {
                 Ok(ck) => match by_unit.get(&words) {
                     Some(&(idx, _)) => {
                         // idx was recorded alongside the push below, so
@@ -519,6 +532,8 @@ impl LoadedCheckpoints {
 mod tests {
     use super::*;
     use crate::integrity::UnitStatus;
+    use crate::runner::Campaign;
+    use wheels_netsim::faults::FaultProfile;
 
     fn tmp_dir(name: &str) -> std::path::PathBuf {
         // CARGO_TARGET_TMPDIR only exists for integration tests; unit
@@ -719,6 +734,69 @@ mod tests {
             0,
             "fresh truncates"
         );
+    }
+
+    /// Every supervised outcome of a tiny campaign of `scenario`.
+    fn real_outcomes(
+        scenario: &str,
+        faults: FaultProfile,
+        population: Option<u64>,
+    ) -> Vec<UnitOutcome> {
+        let mut cfg = CampaignConfig::quick(11);
+        cfg.scale = 0.02;
+        cfg.passive_tick_s = 60.0;
+        cfg.fault_profile = faults;
+        cfg.population = population;
+        let spec = ScenarioSpec::find(scenario).expect("registered scenario");
+        let campaign = Campaign::from_spec(&spec, cfg);
+        let units = campaign.plan_units();
+        campaign
+            .execute_units(&units, 1, Default::default(), None, None)
+            .expect("no checkpoint and no kill hook, so nothing interrupts")
+    }
+
+    #[test]
+    fn real_outcomes_roundtrip_through_the_codec() {
+        let worlds = [
+            ("paper", FaultProfile::None, None),
+            ("paper", FaultProfile::Harsh, None),
+            ("rail-corridor", FaultProfile::None, None),
+            ("rail-corridor", FaultProfile::Harsh, None),
+            ("metro-loop", FaultProfile::None, None),
+            ("metro-loop", FaultProfile::Harsh, None),
+            ("paper", FaultProfile::None, Some(10_000)),
+        ];
+        let (mut lost, mut degraded_passive, mut truncated, mut fleet, mut apps) = (0, 0, 0, 0, 0);
+        for (scenario, faults, population) in worlds {
+            for o in real_outcomes(scenario, faults, population) {
+                let owned = UnitCheckpoint::from_outcome(&o);
+                let mut borrowed = Vec::new();
+                put_outcome(&o, &mut borrowed);
+                assert_eq!(borrowed, wire::encode(&owned), "{}", o.report.unit);
+                let back: UnitCheckpoint = wire::decode(&borrowed).expect("decodes");
+                assert_eq!(
+                    serde_json::to_string(&back).expect("serializes"),
+                    serde_json::to_string(&owned).expect("serializes"),
+                    "{scenario} {faults:?} {}",
+                    o.report.unit
+                );
+                lost += usize::from(o.report.status == UnitStatus::Lost);
+                degraded_passive += usize::from(o.report.passive_samples_lost > 0);
+                truncated += usize::from(o.report.kpi_samples_lost > 0);
+                let shard = o.shard.as_ref();
+                fleet += usize::from(shard.is_some_and(|s| s.fleet.is_some()));
+                apps += shard.map_or(0, |s| s.records.iter().filter(|r| r.app.is_some()).count());
+            }
+        }
+        for (what, n) in [
+            ("lost units", lost),
+            ("degraded passive logs", degraded_passive),
+            ("truncated KPI streams", truncated),
+            ("fleet sketches", fleet),
+            ("app metrics", apps),
+        ] {
+            assert!(n > 0, "no {what} among the outcomes");
+        }
     }
 
     #[test]

@@ -32,6 +32,7 @@ pub mod runner;
 pub mod scenario;
 pub mod static_tests;
 pub mod stats;
+pub mod wire;
 
 pub use checkpoint::{
     atomic_write, atomic_write_with, write_all_chunked, CheckpointKey, CheckpointWriter,

@@ -5,9 +5,10 @@
 //! two ways and demand that it never panics and accounts for every
 //! record exactly once:
 //!
-//! * **re-framed records** — real payloads, some mutated (truncated JSON,
-//!   a field of the wrong type, an unknown enum variant, nesting past the
-//!   decoder's depth limit, byte soup) and framed again with a *valid*
+//! * **re-framed records** — real binary payloads, some mutated (cut
+//!   short, an enum tag out of range, a `bool`/`Option` byte other than
+//!   0 or 1, a length prefix beyond the remaining bytes, invalid UTF-8 in
+//!   a string, trailing bytes, byte soup) and framed again with a *valid*
 //!   digest, so only the decoder can reject them; plus foreign-key and
 //!   digest-mismatch records and an optional torn tail. Each framed
 //!   record counts exactly once as restored, corrupt or foreign, and a
@@ -22,11 +23,11 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::Value;
 use wheels_campaign::checkpoint::{
     fnv1a64, record_spans, CheckpointKey, UnitCheckpoint, HEADER_LEN, LOG_NAME, MAGIC,
 };
 use wheels_campaign::executor::UnitOutcome;
+use wheels_campaign::wire;
 use wheels_campaign::{
     Campaign, CampaignConfig, LoadedCheckpoints, ScenarioSpec, UnitReport, UnitStatus, WorkUnit,
 };
@@ -67,10 +68,27 @@ fn frame(key: CheckpointKey, words: [u64; 3], payload: &[u8]) -> Vec<u8> {
     rec
 }
 
-/// Real checkpoint payloads (JSON text): a drive unit with records, a
-/// passive unit with its log, and a lost unit with no shard.
-fn payloads() -> &'static [String; 3] {
-    static P: OnceLock<[String; 3]> = OnceLock::new();
+/// A real checkpoint payload and where its fields sit. The layout is
+/// `has_shard` (1 byte), then the report — its unit label as a `u64`
+/// length and the bytes, its status tag, … — then the records' `u64`
+/// length, …, and last the fleet `Option` tag.
+struct Payload {
+    bytes: Vec<u8>,
+    /// Offset of the records' length prefix.
+    records_at: usize,
+}
+
+impl Payload {
+    /// Length of the unit label, whose bytes start at offset 9.
+    fn label_len(&self) -> usize {
+        u64::from_le_bytes(self.bytes[1..9].try_into().expect("8 bytes")) as usize
+    }
+}
+
+/// Real checkpoint payloads: a drive unit with records, a passive unit
+/// with its log, and a lost unit with no shard.
+fn payloads() -> &'static [Payload; 3] {
+    static P: OnceLock<[Payload; 3]> = OnceLock::new();
     P.get_or_init(|| {
         let mut cfg = CampaignConfig::quick_network_only(5);
         cfg.scale = 0.02;
@@ -97,8 +115,16 @@ fn payloads() -> &'static [String; 3] {
             shard: None,
             report: lost,
         };
-        [drive, passive, lost]
-            .map(|o| serde_json::to_string(&UnitCheckpoint::from_outcome(&o)).expect("serializes"))
+        [drive, passive, lost].map(|o| {
+            let ck = UnitCheckpoint::from_outcome(&o);
+            let p = Payload {
+                bytes: wire::encode(&ck),
+                records_at: 1 + wire::encode(&ck.report).len(),
+            };
+            assert!(p.label_len() > 0, "the label holds a byte to corrupt");
+            assert_eq!(p.bytes.last(), Some(&0), "the fleet tag is the last byte");
+            p
+        })
     })
 }
 
@@ -107,67 +133,88 @@ fn payloads() -> &'static [String; 3] {
 enum Kind {
     Valid,
     Truncated,
-    WrongType,
-    UnknownVariant,
-    TooDeep,
+    BadEnumTag,
+    BadFlag,
+    Overlong,
+    BadUtf8,
+    Trailing,
     Soup,
     Foreign,
     BadDigest,
 }
 
-const KINDS: [Kind; 8] = [
+const KINDS: [Kind; 10] = [
     Kind::Valid,
     Kind::Truncated,
-    Kind::WrongType,
-    Kind::UnknownVariant,
-    Kind::TooDeep,
+    Kind::BadEnumTag,
+    Kind::BadFlag,
+    Kind::Overlong,
+    Kind::BadUtf8,
+    Kind::Trailing,
     Kind::Soup,
     Kind::Foreign,
     Kind::BadDigest,
 ];
 
-fn set(tree: &mut Value, key: &str, v: Value) {
-    if let Value::Object(pairs) = tree {
-        if let Some(slot) = pairs.iter_mut().find(|(k, _)| k == key) {
-            slot.1 = v;
-        }
-    }
-}
-
 /// A payload mutated so that it no longer decodes as a `UnitCheckpoint`.
-fn mutate(kind: Kind, json: &str, rng: &mut SmallRng) -> Vec<u8> {
-    let mut tree: Value = serde_json::from_str(json).expect("payload parses");
+fn mutate(kind: Kind, payload: &Payload, rng: &mut SmallRng) -> Vec<u8> {
+    let mut p = payload.bytes.clone();
+    let label_at = 9;
     match kind {
-        Kind::Truncated => {
-            let cut = rng.gen_range(0..json.len());
-            return json.as_bytes()[..cut].to_vec();
+        Kind::Truncated => p.truncate(rng.gen_range(0..p.len())),
+        // `UnitStatus` has three variants.
+        Kind::BadEnumTag => p[label_at + payload.label_len()] = rng.gen_range(3..=255),
+        Kind::BadFlag => {
+            // `has_shard` or the fleet `Option` tag.
+            let at = if rng.gen() { 0 } else { p.len() - 1 };
+            p[at] = rng.gen_range(2..=255);
         }
-        Kind::WrongType => match rng.gen_range(0..3) {
-            0 => set(&mut tree, "has_shard", Value::Str("yes".into())),
-            1 => set(&mut tree, "records", Value::Object(vec![])),
-            _ => set(&mut tree, "report", Value::Array(vec![])),
-        },
-        Kind::UnknownVariant => {
-            if let Value::Object(pairs) = &mut tree {
-                if let Some((_, report)) = pairs.iter_mut().find(|(k, _)| k == "report") {
-                    set(report, "status", Value::Str("Bogus".into()));
-                }
+        Kind::Overlong => {
+            // The unit label's prefix or the records' prefix.
+            let at = if rng.gen() { 1 } else { payload.records_at };
+            let remaining = (p.len() - at - 8) as u64;
+            let len = match rng.gen_range(0..3) {
+                0 => u64::MAX,
+                1 => remaining + 1,
+                _ => rng.gen_range(remaining + 1..=u64::MAX),
+            };
+            p[at..at + 8].copy_from_slice(&len.to_le_bytes());
+        }
+        // A stray continuation byte or a byte UTF-8 never uses, as the
+        // label's first byte.
+        Kind::BadUtf8 => {
+            p[label_at] = if rng.gen() {
+                rng.gen_range(0x80..=0xbf)
+            } else {
+                rng.gen_range(0xf8..=0xff)
             }
         }
-        Kind::TooDeep => {
-            let n = rng.gen_range(128..400);
-            let deep = format!("{}null{}", "[".repeat(n), "]".repeat(n));
-            return format!("{{\"deep\":{deep},{}", &json[1..]).into_bytes();
-        }
+        Kind::Trailing => p.extend((0..rng.gen_range(1..16)).map(|_| rng.gen::<u8>())),
         Kind::Soup => {
             let n = rng.gen_range(0..300);
             return (0..n).map(|_| rng.gen()).collect();
         }
         Kind::Valid | Kind::Foreign | Kind::BadDigest => {}
     }
-    serde_json::to_string(&tree)
-        .expect("serializes")
-        .into_bytes()
+    p
+}
+
+/// The note fragments a record of `kind` may be rejected with. A cut can
+/// land inside a value or just after a length prefix, which then claims
+/// more bytes than are left.
+fn rejection(kind: Kind) -> &'static [&'static str] {
+    match kind {
+        Kind::Valid => &[],
+        Kind::Truncated => &["bytes short of", "exceeds the payload"],
+        Kind::BadEnumTag => &["is no UnitStatus"],
+        Kind::BadFlag => &["is no bool", "is no Option"],
+        Kind::Overlong => &["exceeds the payload"],
+        Kind::BadUtf8 => &["is not UTF-8"],
+        Kind::Trailing => &["trailing bytes"],
+        Kind::Soup => &["undecodable payload"],
+        Kind::Foreign => &["foreign record"],
+        Kind::BadDigest => &["digest mismatch"],
+    }
 }
 
 /// Framed records with distinct unit keys, and an optional torn tail.
@@ -185,19 +232,19 @@ impl Strategy for ArbLog {
         let records = (0..rng.gen_range(1..10))
             .map(|i| {
                 let kind = KINDS[rng.gen_range(0..KINDS.len())];
-                let json = &payloads[rng.gen_range(0..payloads.len())];
+                let payload = &payloads[rng.gen_range(0..payloads.len())];
                 let words = [1, 0, i];
                 let rec = match kind {
                     Kind::Foreign => {
-                        frame(CheckpointKey { seed: 12, ..KEY }, words, json.as_bytes())
+                        frame(CheckpointKey { seed: 12, ..KEY }, words, &payload.bytes)
                     }
                     Kind::BadDigest => {
-                        let mut rec = frame(KEY, words, json.as_bytes());
+                        let mut rec = frame(KEY, words, &payload.bytes);
                         let at = rng.gen_range(HEADER_LEN..rec.len());
                         rec[at] ^= 1 << rng.gen_range(0..8);
                         rec
                     }
-                    _ => frame(KEY, words, &mutate(kind, json, rng)),
+                    _ => frame(KEY, words, &mutate(kind, payload, rng)),
                 };
                 (kind, rec)
             })
@@ -205,7 +252,7 @@ impl Strategy for ArbLog {
         // A torn record: a prefix of a real one, or random bytes.
         let tail = match rng.gen_range(0..4) {
             0 => {
-                let rec = frame(KEY, [9, 9, 9], payloads[2].as_bytes());
+                let rec = frame(KEY, [9, 9, 9], &payloads[2].bytes);
                 rec[..rng.gen_range(1..rec.len())].to_vec()
             }
             1 => (0..rng.gen_range(1..200)).map(|_| rng.gen()).collect(),
@@ -238,6 +285,14 @@ fn check(records: &[&(Kind, Vec<u8>)], tail: &[u8]) {
         .collect();
     let restored_at: Vec<u64> = loaded.units.iter().map(|(w, _)| w[2]).collect();
     assert_eq!(restored_at, valid);
+    // Each damaged record is rejected for the reason its damage implies.
+    let damaged = records.iter().filter(|(k, _)| *k != Kind::Valid);
+    for ((kind, _), note) in damaged.zip(&loaded.notes) {
+        assert!(
+            rejection(*kind).iter().any(|why| note.contains(why)),
+            "{kind:?} rejected as: {note}"
+        );
+    }
 
     // Compaction keeps exactly the restored records; a log with nothing
     // to heal is left byte for byte as it was.
@@ -305,7 +360,7 @@ proptest! {
         // soup (which frames as nothing) is one corrupt remainder.
         let mut bytes = Vec::new();
         for i in 0..valid {
-            bytes.extend_from_slice(&frame(KEY, [3, i as u64, 0], payloads()[1].as_bytes()));
+            bytes.extend_from_slice(&frame(KEY, [3, i as u64, 0], &payloads()[1].bytes));
         }
         bytes.extend_from_slice(&soup);
         let (_, loaded) = load("soup", &bytes);

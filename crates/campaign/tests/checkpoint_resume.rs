@@ -13,7 +13,10 @@
 //!    a torn tail must each be rejected, recomputed, and *accounted* in
 //!    the resume report, while the dataset still comes out golden;
 //! 3. a proptest that resume after an **arbitrary** completed-unit prefix
-//!    of the log (cut at record boundaries) reproduces the golden bytes.
+//!    of the log (cut at record boundaries) reproduces the golden bytes;
+//!
+//! and a log in the older JSON-payload format is recomputed, not
+//! restored, with the same golden bytes out.
 //!
 //! The campaign here is deliberately tiny (network-only, 2% scale,
 //! coarse passive tick): each run is a few hundred milliseconds, so the
@@ -22,9 +25,10 @@
 use std::fs;
 use std::path::PathBuf;
 
-use wheels_campaign::checkpoint::{record_spans, HEADER_LEN, LOG_NAME};
+use wheels_campaign::checkpoint::{fnv1a64, record_spans, HEADER_LEN, LOG_NAME};
 use wheels_campaign::{
-    Campaign, CampaignConfig, CampaignError, CheckpointOptions, ProcessKill, ScenarioSpec,
+    Campaign, CampaignConfig, CampaignError, CheckpointOptions, LoadedCheckpoints, ProcessKill,
+    ScenarioSpec,
 };
 use wheels_xcal::export;
 
@@ -222,6 +226,61 @@ fn corrupt_records_are_rejected_recomputed_and_reported() {
     // survivors plus recomputed units frame cleanly.
     let healed = fs::read(&log_path).expect("log exists");
     assert_eq!(record_spans(&healed).len(), g.units);
+}
+
+/// A log written before payloads were binary: every record framed with
+/// the `WHL_CKP1` magic around a JSON payload, as older builds wrote it.
+/// The scan counts the first such record corrupt and stops there, the
+/// resume recomputes every unit and heals the file, and the export is the
+/// golden one.
+#[test]
+fn json_era_log_is_recomputed_not_restored() {
+    const MAGIC_JSON: u64 = 0x57484C5F_434B5031;
+    let seed = 11;
+    let g = golden(seed);
+    let dir = scratch("json-era");
+    let campaign = tiny(seed);
+    campaign
+        .run(1, Some(&CheckpointOptions::fresh(&dir)))
+        .expect("clean run completes");
+    let log_path = dir.join(LOG_NAME);
+    let bytes = fs::read(&log_path).expect("log exists");
+    let loaded = LoadedCheckpoints::load(&dir, campaign.checkpoint_key()).expect("scans");
+    let spans = record_spans(&bytes);
+    assert_eq!(loaded.units.len(), spans.len());
+    let mut old = Vec::new();
+    for (span, (_, ck)) in spans.iter().zip(&loaded.units) {
+        let json = serde_json::to_string(ck).expect("serializes");
+        let mut header = bytes[span.start..span.start + HEADER_LEN].to_vec();
+        header[..8].copy_from_slice(&MAGIC_JSON.to_le_bytes());
+        header[56..64].copy_from_slice(&(json.len() as u64).to_le_bytes());
+        header[64..].copy_from_slice(&fnv1a64(json.as_bytes()).to_le_bytes());
+        old.extend_from_slice(&header);
+        old.extend_from_slice(json.as_bytes());
+    }
+    fs::write(&log_path, &old).expect("plant the old log");
+
+    let resumed = campaign
+        .run(1, Some(&CheckpointOptions::resume(&dir)))
+        .expect("resume completes");
+    let exp = export::to_json(&resumed.db).expect("export serializes");
+    assert_eq!(exp, g.export, "every unit recomputed to golden bytes");
+    let r = resumed.resume.as_ref().expect("accounting present");
+    assert_eq!((r.restored_units, r.recomputed_units), (0, g.units));
+    assert_eq!((r.corrupt_records, r.foreign_records), (1, 0));
+    assert!(r.notes[0].contains("WHL_CKP1"), "{:?}", r.notes);
+    let mut cleaned = resumed.integrity.clone();
+    cleaned.resume = None;
+    assert_eq!(
+        serde_json::to_string_pretty(&cleaned).expect("integrity serializes"),
+        g.integrity
+    );
+
+    // Compaction dropped the old records; the log now holds the
+    // recomputed units in the current format and nothing else.
+    let healed = LoadedCheckpoints::load(&dir, campaign.checkpoint_key()).expect("rescans");
+    assert_eq!(healed.units.len(), g.units);
+    assert_eq!(healed.corrupt_records + healed.foreign_records, 0);
 }
 
 /// Resuming a fully complete log is a pure replay: nothing recomputed,

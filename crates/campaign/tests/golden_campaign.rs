@@ -10,7 +10,8 @@
 //! UE parked for many ticks; rail-corridor's schedule departs from the
 //! paper's session lengths), so a behavior change across commits is
 //! caught at `cargo test` speed, pointing at the exact world and seed
-//! that moved.
+//! that moved. The checkpoint log of one smoke run is pinned the same
+//! way, so a change to the record format is a visible decision too.
 //!
 //! When a change is *intended* to alter output (a model change, not an
 //! optimization), refresh the pins with:
@@ -25,7 +26,8 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use wheels_campaign::{Campaign, CampaignConfig, ScenarioSpec};
+use wheels_campaign::checkpoint::LOG_NAME;
+use wheels_campaign::{Campaign, CampaignConfig, CheckpointOptions, ScenarioSpec};
 
 /// A pinned world: registry scenario name, golden file, seeds.
 struct World {
@@ -100,11 +102,29 @@ fn rail_corridor_smoke_digests_match_golden() {
     check_world(&RAIL_CORRIDOR);
 }
 
+/// The checkpoint log of a fresh smoke run of the paper world at seed 11
+/// on one worker: workers commit in completion order, so only a
+/// one-worker log has a fixed byte order.
+#[test]
+fn smoke_checkpoint_log_digest_matches_golden() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden-checkpoint-log");
+    let campaign = Campaign::from_spec(&ScenarioSpec::paper(), smoke_config(11));
+    campaign
+        .run(1, Some(&CheckpointOptions::fresh(&dir)))
+        .expect("checkpointed run completes");
+    let log = std::fs::read(dir.join(LOG_NAME)).expect("log written");
+    let got = format!("11 {:016x} {}\n", fnv1a(&log), log.len());
+    check_golden("checkpoint log", "smoke_checkpoint_log.txt", got);
+}
+
 fn check_world(world: &World) {
-    let got = current_digests(world);
+    check_golden(world.scenario, world.file, current_digests(world));
+}
+
+fn check_golden(what: &str, file: &str, got: String) {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
-        .join(world.file);
+        .join(file);
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &got).unwrap();
@@ -119,10 +139,9 @@ fn check_world(world: &World) {
     });
     assert_eq!(
         got, want,
-        "{} smoke export digests diverged from {} — if this change is an \
+        "{what} smoke digests diverged from {} — if this change is an \
          intended output change, refresh with GOLDEN_REGEN=1; if it is an \
          optimization, it is not pure",
-        world.scenario,
         path.display()
     );
 }

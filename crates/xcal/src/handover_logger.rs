@@ -42,6 +42,12 @@ impl PassiveLogger {
         Self::default()
     }
 
+    /// A log holding exactly `samples`, which must be in time order (a
+    /// checkpoint restores a log this way).
+    pub fn from_samples(samples: Vec<PassiveSample>) -> Self {
+        PassiveLogger { samples }
+    }
+
     /// Record one tick (typically 1 s cadence).
     pub fn log(&mut self, s: &LinkSnapshot, lon: f64) {
         self.samples.push(PassiveSample {
