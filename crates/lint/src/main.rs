@@ -1,38 +1,29 @@
 //! `wheels-lint` CLI.
 //!
 //! ```text
-//! wheels-lint [--fixtures]
-//!             [--json] [--json-out FILE]
-//!             [--baseline FILE] [--write-baseline FILE]
-//!             [PATH ...]
+//! wheels-lint [--fixtures] [--json] [--json-out FILE] [PATH ...]
 //! ```
 //!
-//! Default paths: `crates/ src/ examples/ tests/` (those that exist).
-//! Configuration (`lint-hotpaths.toml`, `lint-rng-domains.toml`) is read
-//! from the current directory — run from the workspace root, as `ci.sh`
-//! does.
+//! Default paths: [`SWEEP`] (`crates/ src/ examples/ tests/
+//! benchmark/`, those that exist). The policy is compiled in
+//! (`crates/lint/src/policy.rs`); paths in reports are relative to the
+//! current directory — run from the workspace root, as `ci.sh` does.
 //!
-//! Exit codes: `0` clean, `1` findings (or fixture self-check failure,
-//! or a stale baseline entry), `2` usage/config/IO error.
+//! Exit codes: `0` clean, `1` unsuppressed findings (or fixture
+//! self-check failure), `2` usage/IO error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 // lint:allow(D3): the lint wall-time report measures the linter itself, never simulation state
 use std::time::Instant;
 
-use wheels_lint::{
-    apply_baseline, baseline, check_fixtures, lint_paths, render_report, to_baseline_entries,
-    BaselineOutcome, Finding, LintConfig,
-};
+use wheels_lint::{check_fixtures, lint_paths, render_report, Finding, LintConfig, SWEEP};
 
-const USAGE: &str = "usage: wheels-lint [--fixtures] [--json] [--json-out FILE] \
-[--baseline FILE] [--write-baseline FILE] [PATH ...]\n\
-  PATH              files or directories to lint (default: crates/ src/ examples/ tests/)\n\
-  --json            print the full run report (all findings + statuses) as JSON\n\
+const USAGE: &str = "usage: wheels-lint [--fixtures] [--json] [--json-out FILE] [PATH ...]\n\
+  PATH              files or directories to lint\n\
+                    (default: crates/ src/ examples/ tests/ benchmark/)\n\
+  --json            print the full run report (all findings) as JSON\n\
   --json-out FILE   additionally write the run report to FILE (e.g. LINT_report.json)\n\
-  --baseline FILE   ratchet mode: only non-baselined findings fail, and any\n\
-                    baseline entry that no longer fires fails too\n\
-  --write-baseline FILE  record current unsuppressed findings as the new baseline\n\
   --fixtures        self-check: every fixtures/bad file must fire its rule,\n\
                     every fixtures/allowed file must be clean";
 
@@ -40,8 +31,6 @@ struct Args {
     fixtures: bool,
     json: bool,
     json_out: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
     paths: Vec<PathBuf>,
 }
 
@@ -55,8 +44,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         fixtures: false,
         json: false,
         json_out: None,
-        baseline: None,
-        write_baseline: None,
         paths: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
@@ -64,9 +51,7 @@ fn parse_args() -> Result<Args, ExitCode> {
         match a.as_str() {
             "--fixtures" => args.fixtures = true,
             "--json" => args.json = true,
-            "--json-out" => args.json_out = Some(next_path(&mut it)?),
-            "--baseline" => args.baseline = Some(next_path(&mut it)?),
-            "--write-baseline" => args.write_baseline = Some(next_path(&mut it)?),
+            "--json-out" => args.json_out = Some(it.next().map(PathBuf::from).ok_or_else(usage)?),
             "--help" | "-h" => return Err(usage()),
             p if p.starts_with('-') => {
                 eprintln!("unknown flag: {p}");
@@ -76,10 +61,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         }
     }
     Ok(args)
-}
-
-fn next_path(it: &mut impl Iterator<Item = String>) -> Result<PathBuf, ExitCode> {
-    it.next().map(PathBuf::from).ok_or_else(usage)
 }
 
 fn main() -> ExitCode {
@@ -93,27 +74,14 @@ fn main() -> ExitCode {
     }
 
     let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    let cfg = match LintConfig::load(&cwd) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("lint: config error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
     let mut paths = args.paths.clone();
     if paths.is_empty() {
-        for p in ["crates", "src", "examples", "tests"] {
-            let pb = PathBuf::from(p);
-            if pb.exists() {
-                paths.push(pb);
-            }
-        }
+        paths.extend(SWEEP.iter().map(PathBuf::from).filter(|p| p.exists()));
     }
 
     // lint:allow(D3): wall time is printed for the CI log, never fed into analysis
     let t0 = Instant::now();
-    let (findings, files) = match lint_paths(&paths, Some(&cwd), &cfg) {
+    let (findings, files) = match lint_paths(&paths, Some(&cwd), &LintConfig::workspace()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("lint: {e}");
@@ -122,43 +90,7 @@ fn main() -> ExitCode {
     };
     let wall_ms = t0.elapsed().as_millis();
 
-    if let Some(out) = &args.write_baseline {
-        let entries = to_baseline_entries(&findings);
-        let text = baseline::render_baseline(&entries);
-        // lint:allow(D6): the baseline is a dev artifact regenerated on demand, not campaign output
-        if let Err(e) = std::fs::write(out, text) {
-            eprintln!("lint: writing {}: {e}", out.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "lint: wrote {} baseline entries to {}",
-            entries.len(),
-            out.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let outcome: Option<BaselineOutcome> = match &args.baseline {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("lint: reading {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            match baseline::parse_baseline(&text) {
-                Ok(entries) => Some(apply_baseline(&findings, &entries)),
-                Err(e) => {
-                    eprintln!("lint: {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        None => None,
-    };
-
-    let report = render_report(&findings, files, wall_ms, outcome.as_ref());
+    let report = render_report(&findings, files, wall_ms);
     if args.json {
         println!("{report}");
     }
@@ -170,45 +102,22 @@ fn main() -> ExitCode {
         }
     }
 
-    let failing: Vec<&Finding> = match &outcome {
-        Some(o) => o.fresh.iter().collect(),
-        None => findings.iter().filter(|f| f.is_unsuppressed()).collect(),
-    };
+    let failing: Vec<&Finding> = findings.iter().filter(|f| f.is_unsuppressed()).collect();
     if !args.json {
         for f in &failing {
             println!("{f}");
         }
     }
-    let mut failed = !failing.is_empty();
-    if let Some(o) = &outcome {
-        for e in &o.stale {
-            eprintln!(
-                "lint: stale baseline entry {} ({} in {}): the finding no longer \
-                 fires — remove the entry (ratchet down)",
-                e.fingerprint, e.rule, e.file
-            );
-        }
-        failed = failed || !o.stale.is_empty();
-        eprintln!(
-            "lint: {files} files, {} findings ({} baselined, {} suppressed, {} new, {} stale) in {wall_ms} ms",
-            findings.len(),
-            o.baselined.len(),
-            findings.iter().filter(|f| f.suppressed.is_some()).count(),
-            o.fresh.len(),
-            o.stale.len(),
-        );
-    } else {
-        eprintln!(
-            "lint: {files} files, {} findings ({} suppressed, {} failing) in {wall_ms} ms",
-            findings.len(),
-            findings.iter().filter(|f| f.suppressed.is_some()).count(),
-            failing.len(),
-        );
-    }
-    if failed {
-        ExitCode::from(1)
-    } else {
+    eprintln!(
+        "lint: {files} files, {} findings ({} suppressed, {} failing) in {wall_ms} ms",
+        findings.len(),
+        findings.len() - failing.len(),
+        failing.len(),
+    );
+    if failing.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
 }
 

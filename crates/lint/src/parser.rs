@@ -167,7 +167,9 @@ pub fn parse(tokens: &[Token], n_lines: usize, whole_file_test: bool) -> FileMod
                 });
                 pending_test_attr = false;
             }
-            TokenKind::Ident if t.text == "impl" => {
+            // `impl Trait` in a signature (`f: impl FnMut(..)`,
+            // `-> impl Iterator`) is a type, not an impl block.
+            TokenKind::Ident if t.text == "impl" && !matches!(pending, Some(Pending::Fn { .. })) => {
                 let ty = impl_type_name(tokens, i + 1);
                 pending = Some(Pending::Impl {
                     ty,
@@ -507,6 +509,15 @@ mod tests {
     fn trait_impl_uses_self_type() {
         let m = model_of("impl<'a> Iterator for Scan<'a> {\n    fn next(&mut self) -> Option<u8> { None }\n}\n");
         assert_eq!(m.functions[0].qual, "Scan::next");
+    }
+
+    #[test]
+    fn impl_trait_in_a_signature_is_not_an_impl_block() {
+        let src = "impl ShadowBank {\n    fn advance_span(&mut self, f: impl FnMut(usize) -> u64) -> &[f64] {\n        self.fill();\n    }\n    fn iter(&self) -> impl Iterator<Item = u8> + '_ { None.into_iter() }\n}\n";
+        let m = model_of(src);
+        let quals: Vec<&str> = m.functions.iter().map(|f| f.qual.as_str()).collect();
+        assert_eq!(quals, ["ShadowBank::advance_span", "ShadowBank::iter"]);
+        assert_eq!(m.functions[0].calls[0].name, "fill");
     }
 
     #[test]

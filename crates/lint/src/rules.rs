@@ -14,9 +14,9 @@
 //! transitive) and D9 (RNG-domain provenance) need the whole analyzed
 //! set and run in [`finalize`].
 
-use crate::config::LintConfig;
 use crate::lexer::{self, Line, Token, TokenKind};
 use crate::parser::{self, is_keyword, FileModel};
+use crate::policy::LintConfig;
 use crate::Rule;
 
 /// A rule match before suppression is applied.
@@ -426,7 +426,7 @@ pub fn finalize(files: &[AnalyzedFile], cfg: &LintConfig) -> Vec<(usize, RawFind
     out
 }
 
-/// D8: functions registered in `lint-hotpaths.toml` may not allocate —
+/// D8: functions registered in the hot-path registry may not allocate —
 /// directly or through one level of calls. PR 6's span-batched hot loops
 /// (`ShadowBank::advance_span`, `UeRadio::step`, `evaluate_layer_span`,
 /// the CUBIC/BBR ack path, `FleetLoad::fold_span`, the export emitters)
@@ -452,8 +452,8 @@ fn run_d8(files: &[AnalyzedFile], cfg: &LintConfig, out: &mut Vec<(usize, RawFin
         };
         cfg.hotpath_forbid
             .iter()
-            .find(|f| f.as_str() == name || Some(f.as_str()) == qualified.as_deref())
-            .map(|f| f.clone())
+            .find(|f| **f == name || Some(**f) == qualified.as_deref())
+            .map(|f| f.to_string())
     };
 
     // Global callee index: bare name -> (file, fn) for unambiguous
@@ -593,7 +593,7 @@ fn run_d8(files: &[AnalyzedFile], cfg: &LintConfig, out: &mut Vec<(usize, RawFin
 /// units) happen; that is a statistics bug the paper's tables would
 /// inherit invisibly.
 fn run_d9(files: &[AnalyzedFile], cfg: &LintConfig, out: &mut Vec<(usize, RawFinding)>) {
-    let prefix = cfg.rng_domain_prefix.as_str();
+    let prefix = cfg.rng_domain_prefix;
     if prefix.is_empty() {
         return;
     }
@@ -633,7 +633,7 @@ fn run_d9(files: &[AnalyzedFile], cfg: &LintConfig, out: &mut Vec<(usize, RawFin
         }
     }
 
-    let module = cfg.rng_module.as_str();
+    let module = cfg.rng_module;
     let in_module = |fi: usize| files[fi].rel.ends_with(module);
     let have_module = files.iter().any(|f| f.rel.ends_with(module));
 
@@ -795,7 +795,7 @@ mod tests {
     use super::*;
 
     fn lint_at(rel: &str, src: &str) -> Vec<RawFinding> {
-        let cfg = LintConfig::builtin();
+        let cfg = LintConfig::workspace();
         let file = analyze(rel, src, false);
         run(&file, &cfg)
     }
@@ -926,7 +926,7 @@ mod tests {
 
     #[test]
     fn d6_is_test_exempt() {
-        let cfg = LintConfig::builtin();
+        let cfg = LintConfig::workspace();
         let file = analyze("x.rs", "fs::write(&golden, bytes).unwrap();", true);
         let f = run(&file, &cfg);
         assert!(f.is_empty(), "{f:?}");
@@ -940,7 +940,7 @@ mod tests {
 
     #[test]
     fn test_lines_are_exempt_from_d2_d3_d4_but_not_d1() {
-        let cfg = LintConfig::builtin();
+        let cfg = LintConfig::workspace();
         let src = "use std::collections::HashMap;\nlet t = Instant::now();\nv.sort_by(|a, b| a.partial_cmp(b).unwrap());";
         let file = analyze("x.rs", src, true);
         let f = run(&file, &cfg);
@@ -1004,9 +1004,10 @@ mod tests {
     // --- D8 ----------------------------------------------------------
 
     fn d8_cfg() -> LintConfig {
-        let mut cfg = LintConfig::builtin();
-        cfg.hotpaths = vec!["Hot::advance".to_string(), "hot_free".to_string()];
-        cfg
+        LintConfig {
+            hotpaths: &["Hot::advance", "hot_free"],
+            ..LintConfig::workspace()
+        }
     }
 
     fn finalize_one(rel: &str, src: &str, cfg: &LintConfig) -> Vec<RawFinding> {
@@ -1103,10 +1104,11 @@ mod tests {
     // --- D9 ----------------------------------------------------------
 
     fn d9_cfg() -> LintConfig {
-        let mut cfg = LintConfig::builtin();
-        cfg.rng_module = "src/rng.rs".to_string();
-        cfg.rng_arity = vec![("DOMAIN_PHONE".to_string(), 2)];
-        cfg
+        LintConfig {
+            rng_module: "src/rng.rs",
+            rng_arity: &[("DOMAIN_PHONE", 2)],
+            ..LintConfig::workspace()
+        }
     }
 
     #[test]

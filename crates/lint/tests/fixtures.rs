@@ -1,4 +1,4 @@
-//! Fixture-corpus tests: every rule D1–D5 fires exactly on its `bad/`
+//! Fixture-corpus tests: every rule D1–D9 fires exactly on its `bad/`
 //! file (with the expected rule ID and nothing else), and every
 //! `allowed/` file lints clean. The same corpus backs the runtime
 //! `wheels-lint --fixtures` self-check; this test pins it into
@@ -6,16 +6,14 @@
 
 use std::path::{Path, PathBuf};
 
-use wheels_lint::{check_fixtures, lint_source, Rule};
+use wheels_lint::{check_fixtures, lint_fixture, Rule};
 
 fn fixtures_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures")
 }
 
-fn lint_fixture(rel: &str) -> Vec<wheels_lint::Finding> {
-    let path = fixtures_dir().join(rel);
-    let src = std::fs::read_to_string(&path).expect("fixture readable");
-    lint_source(&path, &src)
+fn lint_fixture_at(rel: &str) -> Vec<wheels_lint::Finding> {
+    lint_fixture(&fixtures_dir().join(rel)).expect("fixture readable")
 }
 
 #[test]
@@ -45,10 +43,8 @@ fn bad_fixtures_fire_their_rule_and_only_it() {
             if !name.starts_with(&format!("{}_", rule.id().to_lowercase())) {
                 continue;
             }
-            let src = std::fs::read_to_string(&path).expect("readable");
-            let findings = lint_source(&path, &src);
-            let unsuppressed: Vec<_> =
-                findings.iter().filter(|f| f.is_unsuppressed()).collect();
+            let findings = lint_fixture(&path).expect("readable");
+            let unsuppressed: Vec<_> = findings.iter().filter(|f| f.is_unsuppressed()).collect();
             assert!(
                 !unsuppressed.is_empty(),
                 "{name}: expected {rule} findings, got none"
@@ -68,7 +64,7 @@ fn bad_fixtures_fire_their_rule_and_only_it() {
 fn bad_d1_fixture_fires_in_every_sink() {
     // One finding per ordering sink in the file: sort_by, the wrapped
     // sort_by, max_by, min_by, binary_search_by.
-    let findings = lint_fixture("bad/d1_sort_partial_cmp.rs");
+    let findings = lint_fixture_at("bad/d1_sort_partial_cmp.rs");
     assert_eq!(findings.len(), 5, "{findings:#?}");
 }
 
@@ -77,8 +73,7 @@ fn allowed_fixtures_are_clean() {
     let dir = fixtures_dir().join("allowed");
     for entry in std::fs::read_dir(&dir).expect("allowed/ exists") {
         let path = entry.expect("entry").path();
-        let src = std::fs::read_to_string(&path).expect("readable");
-        let findings = lint_source(&path, &src);
+        let findings = lint_fixture(&path).expect("readable");
         let bad: Vec<_> = findings.iter().filter(|f| f.is_unsuppressed()).collect();
         assert!(
             bad.is_empty(),
@@ -92,7 +87,7 @@ fn allowed_fixtures_are_clean() {
 fn allowed_suppressions_are_recorded_not_dropped() {
     // The allowed D4 fixture still *detects* the bare constructor — it
     // is suppressed with a reason, not invisible.
-    let findings = lint_fixture("allowed/d4_derived_streams.rs");
+    let findings = lint_fixture_at("allowed/d4_derived_streams.rs");
     let suppressed: Vec<_> = findings.iter().filter(|f| !f.is_unsuppressed()).collect();
     assert_eq!(suppressed.len(), 1, "{findings:#?}");
     assert!(suppressed[0]
