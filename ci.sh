@@ -19,7 +19,7 @@ echo "== static analysis (rules D1-D9) =="
 # unsuppressed finding fails CI (fix it or suppress it with a reasoned
 # `lint:allow`). The policy it enforces is compiled in, in
 # crates/lint/src/policy.rs. The machine-readable report is archived as
-# LINT_report.json next to the BENCH_*.json artifacts.
+# LINT_report.json next to the benchmark's BENCH_<workload>.json records.
 RUSTFLAGS="-D warnings" cargo build --offline -p wheels-lint
 cargo run -q --offline -p wheels-lint -- --fixtures
 lint_t0=$(date +%s%N)
@@ -96,43 +96,28 @@ done
 grep -q "Operators" "$tmp/metro.txt"
 
 echo "== report byte-equivalence (quarter scale, fig-jobs 1 vs 4) =="
-# The figure fan-out must not change a single byte of `repro all`.
-# Seed 11, like BENCH_campaign.json, so the two records describe one world.
+# The figure fan-out must not change a single byte of `repro all`, and
+# neither may the phase timers: --timings and --timings-json write to
+# stderr and a side file only, never to stdout.
 ./target/release/repro --scale quarter --seed 11 --fig-jobs 1 all \
   > "$tmp/report-f1.txt" 2> /dev/null
 ./target/release/repro --scale quarter --seed 11 --fig-jobs 4 --timings \
-  --timings-json BENCH_report.json all \
-  > "$tmp/report-f4.txt"
+  --timings-json "$tmp/report-timings.json" all \
+  > "$tmp/report-f4.txt" 2> /dev/null
 cmp "$tmp/report-f1.txt" "$tmp/report-f4.txt"
-echo "report timings:"
-cat BENCH_report.json
 
-echo "== campaign + export timing, jobs/export-jobs byte gates (quarter scale) =="
-# The campaign and export phases are the standing optimization targets:
-# prove both fan-outs are still byte-pure — the export, integrity
-# report, and table must not differ by one byte between
-# {--jobs, --export-jobs} 1 and 4. (BENCH_campaign.json is recorded by
-# the fleet gate below: same quarter/seed-11 world, fleet enabled.)
-#
-# The measured export goes to RAM-backed storage when available so
-# export_s tracks the serializer, not the container's highly variable
-# disk; a discarded warm-up run first, because on fresh microVMs the
-# first touch of that much page cache stalls on host-side page backing.
-benchtmp="$tmp"
-if [ -d /dev/shm ] && [ -w /dev/shm ]; then
-  benchtmp="$(mktemp -d /dev/shm/wheels-bench.XXXXXX)"
-  trap 'rm -rf "$tmp" "$benchtmp"' EXIT
-fi
+echo "== jobs/export-jobs byte gates (quarter scale) =="
+# The campaign and export phases both fan out: prove they are still
+# byte-pure — the export, integrity report, and table must not differ by
+# one byte between {--jobs, --export-jobs} 1 and 4. The jobs-1 run is
+# the golden the crash-resume gate below compares against.
 ./target/release/repro --scale quarter --seed 11 --jobs 1 --export-jobs 1 \
-  --export "$benchtmp/warm.json" table1 > /dev/null 2> /dev/null
-rm -f "$benchtmp/warm.json" "$benchtmp/warm.json.integrity.json"
-./target/release/repro --scale quarter --seed 11 --jobs 1 --export-jobs 1 \
-  --export "$benchtmp/q-j1.json" table1 \
+  --export "$tmp/q-j1.json" table1 \
   > "$tmp/q-j1.txt" 2> /dev/null
 ./target/release/repro --scale quarter --seed 11 --jobs 4 --export-jobs 4 \
-  --export "$benchtmp/q-j4.json" table1 > "$tmp/q-j4.txt" 2> /dev/null
-cmp "$benchtmp/q-j1.json" "$benchtmp/q-j4.json"
-cmp "$benchtmp/q-j1.json.integrity.json" "$benchtmp/q-j4.json.integrity.json"
+  --export "$tmp/q-j4.json" table1 > "$tmp/q-j4.txt" 2> /dev/null
+cmp "$tmp/q-j1.json" "$tmp/q-j4.json"
+cmp "$tmp/q-j1.json.integrity.json" "$tmp/q-j4.json.integrity.json"
 cmp "$tmp/q-j1.txt" "$tmp/q-j4.txt"
 
 echo "== crash-resume byte gate (quarter scale, kill mid-run, jobs 1 and 4) =="
@@ -162,8 +147,8 @@ for jobs in 1 4; do
   grep -q "resume:" "$tmp/resume-j$jobs.err" || {
     echo "jobs $jobs: resume printed no accounting"; exit 1;
   }
-  cmp "$tmp/resume-j$jobs.json" "$benchtmp/q-j1.json"
-  cmp "$tmp/resume-j$jobs.json.integrity.json" "$benchtmp/q-j1.json.integrity.json"
+  cmp "$tmp/resume-j$jobs.json" "$tmp/q-j1.json"
+  cmp "$tmp/resume-j$jobs.json.integrity.json" "$tmp/q-j1.json.integrity.json"
   cmp "$tmp/resume-j$jobs.txt" "$tmp/q-j1.txt"
 done
 
@@ -210,21 +195,33 @@ cmp "$tmp/direct-42.json" "$tmp/pop0-42.json"
 cmp "$tmp/direct-42.txt" "$tmp/pop0-42.txt"
 # A 10^4-subscriber quarter-scale fleet must be byte-identical at jobs
 # 1 vs 4 — export, integrity report, and the fleet ground-truth section
-# — and BENCH_campaign.json records this run (population and
-# subscriber_hours_per_s in the canonical timings record).
+# — and its timings record must carry the fleet fields (population and
+# subscriber_hours_per_s).
 ./target/release/repro --scale quarter --seed 11 --jobs 1 --population 10000 \
-  --export "$benchtmp/fleet-j1.json" --timings-json BENCH_campaign.json \
+  --export "$tmp/fleet-j1.json" --timings-json "$tmp/fleet-timings.json" \
   ext-fleet table1 > "$tmp/fleet-j1.txt" 2> /dev/null
 ./target/release/repro --scale quarter --seed 11 --jobs 4 --population 10000 \
-  --export "$benchtmp/fleet-j4.json" ext-fleet table1 \
+  --export "$tmp/fleet-j4.json" ext-fleet table1 \
   > "$tmp/fleet-j4.txt" 2> /dev/null
-cmp "$benchtmp/fleet-j1.json" "$benchtmp/fleet-j4.json"
-cmp "$benchtmp/fleet-j1.json.integrity.json" "$benchtmp/fleet-j4.json.integrity.json"
+cmp "$tmp/fleet-j1.json" "$tmp/fleet-j4.json"
+cmp "$tmp/fleet-j1.json.integrity.json" "$tmp/fleet-j4.json.integrity.json"
 cmp "$tmp/fleet-j1.txt" "$tmp/fleet-j4.txt"
 grep -q "population 10000" "$tmp/fleet-j1.txt"
-grep -q '"population": 10000' BENCH_campaign.json
-grep -q '"subscriber_hours_per_s"' BENCH_campaign.json
-echo "fleet timings:"
-cat BENCH_campaign.json
+grep -q '"population": 10000' "$tmp/fleet-timings.json"
+grep -q '"subscriber_hours_per_s"' "$tmp/fleet-timings.json"
+
+echo "== benchmark: BENCH_<workload>.json (end-to-end, seed 11) =="
+# The only timings the repo keeps come from the benchmark (benchmark/,
+# declared by BENCHMARK.json): each of its workloads at its run_seconds,
+# a warm-up plus repeated runs, with median, [q1, q3] and n per metric.
+# Each run writes W.results.json here; the rename to BENCH_W.json stays
+# in one directory, so it is atomic. A failed output check exits 1 and
+# fails CI.
+seconds=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)
+for w in paper-export checkpoint-resume sweep-smoke; do
+  cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload "$w" --seed 11 --seconds "$seconds" --trace 0 --out .
+  mv "$w.results.json" "BENCH_$w.json"
+done
 
 echo "CI OK"

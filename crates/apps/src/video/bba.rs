@@ -139,6 +139,18 @@ mod tests {
         assert_eq!(b.pick(9.0, &BITRATES_MBPS, None), 50.0);
         // At 5 s: 5 + 95*(1/7) = 18.6 → 10.
         assert_eq!(b.pick(5.0, &BITRATES_MBPS, None), 10.0);
+        // A deeper reservoir (cushion 10 s past it) buys safety with rate:
+        // at an 8 s buffer, reservoirs 2 / 5 / 10 s pick 50 / 10 / 5 Mbps.
+        let mut last = f64::INFINITY;
+        for reservoir_s in [2.0, 5.0, 10.0] {
+            let bba = Bba {
+                reservoir_s,
+                cushion_s: reservoir_s + 10.0,
+            };
+            let r = bba.pick(8.0, &BITRATES_MBPS, None);
+            assert!(r <= last, "reservoir {reservoir_s} s raised the rate to {r}");
+            last = r;
+        }
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //!
 //! `--timings` prints a phase breakdown (campaign / index build / figures
 //! / export) to stderr; `--timings-json FILE` writes the same breakdown
-//! as JSON. Both ci.sh benchmark stages (`BENCH_report.json`,
-//! `BENCH_campaign.json`) store this one canonical record shape.
+//! as JSON, one canonical record shape; the benchmark reads its
+//! `campaign_s`, `export_s` and `kpi_samples`.
 //!
 //! `--fault-profile none|paper|harsh` injects deterministic apparatus
 //! faults (probe crashes, server outages, modem detaches, timeouts); the

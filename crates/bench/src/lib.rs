@@ -1,14 +1,11 @@
 //! # wheels-bench
 //!
-//! The reproduction harness. Two entry points:
-//!
-//! * `cargo run --release -p wheels-bench --bin repro -- <id|all>` —
-//!   run the campaign (full scale by default) and print every table and
-//!   figure of the paper. `repro all` emits the complete report used to
-//!   fill EXPERIMENTS.md.
-//! * `cargo bench -p wheels-bench` — criterion benches: component
-//!   microbenchmarks, per-figure generation benches (reduced scale), and
-//!   the ablation studies called out in DESIGN.md.
+//! The reproduction harness behind the `repro` binary:
+//! `cargo run --release -p wheels-bench --bin repro -- <id|all>` runs the
+//! campaign (full scale by default) and prints every table and figure of
+//! the paper. `repro all` emits the complete report used to fill
+//! EXPERIMENTS.md. Timings come from the `benchmark/` package, which
+//! drives this binary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

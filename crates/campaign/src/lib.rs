@@ -16,8 +16,8 @@
 //!   [`wheels_xcal::ConsolidatedDb`].
 //!
 //! [`CampaignConfig::scale`] subsamples round-robin cycles so unit tests
-//! and examples can run a miniature campaign in seconds while benches run
-//! the full-scale one.
+//! and examples can run a miniature campaign in seconds, and `repro` the
+//! full-scale one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

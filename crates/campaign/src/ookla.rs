@@ -48,12 +48,11 @@ pub struct Table3Row {
 /// parallel connections (captures peak rather than single-flow goodput).
 ///
 /// Given the per-test single-flow means from the driving campaign, apply
-/// the three methodology deltas and return the adjusted median — used by
-/// the ablation bench to show the direction and rough magnitude of the
-/// Ookla gap.
+/// the three methodology deltas and return the adjusted median: the
+/// direction and rough magnitude of the Ookla gap.
 pub fn simulate_speedtest_style(driving_means_mbps: &[f64], seed: u64) -> f64 {
-    // lint:allow(D4): ablation-only helper; callers pass a seed already
-    // derived from the campaign seed
+    // lint:allow(D4): methodology-check helper; callers pass a seed
+    // already derived from the campaign seed
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut adjusted: Vec<f64> = driving_means_mbps
         .iter()

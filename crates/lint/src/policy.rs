@@ -82,11 +82,8 @@ impl LintConfig {
             // calls. Names match either bare (`evaluate_layer_span`) or
             // qualified with the impl type (`ShadowBank::advance_span`).
             hotpaths: &[
-                // radio: correlated-shadowing generators (per-tick and
-                // span-filled)
+                // radio: correlated-shadowing span generator
                 "ShadowBank::advance_span",
-                "ShadowingField::fill_span",
-                "ShadowingField::at_memo",
                 // ran: link-layer step, layer selection, fleet load folding
                 "UeRadio::step",
                 "ShadowStore::advance_span",

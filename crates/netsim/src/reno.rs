@@ -1,5 +1,5 @@
 //! TCP Reno (NewReno-style AIMD), the baseline congestion controller for
-//! the CUBIC-vs-Reno ablation bench.
+//! the CUBIC-vs-Reno ablation test (`tcp::cubic_beats_reno_on_fat_long_pipe`).
 
 use crate::tcp::{CongestionControl, INIT_CWND, MSS};
 

@@ -19,11 +19,12 @@ use rand::{Rng, SeedableRng};
 /// Many shadowing fields advance by the same Δ in one simulation tick
 /// (every cell in the audible window is queried at the same odometer each
 /// step), so the `exp`/`sqrt` pair can be shared across fields with equal
-/// (Δ, D_corr, σ). Keying on bit patterns keeps [`ShadowingField::at_memo`]
+/// (Δ, D_corr, σ). Keying on bit patterns keeps [`ShadowBank::advance_span`]
 /// bit-identical to [`ShadowingField::at`]: a memo hit replays exactly the
-/// values a miss would compute.
+/// values a miss would compute, and the advance `ρ·S + sqrt(1−ρ²)·σ·Z`
+/// evaluates left-associatively, so hoisting `k` changes no rounding.
 #[derive(Debug, Clone)]
-pub struct RhoMemo {
+struct RhoMemo {
     delta_m: f64,
     corr_dist_m: f64,
     sigma_db: f64,
@@ -112,54 +113,6 @@ impl ShadowingField {
         self.last_value_db
     }
 
-    /// Same process as [`ShadowingField::at`], with the AR advance
-    /// coefficients cached in `memo` across calls (and across fields).
-    ///
-    /// Bit-identical to `at`: the advance `ρ·S + sqrt(1−ρ²)·σ·Z` evaluates
-    /// left-associatively, so hoisting `k = sqrt(1−ρ²)·σ` changes no
-    /// rounding, and the memo only replays coefficients computed from
-    /// bit-equal inputs.
-    pub fn at_memo(&mut self, d_m: f64, memo: &mut RhoMemo) -> f64 {
-        if !self.initialized {
-            self.initialized = true;
-            self.last_d_m = d_m;
-            self.last_value_db = self.gauss() * self.sigma_db;
-            return self.last_value_db;
-        }
-        let delta = d_m - self.last_d_m;
-        debug_assert!(delta >= -1e-9, "shadowing evaluated backwards: {delta}");
-        if delta <= 0.0 {
-            return self.last_value_db;
-        }
-        let (rho, k) = memo.coeffs(delta, self.corr_dist_m, self.sigma_db);
-        self.last_value_db = rho * self.last_value_db + k * self.gauss();
-        self.last_d_m = d_m;
-        self.last_value_db
-    }
-
-    /// Fill `out` with the field sampled at `start_d_m`, `start_d_m +
-    /// step_m`, `start_d_m + 2·step_m`, …
-    ///
-    /// Byte-identical to the per-tick loop `d += step_m; at(d)` — distances
-    /// accumulate the same way, so every Δ (and thus every ρ) has the same
-    /// bit pattern — but amortizes the `exp`/`sqrt` per span instead of per
-    /// sample.
-    pub fn fill_span(&mut self, start_d_m: f64, step_m: f64, out: &mut [f64]) {
-        let mut memo = RhoMemo::default();
-        let mut d = start_d_m;
-        for (i, o) in out.iter_mut().enumerate() {
-            if i > 0 {
-                d += step_m;
-            }
-            *o = self.at_memo(d, &mut memo);
-        }
-    }
-
-    /// Std-dev of the marginal distribution, dB.
-    pub fn sigma_db(&self) -> f64 {
-        self.sigma_db
-    }
-
     /// Approximate standard normal via sum of uniforms (Irwin–Hall with
     /// n = 12): cheap, deterministic, tails adequate for shadowing.
     fn gauss(&mut self) -> f64 {
@@ -174,7 +127,7 @@ impl ShadowingField {
 /// same odometer. The bank keeps generator state, last distance, and last
 /// value in dense position-indexed arrays so one [`ShadowBank::advance_span`]
 /// call walks a contiguous window with no per-field lookup, sharing the AR
-/// coefficients through a [`RhoMemo`]. Each field consumes its own stream
+/// coefficients through a `RhoMemo`. Each field consumes its own stream
 /// in its own order, so every value is bit-identical to a standalone
 /// [`ShadowingField`] fed the same seed and distance sequence (a test pins
 /// this).
@@ -349,60 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn at_memo_bit_identical_to_at() {
-        let mut plain = ShadowingField::new(6.0, 60.0, 4242);
-        let mut memoed = ShadowingField::new(6.0, 60.0, 4242);
-        let mut memo = RhoMemo::default();
-        // Mixed schedule: repeated step, step change, zero step, big jump.
-        let ds = [0.0, 2.5, 5.0, 7.5, 7.5, 8.0, 500.0, 502.5, 505.0];
-        for &d in &ds {
-            assert_eq!(
-                plain.at(d).to_bits(),
-                memoed.at_memo(d, &mut memo).to_bits(),
-                "diverged at d={d}"
-            );
-        }
-    }
-
-    #[test]
-    fn memo_shared_across_fields_is_transparent() {
-        // One memo serving many fields (the hot-path usage) must not leak
-        // state between them.
-        let mut memo = RhoMemo::default();
-        for seed in 0..8u64 {
-            let mut plain = ShadowingField::new(5.5, 90.0, seed);
-            let mut memoed = ShadowingField::new(5.5, 90.0, seed);
-            let mut d = 0.0;
-            for _ in 0..50 {
-                d += 3.7;
-                assert_eq!(plain.at(d).to_bits(), memoed.at_memo(d, &mut memo).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn fill_span_matches_per_tick() {
-        let mut plain = ShadowingField::new(7.0, 25.0, 99);
-        let mut batched = ShadowingField::new(7.0, 25.0, 99);
-        // Warm both up so the span starts mid-process.
-        assert_eq!(plain.at(10.0).to_bits(), batched.at(10.0).to_bits());
-        let (start, step, n) = (12.0, 0.1, 257);
-        let mut expect = Vec::with_capacity(n);
-        let mut d = start;
-        for i in 0..n {
-            if i > 0 {
-                d += step;
-            }
-            expect.push(plain.at(d));
-        }
-        let mut got = vec![0.0; n];
-        batched.fill_span(start, step, &mut got);
-        for (i, (e, g)) in expect.iter().zip(&got).enumerate() {
-            assert_eq!(e.to_bits(), g.to_bits(), "sample {i}");
-        }
-    }
-
-    #[test]
     fn bank_bit_identical_to_standalone_fields() {
         // A bank advancing a drifting window of fields must reproduce each
         // standalone field exactly: same seeds, same distance sequence,
@@ -427,6 +326,21 @@ mod tests {
             if step % 7 == 0 {
                 let again = bank.advance_span(lo..hi, d, seed_of).to_vec();
                 assert_eq!(got, again);
+            }
+        }
+
+        // Mixed schedule through the shared coefficient memo: repeated
+        // step, zero step, step change, and a big jump, so memo hits,
+        // misses and repeats all replay the standalone bits.
+        let mut bank = ShadowBank::new(6.0, 60.0);
+        let mut reference: Vec<ShadowingField> = (0..6)
+            .map(|p| ShadowingField::new(6.0, 60.0, seed_of(p)))
+            .collect();
+        for d in [0.0, 2.5, 5.0, 7.5, 7.5, 8.0, 500.0, 502.5, 505.0] {
+            let got = bank.advance_span(0..6, d, seed_of).to_vec();
+            for (pos, g) in got.iter().enumerate() {
+                let want = reference[pos].at(d);
+                assert_eq!(want.to_bits(), g.to_bits(), "pos {pos} d={d}");
             }
         }
     }

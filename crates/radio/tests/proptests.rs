@@ -7,7 +7,7 @@ use wheels_radio::bler::bler_from_sinr;
 use wheels_radio::capacity::CapacityModel;
 use wheels_radio::mcs::{mcs_from_sinr, spectral_efficiency, MAX_MCS};
 use wheels_radio::pathloss::PathLossModel;
-use wheels_radio::shadowing::ShadowingField;
+use wheels_radio::shadowing::{ShadowBank, ShadowingField};
 use wheels_radio::{db_to_linear, linear_to_db};
 
 proptest! {
@@ -122,49 +122,33 @@ proptest! {
     }
 
     #[test]
-    fn shadowing_span_resume_stable(seed in 0u64..1_000, sigma in 0.5f64..10.0,
-                                    step in 0.5f64..50.0,
-                                    split in 1usize..63, total in 64usize..65) {
-        // Filling one long span must be bit-identical to filling it in two
-        // chunks that meet at an arbitrary boundary: the field's resume
-        // state (last distance + last value) fully determines the process.
-        let total = total.max(split + 1);
-        let mut whole = ShadowingField::new(sigma, 120.0, seed);
-        let mut parts = ShadowingField::new(sigma, 120.0, seed);
-        let mut buf_w = vec![0.0f64; total];
-        whole.fill_span(10.0, step, &mut buf_w);
-        let mut buf_a = vec![0.0f64; split];
-        let mut buf_b = vec![0.0f64; total - split];
-        parts.fill_span(10.0, step, &mut buf_a);
-        // Resume one step past the first chunk's last distance, produced by
-        // the same repeated accumulation fill_span uses internally — a
-        // `split·step` multiplication could differ in the last bit.
-        let mut resume_d = 10.0;
-        for _ in 0..split {
-            resume_d += step;
-        }
-        parts.fill_span(resume_d, step, &mut buf_b);
-        for (i, (&w, &p)) in buf_w.iter().zip(buf_a.iter().chain(buf_b.iter())).enumerate() {
-            prop_assert_eq!(w.to_bits(), p.to_bits(), "diverged at sample {}", i);
-        }
-    }
-
-    #[test]
     fn shadowing_span_matches_per_tick(seed in 0u64..1_000, sigma in 0.5f64..10.0,
-                                       start in 0.0f64..10_000.0, step in 0.01f64..100.0,
-                                       n in 1usize..128) {
-        // Batched generation must be byte-identical to the per-tick loop it
-        // replaced: same distances, same RNG draws, same rounding.
-        let mut batched = ShadowingField::new(sigma, 80.0, seed);
-        let mut ticked = ShadowingField::new(sigma, 80.0, seed);
-        let mut buf = vec![0.0f64; n];
-        batched.fill_span(start, step, &mut buf);
+                                       start in 0.0f64..10_000.0, width in 1usize..8,
+                                       steps in prop::collection::vec(
+                                           (prop_oneof![Just(0.0), Just(2.5), 0.01f64..100.0],
+                                            1usize..4),
+                                           1..48)) {
+        // The bank's span advance must be bit-identical to standalone
+        // per-field `at` calls over any distance schedule: zero Δ (the
+        // repeat path), runs of one Δ (coefficient memo hits) and step
+        // changes (misses), with every field of the span at one odometer.
+        let seed_of = |pos: usize| seed ^ pos as u64;
+        let mut bank = ShadowBank::new(sigma, 80.0);
+        let mut reference: Vec<ShadowingField> = (0..width)
+            .map(|p| ShadowingField::new(sigma, 80.0, seed_of(p)))
+            .collect();
         let mut d = start;
-        for (i, &b) in buf.iter().enumerate() {
-            if i > 0 {
+        let mut tick = 0usize;
+        for (step, repeat) in steps {
+            for _ in 0..repeat {
                 d += step;
+                let got = bank.advance_span(0..width, d, seed_of);
+                for (pos, (g, field)) in got.iter().zip(reference.iter_mut()).enumerate() {
+                    prop_assert_eq!(g.to_bits(), field.at(d).to_bits(),
+                                    "pos {} diverged at tick {}", pos, tick);
+                }
+                tick += 1;
             }
-            prop_assert_eq!(b.to_bits(), ticked.at(d).to_bits(), "diverged at sample {}", i);
         }
     }
 
