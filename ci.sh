@@ -109,8 +109,9 @@ cmp "$tmp/report-f1.txt" "$tmp/report-f4.txt"
 echo "== jobs/export-jobs byte gates (quarter scale) =="
 # The campaign and export phases both fan out: prove they are still
 # byte-pure — the export, integrity report, and table must not differ by
-# one byte between {--jobs, --export-jobs} 1 and 4. The jobs-1 run is
-# the golden the crash-resume gate below compares against.
+# one byte between {--jobs, --export-jobs} 1 and 4, nor at export-jobs 3,
+# which divides neither 4 nor the export's fragment count. The jobs-1 run
+# is the golden the crash-resume gate below compares against.
 ./target/release/repro --scale quarter --seed 11 --jobs 1 --export-jobs 1 \
   --export "$tmp/q-j1.json" table1 \
   > "$tmp/q-j1.txt" 2> /dev/null
@@ -119,6 +120,10 @@ echo "== jobs/export-jobs byte gates (quarter scale) =="
 cmp "$tmp/q-j1.json" "$tmp/q-j4.json"
 cmp "$tmp/q-j1.json.integrity.json" "$tmp/q-j4.json.integrity.json"
 cmp "$tmp/q-j1.txt" "$tmp/q-j4.txt"
+./target/release/repro --scale quarter --seed 11 --jobs 4 --export-jobs 3 \
+  --export "$tmp/q-e3.json" table1 > /dev/null 2> /dev/null
+cmp "$tmp/q-j1.json" "$tmp/q-e3.json"
+cmp "$tmp/q-j1.json.integrity.json" "$tmp/q-e3.json.integrity.json"
 
 echo "== crash-resume byte gate (quarter scale, kill mid-run, jobs 1 and 4) =="
 # The crash-safety contract end to end, against the real binary: kill a

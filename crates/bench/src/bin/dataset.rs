@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 
 use wheels_bench::ReproScale;
 use wheels_campaign::stats::Table1;
-use wheels_campaign::{atomic_write, atomic_write_with, write_all_chunked, Campaign, ScenarioSpec};
+use wheels_campaign::{atomic_write, atomic_write_with, Campaign, ScenarioSpec};
 use wheels_xcal::logger::XcalLogger;
 use wheels_xcal::{drm, export};
 
@@ -75,20 +75,14 @@ fn main() {
     // lint:allow(D7): dev-tool setup; an unwritable output directory should abort before the export starts
     fs::create_dir_all(out.join("drm")).expect("create output directory");
 
-    // JSON, streamed straight into the atomic temp file — no whole-file
-    // buffer even at full scale.
+    // JSON, streamed fragment by fragment into the atomic temp file — no
+    // whole-file buffer even at full scale.
     let json_path = out.join("dataset.json");
-    let parts = export::to_json_parts(&db, 1);
-    let json_bytes: usize = parts.iter().map(String::len).sum();
-    if let Err(e) = atomic_write_with(&json_path, |w| {
-        for p in &parts {
-            write_all_chunked(w, p.as_bytes())?;
-        }
-        Ok(())
-    }) {
+    if let Err(e) = atomic_write_with(&json_path, |w| export::write_json(&db, 1, w)) {
         eprintln!("cannot write {}: {e}", json_path.display());
         std::process::exit(1);
     }
+    let json_bytes = fs::metadata(&json_path).map_or(0, |m| m.len());
     eprintln!("wrote dataset.json ({} MB)", json_bytes / 1_000_000);
 
     // CSV, same streaming discipline (write_tput_csv buffers internally).

@@ -23,9 +23,10 @@
 //!
 //! `--jobs N` runs the campaign's work units on N worker threads;
 //! `--fig-jobs N` fans figure/table rendering out the same way, and
-//! `--export-jobs N` shards dataset serialization across N workers. The
-//! dataset (and every figure) is byte-identical to the sequential run at
-//! any job count.
+//! `--export-jobs N` renders the dataset's fragments on N workers while
+//! this thread writes them to the file in order, a bounded window at a
+//! time (no whole-document buffer). The dataset (and every figure) is
+//! byte-identical to the sequential run at any job count.
 //!
 //! `--population N` seeds a panel-total fleet of N subscribers whose
 //! aggregate demand drives the cell load every probe experiences
@@ -70,29 +71,14 @@ use wheels_analysis::AnalysisIndex;
 use wheels_bench::{ReproScale, EXPERIMENTS, EXTENSIONS};
 use wheels_campaign::stats::Table1;
 use wheels_campaign::{
-    atomic_write, atomic_write_with, write_all_chunked, Campaign, CampaignConfig, CampaignError,
-    CheckpointOptions, FaultProfile, ProcessKill, ScenarioSpec,
+    atomic_write, atomic_write_with, Campaign, CampaignConfig, CampaignError, CheckpointOptions,
+    FaultProfile, ProcessKill, ScenarioSpec,
 };
 
 /// Write `bytes` to `path` atomically, or exit 1 with the error on
 /// stderr — an output file either appears whole or not at all.
 fn write_or_die(path: &str, bytes: &[u8]) {
     if let Err(e) = atomic_write(std::path::Path::new(path), bytes) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-}
-
-/// Stream pre-serialized fragments to `path` atomically (no second
-/// whole-file concatenation buffer), or exit 1.
-fn write_parts_or_die(path: &str, parts: &[String]) {
-    let r = atomic_write_with(std::path::Path::new(path), |w| {
-        for p in parts {
-            write_all_chunked(w, p.as_bytes())?;
-        }
-        Ok(())
-    });
-    if let Err(e) = r {
         eprintln!("cannot write {path}: {e}");
         std::process::exit(1);
     }
@@ -437,8 +423,13 @@ fn main() {
     let t2 = Instant::now(); // lint:allow(D3): phase timing, reported only
     let mut export_elapsed = Duration::ZERO;
     if let Some(path) = export {
-        let parts = wheels_xcal::export::to_json_parts(&db, export_jobs);
-        write_parts_or_die(&path, &parts);
+        let written = atomic_write_with(std::path::Path::new(&path), |w| {
+            wheels_xcal::export::write_json(&db, export_jobs, w)
+        });
+        if let Err(e) = written {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(1);
+        }
         let report =
             // lint:allow(D7): IntegrityReport's hand-written Serialize writes plain maps and numbers; it cannot fail
             serde_json::to_string_pretty(&integrity).expect("integrity report serializes");

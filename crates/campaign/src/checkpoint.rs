@@ -590,6 +590,35 @@ mod tests {
     }
 
     #[test]
+    fn failed_streamed_export_leaves_no_file_behind() {
+        // The export pipeline's sink fails mid-document: the error comes
+        // back out of atomic_write_with, and neither the destination nor
+        // its `.<name>.tmp` staging file remains.
+        let dir = tmp_dir("atomic_write_stream_fail");
+        let path = dir.join("out.json");
+        for jobs in [1, 3] {
+            let mut budget = 10_000usize;
+            let r = atomic_write_with(&path, |w| {
+                wheels_xcal::export::ordered_stream(
+                    40,
+                    jobs,
+                    |i| format!("{i:>999}\n"),
+                    |frag| {
+                        budget = budget.checked_sub(frag.len()).ok_or_else(|| {
+                            io::Error::new(io::ErrorKind::StorageFull, "disk full")
+                        })?;
+                        w.write_all(frag.as_bytes())
+                    },
+                )
+            });
+            let err = r.unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::StorageFull, "jobs={jobs}");
+            let residue = fs::read_dir(&dir).unwrap().count();
+            assert_eq!(residue, 0, "jobs={jobs}: files left behind");
+        }
+    }
+
+    #[test]
     fn atomic_write_rejects_pathless_target() {
         assert!(atomic_write(Path::new("/"), b"x").is_err());
     }

@@ -187,7 +187,7 @@ pub struct IntegrityReport {
 // existed and with the uninterrupted-run goldens. Decoding is derived: a
 // missing `Option` field decodes as `None`, so those reports still load.
 impl Serialize for IntegrityReport {
-    fn stream(&self, w: &mut serde::ser::JsonWriter<'_>) {
+    fn stream(&self, w: &mut serde::ser::JsonWriter) {
         w.begin_object();
         w.key("profile");
         self.profile.stream(w);

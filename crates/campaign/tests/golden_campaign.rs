@@ -10,8 +10,10 @@
 //! UE parked for many ticks; rail-corridor's schedule departs from the
 //! paper's session lengths), so a behavior change across commits is
 //! caught at `cargo test` speed, pointing at the exact world and seed
-//! that moved. The checkpoint log of one smoke run is pinned the same
-//! way, so a change to the record format is a visible decision too.
+//! that moved. The streamed export (`write_json` at jobs 1 and 4, the
+//! path `repro --export` runs) must match the same pinned digest. The
+//! checkpoint log of one smoke run is pinned the same way, so a change to
+//! the record format is a visible decision too.
 //!
 //! When a change is *intended* to alter output (a model change, not an
 //! optimization), refresh the pins with:
@@ -82,7 +84,21 @@ fn current_digests(world: &World) -> String {
         let campaign = Campaign::from_spec(&spec, smoke_config(seed));
         let outcome = campaign.run(1, None).expect("tolerant run");
         let json = wheels_xcal::export::to_json(&outcome.db).expect("export serializes");
-        writeln!(out, "{seed} {:016x}", fnv1a(json.as_bytes())).unwrap();
+        let digest = fnv1a(json.as_bytes());
+        // The streamed export `repro --export` writes must pin to the
+        // same digest as the whole-document one.
+        for jobs in [1, 4] {
+            let mut streamed = Vec::with_capacity(json.len());
+            wheels_xcal::export::write_json(&outcome.db, jobs, &mut streamed)
+                .expect("export streams");
+            assert_eq!(
+                fnv1a(&streamed),
+                digest,
+                "{} seed {seed}: write_json at jobs {jobs} differs from to_json",
+                world.scenario
+            );
+        }
+        writeln!(out, "{seed} {digest:016x}").unwrap();
     }
     out
 }

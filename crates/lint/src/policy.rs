@@ -94,6 +94,7 @@ impl LintConfig {
                 "Bbr::on_ack",
                 // xcal: streaming JSON emitters (called once per record)
                 "records_fragment",
+                "samples_fragment",
                 "write_record_rows",
             ],
             // D8: allocating constructors forbidden inside (and one call
