@@ -94,6 +94,19 @@ done
 ./target/release/repro --scale smoke --seed 7 --scenario "$tmp/metro.json" table1 \
   > "$tmp/metro.txt" 2> /dev/null
 grep -q "Operators" "$tmp/metro.txt"
+# A spec whose cities all share one coordinate passes the per-field
+# checks but has nothing to drive: validation must reject it (exit 2 with
+# a message) before the world build would panic on it.
+sed -e 's/"lat": [^,]*,/"lat": 40.0,/' -e 's/"lon": [^,]*,/"lon": -74.0,/' \
+  "$tmp/metro.json" > "$tmp/zero-length.json"
+zero_status=0
+./target/release/repro --scale smoke --scenario "$tmp/zero-length.json" table1 \
+  > /dev/null 2> "$tmp/zero-length.err" || zero_status=$?
+if [ "$zero_status" -ne 2 ] || grep -q panicked "$tmp/zero-length.err"; then
+  echo "zero-length route: exit $zero_status, want 2 without a panic"
+  cat "$tmp/zero-length.err"
+  exit 1
+fi
 
 echo "== report byte-equivalence (quarter scale, fig-jobs 1 vs 4) =="
 # The figure fan-out must not change a single byte of `repro all`, and

@@ -4,9 +4,13 @@
 //! caching the latest [`LinkSnapshot`] so that a TCP flow ticking at 20 ms
 //! or an AR app sampling per frame re-uses the 100 ms RAN state instead of
 //! advancing it. It also collects every snapshot and handover for the
-//! test's XCAL record.
+//! test's XCAL record, and answers the per-tick position queries of the
+//! flows it feeds ([`LinkDriver::pos_at`]). Both walk plan time forward,
+//! so the driver threads one [`RouteHint`] through its route lookups.
 
 use wheels_apps::{AppLink, LinkObs};
+use wheels_geo::coord::LatLon;
+use wheels_geo::route::RouteHint;
 use wheels_geo::timezone::Timezone;
 use wheels_geo::trip::{DrivePlan, DriveState};
 use wheels_netsim::rtt::{radio_rtt_ms, RttModel};
@@ -27,6 +31,8 @@ pub struct LinkDriver<'a> {
     /// constant at a fixed site, so one template replaces a `state_at`
     /// interpolation per cadence step.
     static_state: Option<DriveState>,
+    /// Route search hint shared by [`Self::at`] and [`Self::pos_at`].
+    hint: RouteHint,
     last: Option<LinkSnapshot>,
     next_step_t: f64,
     /// All snapshots taken during the test.
@@ -49,6 +55,7 @@ impl<'a> LinkDriver<'a> {
             demand,
             tick_s,
             static_state: None,
+            hint: RouteHint::default(),
             last: None,
             next_step_t: f64::NEG_INFINITY,
             snapshots: Vec::new(),
@@ -106,7 +113,7 @@ impl<'a> LinkDriver<'a> {
                 tpl.time_s = t_s;
                 tpl
             }
-            None => self.plan.state_at(t_s),
+            None => self.plan.state_at_hinted(t_s, &mut self.hint),
         };
         let snap = self.ue.step(t_s, &state, self.demand);
         if let Some(ev) = snap.handover {
@@ -116,6 +123,18 @@ impl<'a> LinkDriver<'a> {
         self.last = Some(snap);
         self.next_step_t = t_s + self.tick_s;
         snap
+    }
+
+    /// Vehicle position at absolute time `t_s` (the fixed site for a
+    /// static test), bit-identical to [`DrivePlan::pos_at`]. Unlike
+    /// [`Self::at`] this is exact at every call, not cached per cadence
+    /// step: flows ticking faster than the RAN cadence still see the
+    /// vehicle move.
+    pub fn pos_at(&mut self, t_s: f64) -> LatLon {
+        match &self.static_state {
+            Some(tpl) => tpl.pos,
+            None => self.plan.pos_at_hinted(t_s, &mut self.hint),
+        }
     }
 
     /// Fraction of snapshots on high-speed 5G (Fig. 10's x-axis).
@@ -155,10 +174,7 @@ pub struct AppLinkAdapter<'a, 'b> {
 impl AppLink for AppLinkAdapter<'_, '_> {
     fn sample(&mut self, t_s: f64) -> LinkObs {
         let snap = self.driver.at(t_s);
-        let pos = match &self.driver.static_state {
-            Some(tpl) => tpl.pos,
-            None => self.driver.plan.pos_at(t_s),
-        };
+        let pos = self.driver.pos_at(t_s);
         let rtt_ms = self.rtt.sample_ms(
             t_s,
             pos,

@@ -11,6 +11,7 @@ use wheels_apps::ar::ArApp;
 use wheels_apps::cav::CavApp;
 use wheels_apps::gaming::GamingSession;
 use wheels_apps::video::VideoSession;
+use wheels_geo::route::RouteHint;
 use wheels_geo::trip::DrivePlan;
 use wheels_netsim::bulk::{BulkTransferTest, ThroughputSample};
 use wheels_netsim::ping::{PingLinkState, RttTest};
@@ -25,10 +26,10 @@ use wheels_ran::load::LoadParams;
 use wheels_ran::operator::Operator;
 use wheels_ran::tuning::OperatorTuning;
 use wheels_ran::policy::TrafficDemand;
-use wheels_ran::ue::{LinkSnapshot, UeParams, UeRadio};
+use wheels_ran::ue::{LinkSnapshot, ServingRadio, UeParams, UeRadio};
 use wheels_ran::Direction;
 use wheels_xcal::database::{AppMetrics, ConsolidatedDb, TestKind, TestRecord};
-use wheels_xcal::handover_logger::PassiveLogger;
+use wheels_xcal::handover_logger::{PassiveLogger, PassiveSample};
 use wheels_xcal::kpi::KpiSample;
 use wheels_xcal::logger::{XcalLog, XcalLogger};
 use wheels_xcal::sync::{AppLog, AppStampFormat};
@@ -639,18 +640,13 @@ impl Campaign {
             None => LinkDriver::driving(&mut phone.ue, &self.plan, demand, self.cfg.snapshot_tick_s),
         }
         .reusing(scratch);
-        let plan = &self.plan;
-        let static_pos = static_od.map(|od| plan.route().point_at(od).pos);
         let test = BulkTransferTest {
             duration_s: self.sched.tput_s,
             ..Default::default()
         };
         let samples = test.run(t0, |t| {
             let s = driver.at(t);
-            let pos = match static_pos {
-                Some(p) => p,
-                None => plan.pos_at(t),
-            };
+            let pos = driver.pos_at(t);
             let cap = match dir {
                 Direction::Downlink => s.cap_dl_mbps,
                 Direction::Uplink => s.cap_ul_mbps,
@@ -685,8 +681,6 @@ impl Campaign {
             None => LinkDriver::driving(&mut phone.ue, &self.plan, TrafficDemand::Ping, self.cfg.snapshot_tick_s),
         }
         .reusing(scratch);
-        let plan = &self.plan;
-        let static_pos = static_od.map(|od| plan.route().point_at(od).pos);
         let rtt_model = &mut phone.rtt;
         let test = RttTest {
             duration_s: self.sched.rtt_s,
@@ -694,12 +688,8 @@ impl Campaign {
         };
         let samples = test.run(t0, &server, rtt_model, |t| {
             let s = driver.at(t);
-            let pos = match static_pos {
-                Some(p) => p,
-                None => plan.pos_at(t),
-            };
             PingLinkState {
-                pos,
+                pos: driver.pos_at(t),
                 tech: s.tech,
                 sinr_db: s.sinr_dl_db,
                 speed_mps: s.speed_mps,
@@ -1001,7 +991,7 @@ impl Campaign {
     /// The passive handover-logger phone for one operator.
     fn run_passive(&self, op: Operator) -> PassiveLogger {
         let slot = self.slot(op);
-        let mut ue = UeRadio::new(
+        let mut ue = ServingRadio::new(UeRadio::new(
             op,
             Arc::clone(&slot.db),
             UeParams {
@@ -1010,14 +1000,22 @@ impl Campaign {
                 ..Default::default()
             },
             rng::derive_seed(self.cfg.seed, rng::DOMAIN_PASSIVE, &[op as u64]),
-        );
+        ));
         let mut log = PassiveLogger::new();
+        let mut hint = RouteHint::default();
         for day in self.plan.days() {
             let mut t = day.start_time_s as f64;
             while t < day.end_time_s as f64 {
-                let state = self.plan.state_at(t);
-                let snap = ue.step(t, &state, TrafficDemand::Ping);
-                log.log(&snap, state.pos.lon);
+                let state = self.plan.state_at_hinted(t, &mut hint);
+                let step = ue.step(t, &state, TrafficDemand::Ping);
+                log.log(PassiveSample {
+                    time_s: t,
+                    cell: step.cell,
+                    tech: step.tech,
+                    odometer_m: state.odometer_m,
+                    speed_mps: state.speed_mps as f32,
+                    lon: state.pos.lon as f32,
+                });
                 t += self.cfg.passive_tick_s;
             }
         }

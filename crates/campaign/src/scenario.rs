@@ -640,6 +640,18 @@ impl ScenarioSpec {
                 return Err(format!("city {:?} has non-finite or non-positive fields", c.name));
             }
         }
+        // `Route::from_cities` sums the same haversine legs and rejects
+        // a zero total: catch it here, as a usage error.
+        let at = |c: &CitySpec| LatLon { lat: c.lat, lon: c.lon };
+        let cities = &self.route.cities;
+        let geom_m: f64 = cities
+            .iter()
+            .zip(cities.iter().skip(1))
+            .map(|(a, b)| at(a).haversine_m(&at(b)))
+            .sum();
+        if geom_m <= 0.0 {
+            return Err("route has zero length: every city shares one coordinate".to_string());
+        }
         if let Some(t) = self.route.target_total_m {
             if !(t.is_finite() && t > 0.0) {
                 return Err(format!("target_total_m must be positive, got {t}"));
@@ -931,6 +943,23 @@ mod tests {
         let mut s = ScenarioSpec::paper();
         s.operators[1].slot = s.operators[0].slot.clone();
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_length_route() {
+        // Every city on one coordinate: finite fields, but nothing to
+        // drive. `Route::from_cities` would panic on it.
+        let mut s = ScenarioSpec::metro_loop();
+        let (lat, lon) = (s.route.cities[0].lat, s.route.cities[0].lon);
+        for c in &mut s.route.cities {
+            c.lat = lat;
+            c.lon = lon;
+        }
+        let err = s.validate().expect_err("zero-length route accepted");
+        assert!(err.contains("zero length"), "{err}");
+        // One city moved off the shared coordinate makes it drivable.
+        s.route.cities[1].lon += 0.01;
+        assert_eq!(s.validate(), Ok(()));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod trip;
 pub use cities::{City, CityId};
 pub use coord::LatLon;
 pub use region::RegionKind;
-pub use route::{Route, RoutePoint};
+pub use route::{Route, RouteHint, RoutePoint};
 pub use timezone::Timezone;
 pub use trace::{GpsSample, GpsTrace};
 pub use trip::{DayPlan, DrivePlan, DriveState, SpeedProfile};

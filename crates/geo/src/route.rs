@@ -26,6 +26,22 @@ pub struct RoutePoint {
     pub bearing_deg: f64,
 }
 
+/// Remembered search positions for odometer lookups on one [`Route`].
+///
+/// Callers that walk the odometer (mostly forward) thread one hint
+/// through successive `*_hinted` lookups, which then check the remembered
+/// bracket and its successor before binary-searching. A hint only ever
+/// short-circuits a search whose answer it has verified, so any hint —
+/// fresh, stale, or from another route — yields the same result as the
+/// plain lookup.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RouteHint {
+    /// Last segment index returned.
+    seg: usize,
+    /// Last city insertion point (`partition_point` over city odometers).
+    city: usize,
+}
+
 #[derive(Debug, Clone)]
 struct Segment {
     from: LatLon,
@@ -121,8 +137,14 @@ impl Route {
     /// Position and bearing at odometer distance `od_m` (clamped to the
     /// route's extent).
     pub fn point_at(&self, od_m: f64) -> RoutePoint {
+        self.point_at_hinted(od_m, &mut RouteHint::default())
+    }
+
+    /// [`Self::point_at`] starting its segment search from `hint`, which
+    /// is re-seated to this query's segment.
+    pub fn point_at_hinted(&self, od_m: f64, hint: &mut RouteHint) -> RoutePoint {
         let od = od_m.clamp(0.0, self.total_m);
-        let idx = self.segment_index(od);
+        let idx = self.segment_index(od, hint);
         let seg = &self.segments[idx];
         let t = if seg.len_m > 0.0 {
             (od - seg.start_m) / seg.len_m
@@ -136,27 +158,61 @@ impl Route {
         }
     }
 
-    fn segment_index(&self, od: f64) -> usize {
-        // Binary search over segment start offsets.
-        match self
-            .segments
-            .binary_search_by(|s| s.start_m.total_cmp(&od))
-        {
+    /// Index of the segment holding `od`. The hinted segment and its
+    /// successor are tried first; either is accepted only when `od` lies
+    /// strictly inside its bracket, so ties with a segment start and NaN
+    /// fall through to the binary search and the result never depends on
+    /// the hint.
+    fn segment_index(&self, od: f64, hint: &mut RouteHint) -> usize {
+        let segs = &self.segments;
+        let inside = |i: usize| {
+            segs.get(i).is_some_and(|s| s.start_m < od)
+                && segs.get(i + 1).is_none_or(|n| od < n.start_m)
+        };
+        if inside(hint.seg) {
+            return hint.seg;
+        }
+        if inside(hint.seg + 1) {
+            hint.seg += 1;
+            return hint.seg;
+        }
+        let idx = match segs.binary_search_by(|s| s.start_m.total_cmp(&od)) {
             Ok(i) => i,
             Err(0) => 0,
-            Err(i) => (i - 1).min(self.segments.len() - 1),
-        }
+            Err(i) => (i - 1).min(segs.len() - 1),
+        };
+        hint.seg = idx;
+        idx
     }
 
     /// Nearest city (by odometer, which matches "distance along the drive")
     /// and the odometer gap to its closest approach, in meters, scaled by
     /// the city's urban-radius factor for region classification.
     pub fn nearest_city(&self, od_m: f64) -> (CityId, f64) {
-        // `city_odometer_m` is strictly increasing, so the nearest city is
-        // one of the two flanking the insertion point. On an exact midpoint
+        self.nearest_city_hinted(od_m, &mut RouteHint::default())
+    }
+
+    /// [`Self::nearest_city`] starting its search from `hint`, which is
+    /// re-seated to this query's insertion point.
+    pub fn nearest_city_hinted(&self, od_m: f64, hint: &mut RouteHint) -> (CityId, f64) {
+        // `city_odometer_m` is non-decreasing, so the nearest city is one
+        // of the two flanking the insertion point. On an exact midpoint
         // tie the earlier city wins, matching the linear scan this replaces.
         let cods = &self.city_odometer_m;
-        let i = cods.partition_point(|&c| c < od_m);
+        // The hinted insertion point `i` (and then `i + 1`) is accepted
+        // only when `cods[i - 1] < od_m < cods[i]` holds strictly (an end
+        // side is open); a tie or NaN runs the partition search.
+        let inside = |i: usize| {
+            i <= cods.len() && (i == 0 || cods[i - 1] < od_m) && (i == cods.len() || od_m < cods[i])
+        };
+        let i = if inside(hint.city) {
+            hint.city
+        } else if inside(hint.city + 1) {
+            hint.city + 1
+        } else {
+            cods.partition_point(|&c| c < od_m)
+        };
+        hint.city = i;
         let best = if i == 0 {
             0
         } else if i == cods.len() {
@@ -175,13 +231,23 @@ impl Route {
     /// city's size factor; this matches the intuition that a drive *through*
     /// a metro spends more road-miles in its urban area.
     pub fn region_at(&self, od_m: f64) -> RegionKind {
-        let (id, gap) = self.nearest_city(od_m);
+        self.region_at_hinted(od_m, &mut RouteHint::default())
+    }
+
+    /// [`Self::region_at`] with a search hint (see [`RouteHint`]).
+    pub fn region_at_hinted(&self, od_m: f64, hint: &mut RouteHint) -> RegionKind {
+        let (id, gap) = self.nearest_city_hinted(od_m, hint);
         RegionKind::classify(gap, self.cities[id.0].scale)
     }
 
     /// Timezone at odometer distance `od_m`.
     pub fn timezone_at(&self, od_m: f64) -> Timezone {
-        Timezone::from_longitude(self.point_at(od_m).pos.lon)
+        self.timezone_at_hinted(od_m, &mut RouteHint::default())
+    }
+
+    /// [`Self::timezone_at`] with a search hint (see [`RouteHint`]).
+    pub fn timezone_at_hinted(&self, od_m: f64, hint: &mut RouteHint) -> Timezone {
+        Timezone::from_longitude(self.point_at_hinted(od_m, hint).pos.lon)
     }
 
     /// Fraction of the route (by odometer) in each region kind, computed by

@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use crate::coord::LatLon;
 use crate::mph_to_mps;
 use crate::region::RegionKind;
-use crate::route::Route;
+use crate::route::{Route, RouteHint};
 use crate::timezone::Timezone;
 
 /// Seconds per nominal day in the plan's time base.
@@ -161,6 +161,7 @@ impl DrivePlan {
         let mut day_odometer = Vec::new();
         let mut day_speed = Vec::new();
         let mut od = 0.0_f64;
+        let mut hint = RouteHint::default();
         for (day, (end_od, name)) in marks.into_iter().enumerate() {
             let start_time_s = day as u64 * DAY_S + DAY_START_S;
             let start_od = od;
@@ -171,7 +172,7 @@ impl DrivePlan {
             ods.push(od);
             sps.push(0.0);
             while od < end_od {
-                let region = route.region_at(od);
+                let region = route.region_at_hinted(od, &mut hint);
                 let mu = mph_to_mps(region.freeflow_mph());
                 if stop_left > 0.0 {
                     stop_left -= 1.0;
@@ -270,16 +271,22 @@ impl DrivePlan {
     /// Vehicle state at plan-time `t_s`. Outside driving windows the vehicle
     /// is parked at the previous day's overnight stop (`driving == false`).
     pub fn state_at(&self, t_s: f64) -> DriveState {
+        self.state_at_hinted(t_s, &mut RouteHint::default())
+    }
+
+    /// [`Self::state_at`] with a route search hint, for callers stepping
+    /// through (mostly increasing) plan time.
+    pub fn state_at_hinted(&self, t_s: f64, hint: &mut RouteHint) -> DriveState {
         let t = t_s.max(0.0);
         let (day_idx, odometer, speed, driving) = self.locate(t);
-        let pt = self.route.point_at(odometer);
+        let pt = self.route.point_at_hinted(odometer, hint);
         DriveState {
             time_s: t,
             odometer_m: odometer,
             speed_mps: speed,
             pos: pt.pos,
             bearing_deg: pt.bearing_deg,
-            region: self.route.region_at(odometer),
+            region: self.route.region_at_hinted(odometer, hint),
             timezone: Timezone::from_longitude(pt.pos.lon),
             day: day_idx,
             driving,
@@ -291,9 +298,14 @@ impl DrivePlan {
     /// geometry; the returned position is bit-identical to
     /// `state_at(t_s).pos`.
     pub fn pos_at(&self, t_s: f64) -> LatLon {
+        self.pos_at_hinted(t_s, &mut RouteHint::default())
+    }
+
+    /// [`Self::pos_at`] with a route search hint.
+    pub fn pos_at_hinted(&self, t_s: f64, hint: &mut RouteHint) -> LatLon {
         let t = t_s.max(0.0);
         let (_, odometer, _, _) = self.locate(t);
-        self.route.point_at(odometer).pos
+        self.route.point_at_hinted(odometer, hint).pos
     }
 
     /// Odometer distance covered in the plan-time window `[t0, t1]`, meters.

@@ -84,11 +84,26 @@ impl LintConfig {
             hotpaths: &[
                 // radio: correlated-shadowing span generator
                 "ShadowBank::advance_span",
-                // ran: link-layer step, layer selection, fleet load folding
+                // geo: hinted route / plan lookups (per tick and per tile)
+                "Route::point_at_hinted",
+                "Route::nearest_city_hinted",
+                "Route::region_at_hinted",
+                "Route::timezone_at_hinted",
+                "DrivePlan::state_at_hinted",
+                "DrivePlan::pos_at_hinted",
+                // ran: link-layer step and its halves, the serving-only
+                // passive step, layer selection, fleet load folding
                 "UeRadio::step",
+                "UeRadio::step_serving",
+                "UeRadio::mobility",
+                "UeRadio::draw_link",
+                "UeRadio::link",
+                "ServingRadio::step",
                 "ShadowStore::advance_span",
                 "evaluate_layer_span",
                 "FleetLoad::fold_span",
+                // campaign: per-TCP-tick position of the link driver
+                "LinkDriver::pos_at",
                 // netsim: congestion-control per-ack ticks
                 "Cubic::on_ack",
                 "Bbr::on_ack",

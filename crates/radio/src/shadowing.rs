@@ -224,6 +224,12 @@ impl ShadowBank {
         self.live.get(pos).copied().unwrap_or(false)
     }
 
+    /// The distance a live field at `pos` was last advanced to (`None`
+    /// if not live). Advancing it to that distance or less draws nothing.
+    pub fn last_advanced_m(&self, pos: usize) -> Option<f64> {
+        self.is_live(pos).then(|| self.last_d_m[pos])
+    }
+
     /// Number of live fields.
     pub fn live_count(&self) -> usize {
         self.live.iter().filter(|&&l| l).count()

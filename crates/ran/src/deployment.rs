@@ -22,7 +22,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use wheels_geo::region::RegionKind;
-use wheels_geo::route::Route;
+use wheels_geo::route::{Route, RouteHint};
 use wheels_geo::timezone::Timezone;
 use wheels_radio::band::Technology;
 
@@ -312,9 +312,10 @@ pub fn build_cells_tuned(
         let mut dist_since_cell = f64::INFINITY;
         let mut next_spacing = 0.0;
         let mut od = 0.0;
+        let mut hint = RouteHint::default();
         while od < route.total_m() {
-            let region = route.region_at(od);
-            let tz = route.timezone_at(od);
+            let region = route.region_at_hinted(od, &mut hint);
+            let tz = route.timezone_at_hinted(od, &mut hint);
             let plan = layer_plan_tuned(op, tech, region, tz, tuning);
             // Markov patch persistence: re-draw the coverage state with
             // probability tile/patch_len, else keep it.

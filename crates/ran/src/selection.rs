@@ -111,6 +111,13 @@ impl ShadowStore {
         self.banks[tech_index(tech)].advance_one(pos, od_m, seed)
     }
 
+    /// The odometer the field at layer position `pos` of `tech` was last
+    /// advanced to, if it is live.
+    #[cfg(test)]
+    pub(crate) fn last_advanced_m(&self, tech: Technology, pos: usize) -> Option<f64> {
+        self.banks[tech_index(tech)].last_advanced_m(pos)
+    }
+
     /// Drop fields for cells left far behind; call occasionally.
     ///
     /// Every cell within radio range of the vehicle is re-queried on every
@@ -255,19 +262,35 @@ pub fn evaluate_layer_span(
 
 /// Wideband SINR (dB) for a candidate: signal over thermal floor plus the
 /// dominant interferer discounted by an activity factor.
-pub fn sinr_db(cand: &LayerCandidate, tech: Technology, noise_eff_dbm: f64, rng: &mut SmallRng) -> f64 {
-    sinr_db_with_noise_lin(cand, tech, 10f64.powf(noise_eff_dbm / 10.0), rng)
+pub fn sinr_db(
+    cand: &LayerCandidate,
+    tech: Technology,
+    noise_eff_dbm: f64,
+    rng: &mut SmallRng,
+) -> f64 {
+    sinr_db_with_noise_lin(
+        cand,
+        tech,
+        10f64.powf(noise_eff_dbm / 10.0),
+        draw_fade_db(rng),
+    )
+}
+
+/// Draw the small fast-fading residual (dB) a SINR evaluation adds.
+pub fn draw_fade_db(rng: &mut SmallRng) -> f64 {
+    rng.gen_range(-1.5..1.5)
 }
 
 /// [`sinr_db`] with the noise floor already converted to linear —
 /// `10^(noise_eff_dbm/10)` is constant per (operator, technology,
 /// direction), so the per-tick path precomputes it (see
-/// [`crate::config::link_noise_lin`]).
+/// [`crate::config::link_noise_lin`]) — and the fading residual
+/// `fade_db` already drawn (see [`draw_fade_db`]).
 pub fn sinr_db_with_noise_lin(
     cand: &LayerCandidate,
     tech: Technology,
     noise_lin: f64,
-    rng: &mut SmallRng,
+    fade_db: f64,
 ) -> f64 {
     let activity_db = match tech {
         // Beamformed mmWave neighbors rarely point at you.
@@ -278,8 +301,7 @@ pub fn sinr_db_with_noise_lin(
         .second_rsrp_dbm
         .map_or(0.0, |s| 10f64.powf((s - activity_db) / 10.0));
     let denom_dbm = 10.0 * (noise_lin + interf_lin).log10();
-    // Small fast-fading residual.
-    cand.rsrp_dbm - denom_dbm + rng.gen_range(-1.5..1.5)
+    cand.rsrp_dbm - denom_dbm + fade_db
 }
 
 /// Deterministic helper to build a per-purpose RNG from a UE seed.

@@ -6,6 +6,11 @@
 //! receives [`LinkSnapshot`]s carrying everything XCAL would log: serving
 //! technology and cell, RSRP, SINR, MCS, BLER, CA count, deliverable
 //! capacity per direction, and handover events as they execute.
+//!
+//! A passive handover-logger phone records only its serving cell and
+//! technology: it is a [`ServingRadio`], whose steps run the same
+//! mobility logic and consume the same policy-RNG draws as
+//! [`UeRadio::step`] but skip the link computation.
 
 use std::sync::Arc;
 
@@ -28,8 +33,8 @@ use crate::load::{LoadParams, LoadProcess};
 use crate::operator::Operator;
 use crate::policy::{TrafficDemand, UpgradePolicy};
 use crate::selection::{
-    evaluate_layer_span, layer_clutter, sinr_db_with_noise_lin, sub_rng, LayerCandidate,
-    ShadowStore,
+    draw_fade_db, evaluate_layer_span, layer_clutter, sinr_db_with_noise_lin, sub_rng,
+    LayerCandidate, ShadowStore,
 };
 use crate::tuning::OperatorTuning;
 use crate::Direction;
@@ -129,6 +134,31 @@ struct Serving {
     tech: Technology,
 }
 
+/// What a passive logger sees of one step: serving technology and cell
+/// exactly as [`LinkSnapshot`] reports them, plus the handover executed
+/// at this tick, if any.
+#[derive(Debug, Clone, Copy)]
+pub struct ServingStep {
+    /// Serving technology (`Lte` during outage, as in the snapshot).
+    pub tech: Technology,
+    /// Serving cell (`CellId(u32::MAX)` during outage).
+    pub cell: CellId,
+    /// A handover that executed at this tick, if any.
+    pub handover: Option<HandoverEvent>,
+}
+
+/// The policy-RNG values one link computation consumes, drawn by
+/// [`UeRadio::draw_link`] in stream order.
+#[derive(Debug, Clone, Copy)]
+struct LinkDraws {
+    fade_dl_db: f64,
+    fade_ul_db: f64,
+    bler_jitter: f64,
+    /// CA pulls, present where the direction aggregates > 1 carrier.
+    cc_pull_dl: Option<f64>,
+    cc_pull_ul: Option<f64>,
+}
+
 /// One phone on one operator's network.
 #[derive(Debug)]
 pub struct UeRadio {
@@ -212,6 +242,48 @@ impl UeRadio {
     ///
     /// Must be called with non-decreasing `t_s` and odometer.
     ///
+    /// A step is three parts: the mobility half ([`Self::mobility`]:
+    /// scan, policy, load balancing, A3), the link's policy-RNG draws
+    /// ([`Self::draw_link`]) and the link computation from them
+    /// ([`Self::link`]). [`ServingRadio`] runs the first two only.
+    pub fn step(&mut self, t_s: f64, drive: &DriveState, demand: TrafficDemand) -> LinkSnapshot {
+        let (ho, serving_rsrp_known) = self.mobility(t_s, drive, demand);
+        let draws = self.draw_link(self.reported().0);
+        self.link(t_s, drive, demand, ho, serving_rsrp_known, draws)
+    }
+
+    /// The serving-only step of [`ServingRadio`]: [`Self::step`] without
+    /// the link computation. It consumes exactly the policy-RNG draws
+    /// `step` does (the link's draws depend only on the reported
+    /// technology, never on computed values), so the `(cell, tech,
+    /// handover)` stream equals `step`'s bit for bit. The load processes
+    /// and the snapshot's `rsrp_of` fallback are skipped: neither touches
+    /// the policy RNG, and the fallback reads a shadowing field the scan
+    /// already advanced to this odometer.
+    fn step_serving(&mut self, t_s: f64, drive: &DriveState, demand: TrafficDemand) -> ServingStep {
+        let (handover, _) = self.mobility(t_s, drive, demand);
+        let (tech, cell) = self.reported();
+        self.draw_link(tech);
+        ServingStep {
+            tech,
+            cell,
+            handover,
+        }
+    }
+
+    /// Serving technology and cell as the snapshot reports them: the
+    /// serving cell, or `(Lte, CellId(u32::MAX))` in outage.
+    fn reported(&self) -> (Technology, CellId) {
+        match self.serving {
+            Some(s) => (s.tech, s.cell),
+            None => (Technology::Lte, CellId(u32::MAX)),
+        }
+    }
+
+    /// The mobility half of a step: scan, policy, load balancing and A3.
+    /// Returns the handover executed at this tick, if any, and the serving
+    /// RSRP the A3 check already looked up (for [`Self::link`]).
+    ///
     /// The five-layer candidate scan runs only when the odometer (bit
     /// for bit) or the region changed since the last step. At an
     /// unchanged odometer a rescan would return the same candidates and
@@ -220,7 +292,12 @@ impl UeRadio {
     /// stored value; path loss depends only on distance and the region's
     /// clutter; the window cursor does not move. So a parked or static UE
     /// skips the scan with byte-identical output.
-    pub fn step(&mut self, t_s: f64, drive: &DriveState, demand: TrafficDemand) -> LinkSnapshot {
+    fn mobility(
+        &mut self,
+        t_s: f64,
+        drive: &DriveState,
+        demand: TrafficDemand,
+    ) -> (Option<HandoverEvent>, Option<(CellId, Option<f64>)>) {
         let od = drive.odometer_m;
         let region = drive.region;
         self.shadows.maybe_prune(od, self.params.shadow_keep_window_m);
@@ -351,7 +428,7 @@ impl UeRadio {
             }
         }
 
-        self.snapshot(t_s, drive, demand, &cands, ho, serving_rsrp_known)
+        (ho, serving_rsrp_known)
     }
 
     /// Pick the serving technology given layer availability and policy.
@@ -466,19 +543,44 @@ impl UeRadio {
         Some(eirp - pl.loss_db(dist) + self.shadows.shadow_at(s.tech, pos, s.cell, od))
     }
 
-    fn snapshot(
+    /// Draw the link's policy-RNG values in stream order: DL fade, UL
+    /// fade, BLER jitter, then one CA pull per direction whose config
+    /// aggregates more than one carrier. Which values are drawn depends
+    /// only on the operator and the reported technology `tech`.
+    fn draw_link(&mut self, tech: Technology) -> LinkDraws {
+        let fade_dl_db = draw_fade_db(&mut self.rng);
+        let fade_ul_db = draw_fade_db(&mut self.rng);
+        let bler_jitter = self.rng.gen_range(-0.02..0.02);
+        let mut cc_pull =
+            |dir| (link_config_ref(self.op, tech, dir).max_cc() > 1).then(|| self.rng.gen::<f64>());
+        let cc_pull_dl = cc_pull(Direction::Downlink);
+        let cc_pull_ul = cc_pull(Direction::Uplink);
+        LinkDraws {
+            fade_dl_db,
+            fade_ul_db,
+            bler_jitter,
+            cc_pull_dl,
+            cc_pull_ul,
+        }
+    }
+
+    /// The link computation of a step from its mobility outcome and its
+    /// policy-RNG draws: serving RSRP, SINR, BLER, CA, load shares and
+    /// capacities. Draws nothing from the policy RNG.
+    fn link(
         &mut self,
         t_s: f64,
         drive: &DriveState,
         demand: TrafficDemand,
-        cands: &[Option<LayerCandidate>; 5],
         ho: Option<HandoverEvent>,
         serving_rsrp_known: Option<(CellId, Option<f64>)>,
+        draws: LinkDraws,
     ) -> LinkSnapshot {
         let in_handover = t_s < self.ho_until_s;
-        let (tech, cell, rsrp, interferer) = match self.serving {
+        let (tech, cell) = self.reported();
+        let (rsrp, interferer) = match self.serving {
             Some(s) => {
-                let layer = cands[tech_idx(s.tech)];
+                let layer = self.cands[tech_idx(s.tech)];
                 let rsrp = match layer {
                     Some(b) if b.cell == s.cell => b.rsrp_dbm,
                     Some(b) if b.second_cell == Some(s.cell) => {
@@ -496,9 +598,9 @@ impl UeRadio {
                     Some(b) => Some(b.rsrp_dbm),
                     None => None,
                 };
-                (s.tech, s.cell, rsrp, interf)
+                (rsrp, interf)
             }
-            None => (Technology::Lte, CellId(u32::MAX), -125.0, None),
+            None => (-125.0, None),
         };
         let outage = self.serving.is_none();
 
@@ -512,15 +614,23 @@ impl UeRadio {
         };
         let noise_dl = link_noise_lin(self.op, tech, Direction::Downlink);
         let noise_ul = link_noise_lin(self.op, tech, Direction::Uplink);
-        let sinr_dl = sinr_db_with_noise_lin(&cand, tech, noise_dl, &mut self.rng);
-        let sinr_ul = sinr_db_with_noise_lin(&cand, tech, noise_ul, &mut self.rng) - 2.0;
+        let sinr_dl = sinr_db_with_noise_lin(&cand, tech, noise_dl, draws.fade_dl_db);
+        let sinr_ul = sinr_db_with_noise_lin(&cand, tech, noise_ul, draws.fade_ul_db) - 2.0;
 
-        let bler = (bler_from_sinr(sinr_dl, drive.speed_mps)
-            + self.rng.gen_range(-0.02..0.02))
-        .clamp(0.0, 0.9);
+        let bler = (bler_from_sinr(sinr_dl, drive.speed_mps) + draws.bler_jitter).clamp(0.0, 0.9);
 
-        let ca_dl = self.pick_cc(cfg_dl, sinr_dl, matches!(demand, TrafficDemand::Backlog(Direction::Downlink)));
-        let ca_ul = self.pick_cc(cfg_ul, sinr_ul, matches!(demand, TrafficDemand::Backlog(Direction::Uplink)));
+        let ca_dl = pick_cc(
+            cfg_dl,
+            sinr_dl,
+            matches!(demand, TrafficDemand::Backlog(Direction::Downlink)),
+            draws.cc_pull_dl,
+        );
+        let ca_ul = pick_cc(
+            cfg_ul,
+            sinr_ul,
+            matches!(demand, TrafficDemand::Backlog(Direction::Uplink)),
+            draws.cc_pull_ul,
+        );
 
         // Channel aging at speed: CQI staleness and beam mis-tracking cost
         // a slice of the scheduled rate beyond the BLER penalty — part of
@@ -578,25 +688,49 @@ impl UeRadio {
             handover: ho,
         }
     }
+}
 
-    /// Number of active component carriers: grows with link quality and
-    /// whether this direction is loaded.
-    fn pick_cc(&mut self, cfg: &LinkConfig, sinr_db: f64, backlogged: bool) -> u8 {
-        let max = cfg.max_cc();
-        if max <= 1 {
-            return 1;
-        }
-        let q = ((sinr_db - 2.0) / 20.0).clamp(0.0, 1.0);
-        let demand_boost = if backlogged { 1.0 } else { 0.4 };
-        // Real CA activation depends on per-site carrier availability and
-        // scheduler whim far more than on this UE's SINR; keep the SINR
-        // pull mild so the logged CA KPI correlates with throughput only
-        // moderately (Table 2: 0.05-0.58).
-        let pull = 0.35 * q + 0.65 * self.rng.gen::<f64>();
-        let extra = (pull * demand_boost * (max - 1) as f64)
-            .round()
-            .clamp(0.0, (max - 1) as f64);
-        1 + extra as u8
+/// Number of active component carriers: grows with link quality and
+/// whether this direction is loaded. `pull` is the direction's uniform CA
+/// draw, present exactly when `cfg` aggregates more than one carrier.
+fn pick_cc(cfg: &LinkConfig, sinr_db: f64, backlogged: bool, pull: Option<f64>) -> u8 {
+    let Some(u) = pull else {
+        return 1;
+    };
+    let max = cfg.max_cc();
+    let q = ((sinr_db - 2.0) / 20.0).clamp(0.0, 1.0);
+    let demand_boost = if backlogged { 1.0 } else { 0.4 };
+    // Real CA activation depends on per-site carrier availability and
+    // scheduler whim far more than on this UE's SINR; keep the SINR
+    // pull mild so the logged CA KPI correlates with throughput only
+    // moderately (Table 2: 0.05-0.58).
+    let pull = 0.35 * q + 0.65 * u;
+    let extra = (pull * demand_boost * (max - 1) as f64)
+        .round()
+        .clamp(0.0, (max - 1) as f64);
+    1 + extra as u8
+}
+
+/// A passive handover-logger phone: a [`UeRadio`] that only takes
+/// serving-only steps, which skip the link computation.
+///
+/// A serving-only step never advances the UE's load processes, so a UE
+/// that took one must not take a full [`UeRadio::step`] afterwards (its
+/// load shares would jump over the skipped interval). Owning the UE with
+/// no way back out makes that mix unrepresentable.
+#[derive(Debug)]
+pub struct ServingRadio(UeRadio);
+
+impl ServingRadio {
+    /// Take over `ue` for serving-only steps.
+    pub fn new(ue: UeRadio) -> Self {
+        ServingRadio(ue)
+    }
+
+    /// Advance to time `t_s` like [`UeRadio::step`] and report the serving
+    /// cell, technology and handover that step's snapshot would carry.
+    pub fn step(&mut self, t_s: f64, drive: &DriveState, demand: TrafficDemand) -> ServingStep {
+        self.0.step_serving(t_s, drive, demand)
     }
 }
 
@@ -752,6 +886,106 @@ mod tests {
         let (unpruned, all) = run(f64::INFINITY);
         assert_eq!(pruned, unpruned);
         assert!(live < all, "prune dropped nothing over a 5+ hour drive");
+    }
+
+    /// Drive `full` with [`UeRadio::step`] and `serving` with serving-only
+    /// steps in lockstep for `n` steps of `dt_s` from the first day's
+    /// start; both must report the same `(cell, tech, handover)` stream
+    /// and leave their policy RNGs in the same state.
+    fn assert_serving_matches_step(
+        plan: &DrivePlan,
+        mut full: UeRadio,
+        mut serving: ServingRadio,
+        demand: TrafficDemand,
+        dt_s: f64,
+        n: usize,
+    ) {
+        let t0 = plan.days()[0].start_time_s as f64;
+        let mut handovers = 0;
+        for i in 0..n {
+            let t = t0 + i as f64 * dt_s;
+            let drive = plan.state_at(t);
+            let s = full.step(t, &drive, demand);
+            let v = serving.step(t, &drive, demand);
+            assert_eq!((s.cell, s.tech), (v.cell, v.tech), "step {i} at t={t}");
+            let key = |h: Option<HandoverEvent>| {
+                h.map(|h| (h.time_s.to_bits(), h.from, h.to, h.duration_ms.to_bits()))
+            };
+            assert_eq!(key(s.handover), key(v.handover), "handover at step {i}");
+            handovers += usize::from(s.handover.is_some());
+        }
+        assert!(handovers > 0, "no handover in {n} steps of {dt_s} s");
+        assert_eq!(
+            full.rng.clone().gen::<u64>(),
+            serving.0.rng.clone().gen::<u64>(),
+            "policy RNGs diverged"
+        );
+    }
+
+    #[test]
+    fn serving_step_matches_full_step() {
+        use crate::fleet::FleetParams;
+        let plan = DrivePlan::cross_country(5);
+        let demands = [
+            TrafficDemand::Ping,
+            TrafficDemand::Backlog(Direction::Downlink),
+            TrafficDemand::Backlog(Direction::Uplink),
+        ];
+        for op in Operator::ALL {
+            let db = Arc::new(build_cells(plan.route(), op, 5, 0));
+            let fleet = FleetParams {
+                population: 200_000,
+                ..FleetParams::default()
+            };
+            let fleet = Arc::new(FleetLoad::build(op, &db, &fleet, 3));
+            for with_fleet in [false, true] {
+                let params = UeParams {
+                    fleet: with_fleet.then(|| Arc::clone(&fleet)),
+                    ..UeParams::default()
+                };
+                for (k, &demand) in demands.iter().enumerate() {
+                    for dt_s in [0.1, 1.0, 10.0] {
+                        let ue =
+                            || UeRadio::new(op, Arc::clone(&db), params.clone(), 40 + k as u64);
+                        let serving = ServingRadio::new(ue());
+                        assert_serving_matches_step(&plan, ue(), serving, demand, dt_s, 20_000);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn serving_rsrp_fallback_reads_an_already_advanced_field() {
+        // A serving-only step skips the snapshot's `rsrp_of` fallback.
+        // That is safe only because the field it would read is live and
+        // already advanced to this odometer by the scan (Δ ≤ 0: no draw,
+        // no state change). Pin that premise after every full step.
+        let plan = DrivePlan::cross_country(5);
+        for op in Operator::ALL {
+            let db = Arc::new(build_cells(plan.route(), op, 5, 0));
+            let mut ue = UeRadio::new(op, Arc::clone(&db), UeParams::default(), 21);
+            let t0 = plan.days()[0].start_time_s as f64;
+            let mut checked = 0;
+            for i in 0..20_000 {
+                let t = t0 + i as f64 * 0.5;
+                let drive = plan.state_at(t);
+                ue.step(t, &drive, TrafficDemand::Ping);
+                let Some(s) = ue.serving else { continue };
+                let od = drive.odometer_m;
+                let range = db.window_range(s.tech, od, s.tech.nominal_range_m() * 1.6);
+                let layer = db.layer(s.tech);
+                if let Some(pos) = range.into_iter().find(|&p| layer.ids()[p] == s.cell) {
+                    assert_eq!(
+                        ue.shadows.last_advanced_m(s.tech, pos),
+                        Some(od),
+                        "step {i}"
+                    );
+                    checked += 1;
+                }
+            }
+            assert!(checked > 10_000, "{op:?}: only {checked} steps checked");
+        }
     }
 
     #[test]

@@ -6,12 +6,16 @@
 //! view is far more pessimistic than the XCAL view during backlogged tests,
 //! because operators do not elevate a UE to 5G under negligible traffic —
 //! the disparity shown in Fig. 1.
+//!
+//! Like the real app, a [`PassiveSample`] holds only what the phone
+//! reports: serving cell and technology plus GPS. The campaign produces
+//! them from a serving-only UE step (`wheels_ran::ue::ServingRadio`),
+//! which never computes a link state.
 
 use serde::{Deserialize, Serialize};
 
 use wheels_radio::band::Technology;
 use wheels_ran::cell::CellId;
-use wheels_ran::ue::LinkSnapshot;
 
 /// One passive-logger record.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -48,16 +52,9 @@ impl PassiveLogger {
         PassiveLogger { samples }
     }
 
-    /// Record one tick (typically 1 s cadence).
-    pub fn log(&mut self, s: &LinkSnapshot, lon: f64) {
-        self.samples.push(PassiveSample {
-            time_s: s.time_s,
-            cell: s.cell,
-            tech: s.tech,
-            odometer_m: s.odometer_m,
-            speed_mps: s.speed_mps as f32,
-            lon: lon as f32,
-        });
+    /// Record one tick (typically 1 s cadence), after the last sample.
+    pub fn log(&mut self, sample: PassiveSample) {
+        self.samples.push(sample);
     }
 
     /// All samples in time order.
@@ -134,31 +131,15 @@ impl PassiveLogger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wheels_geo::region::RegionKind;
-    use wheels_geo::timezone::Timezone;
 
-    fn snap(t: f64, od: f64, cell: u32, tech: Technology) -> LinkSnapshot {
-        LinkSnapshot {
+    fn sample(t: f64, od: f64, cell: u32, tech: Technology) -> PassiveSample {
+        PassiveSample {
             time_s: t,
+            cell: CellId(cell),
+            tech,
             odometer_m: od,
             speed_mps: 20.0,
-            region: RegionKind::Highway,
-            timezone: Timezone::Central,
-            tech,
-            cell: CellId(cell),
-            outage: false,
-            rsrp_dbm: -100.0,
-            sinr_dl_db: 10.0,
-            sinr_ul_db: 8.0,
-            mcs_dl: 10,
-            mcs_ul: 8,
-            bler: 0.1,
-            ca_dl: 1,
-            ca_ul: 1,
-            cap_dl_mbps: 50.0,
-            cap_ul_mbps: 10.0,
-            in_handover: false,
-            handover: None,
+            lon: -100.0,
         }
     }
 
@@ -166,9 +147,9 @@ mod tests {
     fn tech_shares_distance_weighted() {
         let mut log = PassiveLogger::new();
         // 1 km on LTE, 3 km on LTE-A.
-        log.log(&snap(0.0, 0.0, 1, Technology::Lte), -100.0);
-        log.log(&snap(60.0, 1_000.0, 2, Technology::LteA), -100.0);
-        log.log(&snap(240.0, 4_000.0, 2, Technology::LteA), -100.0);
+        log.log(sample(0.0, 0.0, 1, Technology::Lte));
+        log.log(sample(60.0, 1_000.0, 2, Technology::LteA));
+        log.log(sample(240.0, 4_000.0, 2, Technology::LteA));
         let shares = log.tech_shares();
         assert!((shares[0].1 - 0.25).abs() < 1e-9);
         assert!((shares[1].1 - 0.75).abs() < 1e-9);
@@ -178,7 +159,7 @@ mod tests {
     fn counts_cell_changes_and_unique_cells() {
         let mut log = PassiveLogger::new();
         for (i, cell) in [1u32, 1, 2, 2, 3, 1].iter().enumerate() {
-            log.log(&snap(i as f64, i as f64 * 100.0, *cell, Technology::Lte), -100.0);
+            log.log(sample(i as f64, i as f64 * 100.0, *cell, Technology::Lte));
         }
         assert_eq!(log.cell_changes(), 3);
         assert_eq!(log.unique_cells(), 3);
@@ -188,7 +169,7 @@ mod tests {
     fn truncate_and_window_drop_count_losses() {
         let mut log = PassiveLogger::new();
         for i in 0..10 {
-            log.log(&snap(i as f64, i as f64 * 100.0, 1, Technology::Lte), -100.0);
+            log.log(sample(i as f64, i as f64 * 100.0, 1, Technology::Lte));
         }
         assert_eq!(log.drop_window(3.0, 5.0), 3, "samples at t = 3, 4, 5");
         assert_eq!(log.samples().len(), 7);
