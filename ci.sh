@@ -108,6 +108,30 @@ if [ "$zero_status" -ne 2 ] || grep -q panicked "$tmp/zero-length.err"; then
   exit 1
 fi
 
+echo "== dataset binary: one .drm per record, clean CLI failures =="
+# The dataset exporter writes one .drm file per test record, each checked
+# to decode back to its own bytes. A bad command line must exit 2 with
+# the usage before any campaign runs, never with a panic.
+./target/release/dataset --scale smoke --seed 11 --out "$tmp/ds" > /dev/null 2> /dev/null
+n_records=$(grep -c '^      "id": ' "$tmp/ds/dataset.json")
+n_drm=$(find "$tmp/ds/drm" -name '*.drm' | wc -l)
+if [ "$n_records" -eq 0 ] || [ "$n_drm" -ne "$n_records" ]; then
+  echo "dataset: $n_drm .drm files for $n_records records"
+  exit 1
+fi
+./target/release/dataset --help | grep -q "usage: dataset"
+for bad in "--scale bogus" "--bogus"; do
+  bad_status=0
+  # shellcheck disable=SC2086
+  ./target/release/dataset $bad --out "$tmp/ds-bad" > /dev/null 2> "$tmp/ds-bad.err" \
+    || bad_status=$?
+  if [ "$bad_status" -ne 2 ] || grep -q -e panicked -e "running campaign" "$tmp/ds-bad.err"; then
+    echo "dataset $bad: exit $bad_status, want 2 before any campaign and without a panic"
+    cat "$tmp/ds-bad.err"
+    exit 1
+  fi
+done
+
 echo "== report byte-equivalence (quarter scale, fig-jobs 1 vs 4) =="
 # The figure fan-out must not change a single byte of `repro all`, and
 # neither may the phase timers: --timings and --timings-json write to

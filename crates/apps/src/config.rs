@@ -10,10 +10,10 @@
 //! | Frame decompression time | 1.0 ms | 19.1 ms |
 //! | Duration of a run | 20 s | 20 s |
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of one offloading app (one column of Table 4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct OffloadConfig {
     /// Source frame rate, frames/second.
     pub fps: f64,

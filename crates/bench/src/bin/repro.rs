@@ -197,15 +197,11 @@ fn main() {
             "--scenario-dump" => scenario_dump = true,
             "--scale" => {
                 i += 1;
-                scale = match args.get(i).map(String::as_str) {
-                    Some("full") => ReproScale::Full,
-                    Some("quarter") => ReproScale::Quarter,
-                    Some("smoke") => ReproScale::Smoke,
-                    other => {
-                        eprintln!("unknown scale {other:?} (full|quarter|smoke)");
-                        std::process::exit(2);
-                    }
-                };
+                let name = args.get(i).map(String::as_str);
+                scale = name.and_then(ReproScale::parse).unwrap_or_else(|| {
+                    eprintln!("unknown scale {name:?} (full|quarter|smoke)");
+                    std::process::exit(2);
+                });
             }
             "--seed" => {
                 i += 1;

@@ -24,6 +24,16 @@ pub enum ReproScale {
 }
 
 impl ReproScale {
+    /// The preset a `--scale` value names: `full`, `quarter` or `smoke`.
+    pub fn parse(name: &str) -> Option<Self> {
+        match name {
+            "full" => Some(ReproScale::Full),
+            "quarter" => Some(ReproScale::Quarter),
+            "smoke" => Some(ReproScale::Smoke),
+            _ => None,
+        }
+    }
+
     /// The campaign config for this preset.
     pub fn config(self, seed: u64) -> CampaignConfig {
         let mut cfg = CampaignConfig::full(seed);

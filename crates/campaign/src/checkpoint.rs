@@ -33,7 +33,7 @@ use std::ops::Range;
 use std::path::Path;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use wheels_fleet::FleetUnitSketch;
 use wheels_ran::operator::Operator;
@@ -183,7 +183,7 @@ pub fn world_hash(spec: &ScenarioSpec, cfg: &CampaignConfig) -> u64 {
 
 /// One work unit's durable outcome: everything needed to reconstruct its
 /// [`UnitOutcome`] without re-running it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct UnitCheckpoint {
     /// Whether the unit produced a shard (`false` = `Lost` with no data;
     /// distinguishes a lost unit from one that completed empty).

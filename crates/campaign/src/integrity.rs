@@ -14,7 +14,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Why one attempt at a work unit produced no shard.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,7 +70,7 @@ impl fmt::Display for UnitError {
 impl std::error::Error for UnitError {}
 
 /// How one work unit ended the campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum UnitStatus {
     /// Completed with its full payload.
     Ok,
@@ -82,7 +82,7 @@ pub enum UnitStatus {
 }
 
 /// One unit's completeness record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct UnitReport {
     /// Human-readable unit key, e.g. `drive/Verizon/day3`.
     pub unit: String,
@@ -137,7 +137,7 @@ impl UnitReport {
 
 /// What a `--resume` run found in the checkpoint log: how much work it
 /// restored versus recomputed, and how many records it had to reject.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ResumeReport {
     /// Units restored from valid checkpoint records (not re-run).
     pub restored_units: usize,
@@ -163,7 +163,7 @@ impl ResumeReport {
 
 /// The campaign-wide completeness report, one entry per scheduled unit in
 /// canonical order.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntegrityReport {
     /// Fault profile the campaign ran under.
     pub profile: String,
@@ -184,8 +184,7 @@ pub struct IntegrityReport {
 // `#[serde(skip_serializing_if)]`, and the `resume` field must vanish
 // from the JSON entirely when `None` — emitting `"resume": null` would
 // break byte-compatibility with every report written before this field
-// existed and with the uninterrupted-run goldens. Decoding is derived: a
-// missing `Option` field decodes as `None`, so those reports still load.
+// existed and with the uninterrupted-run goldens.
 impl Serialize for IntegrityReport {
     fn stream(&self, w: &mut serde::ser::JsonWriter) {
         w.begin_object();
@@ -305,21 +304,7 @@ mod tests {
     }
 
     #[test]
-    fn report_roundtrips_through_json() {
-        let r = IntegrityReport {
-            profile: "paper".into(),
-            seed: 7,
-            max_retries: 1,
-            units: vec![unit(UnitStatus::Degraded, 2, 2)],
-            resume: None,
-        };
-        let j = serde_json::to_string_pretty(&r).unwrap();
-        let back: IntegrityReport = serde_json::from_str(&j).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn resume_field_is_absent_when_none_and_roundtrips_when_some() {
+    fn resume_field_is_absent_when_none_and_written_when_some() {
         let mut r = IntegrityReport {
             profile: "none".into(),
             seed: 11,
@@ -343,16 +328,5 @@ mod tests {
         assert!(r.resume.as_ref().unwrap().saw_damage());
         let j = serde_json::to_string_pretty(&r).unwrap();
         assert!(j.contains("\"corrupt_records\": 1"), "{j}");
-        let back: IntegrityReport = serde_json::from_str(&j).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn pre_checkpoint_reports_still_deserialize() {
-        // A report written before the `resume` field existed.
-        let legacy = r#"{"profile":"paper","seed":7,"max_retries":1,"units":[]}"#;
-        let back: IntegrityReport = serde_json::from_str(legacy).unwrap();
-        assert_eq!(back.resume, None);
-        assert_eq!(back.seed, 7);
     }
 }

@@ -25,6 +25,7 @@
 pub mod checkpoint;
 pub mod config;
 pub mod driver;
+pub mod drm;
 pub mod executor;
 pub mod integrity;
 pub mod ookla;

@@ -1,9 +1,11 @@
-//! Positional binary codec for checkpoint payloads.
+//! Positional binary codec for checkpoint payloads and `.drm` files.
 //!
 //! A checkpoint payload is only ever read back by the build that wrote
 //! it — a record from any other world is rejected by its header before
 //! the payload is looked at — so it needs no field names, no schema
-//! evolution and no text. Every value is written in declaration order:
+//! evolution and no text. The same encoding of an [`XcalLog`] is the
+//! body of a `.drm` file (see [`crate::drm`]). Every value is written in
+//! declaration order:
 //!
 //! * integers as fixed-width little-endian (`usize` as a `u64`);
 //! * floats as their `to_bits()` pattern, little-endian, so they
@@ -33,6 +35,8 @@ use wheels_ran::operator::Operator;
 use wheels_xcal::database::{AppMetrics, TestKind, TestRecord};
 use wheels_xcal::handover_logger::{PassiveLogger, PassiveSample};
 use wheels_xcal::kpi::KpiSample;
+use wheels_xcal::logger::XcalLog;
+use wheels_xcal::signaling::SignalingMessage;
 
 use crate::checkpoint::UnitCheckpoint;
 use crate::integrity::{UnitReport, UnitStatus};
@@ -415,6 +419,84 @@ wire_struct!(KpiSample {
     region: RegionKind,
     timezone: Timezone,
     in_handover: bool,
+});
+
+/// One tag byte per variant, then the variant's fields in declaration
+/// order.
+impl Wire for SignalingMessage {
+    const MIN_LEN: usize = 1 + f64::MIN_LEN + CellId::MIN_LEN + Technology::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            SignalingMessage::HandoverCommand {
+                time_s,
+                from_cell,
+                from_tech,
+                to_cell,
+                to_tech,
+                kind,
+            } => {
+                out.push(0);
+                time_s.put(out);
+                from_cell.put(out);
+                from_tech.put(out);
+                to_cell.put(out);
+                to_tech.put(out);
+                kind.put(out);
+            }
+            SignalingMessage::HandoverComplete {
+                time_s,
+                cell,
+                interruption_ms,
+            } => {
+                out.push(1);
+                time_s.put(out);
+                cell.put(out);
+                interruption_ms.put(out);
+            }
+            SignalingMessage::ServingCell { time_s, cell, tech } => {
+                out.push(2);
+                time_s.put(out);
+                cell.put(out);
+                tech.put(out);
+            }
+        }
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.tag()? {
+            (_, 0) => Ok(SignalingMessage::HandoverCommand {
+                time_s: Wire::take(r)?,
+                from_cell: Wire::take(r)?,
+                from_tech: Wire::take(r)?,
+                to_cell: Wire::take(r)?,
+                to_tech: Wire::take(r)?,
+                kind: Wire::take(r)?,
+            }),
+            (_, 1) => Ok(SignalingMessage::HandoverComplete {
+                time_s: Wire::take(r)?,
+                cell: Wire::take(r)?,
+                interruption_ms: Wire::take(r)?,
+            }),
+            (_, 2) => Ok(SignalingMessage::ServingCell {
+                time_s: Wire::take(r)?,
+                cell: Wire::take(r)?,
+                tech: Wire::take(r)?,
+            }),
+            (at, tag) => Err(WireError::BadTag {
+                at,
+                what: "SignalingMessage",
+                tag,
+            }),
+        }
+    }
+}
+
+wire_struct!(XcalLog {
+    file_name: String,
+    content_start_edt: String,
+    op: Operator,
+    start_plan_s: f64,
+    samples: Vec<KpiSample>,
+    messages: Vec<SignalingMessage>,
 });
 
 wire_struct!(AppMetrics {

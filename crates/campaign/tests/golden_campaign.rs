@@ -12,8 +12,9 @@
 //! caught at `cargo test` speed, pointing at the exact world and seed
 //! that moved. The streamed export (`write_json` at jobs 1 and 4, the
 //! path `repro --export` runs) must match the same pinned digest. The
-//! checkpoint log of one smoke run is pinned the same way, so a change to
-//! the record format is a visible decision too.
+//! checkpoint log of one smoke run is pinned the same way, and so are the
+//! `.drm` files of that run, so a change to either binary format is a
+//! visible decision too.
 //!
 //! When a change is *intended* to alter output (a model change, not an
 //! optimization), refresh the pins with:
@@ -28,8 +29,10 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use wheels_campaign::checkpoint::LOG_NAME;
-use wheels_campaign::{Campaign, CampaignConfig, CheckpointOptions, ScenarioSpec};
+// FNV-1a is dependency-free and stable across platforms: digest equality
+// here means byte equality of the pinned bytes.
+use wheels_campaign::checkpoint::{fnv1a64, LOG_NAME};
+use wheels_campaign::{drm, Campaign, CampaignConfig, CheckpointOptions, ScenarioSpec};
 
 /// A pinned world: registry scenario name, golden file, seeds.
 struct World {
@@ -66,17 +69,6 @@ fn smoke_config(seed: u64) -> CampaignConfig {
     cfg
 }
 
-/// FNV-1a over the export bytes: dependency-free and stable across
-/// platforms — digest equality here means byte equality of the export.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn current_digests(world: &World) -> String {
     let spec = ScenarioSpec::find(world.scenario).expect("registered scenario");
     let mut out = String::new();
@@ -84,7 +76,7 @@ fn current_digests(world: &World) -> String {
         let campaign = Campaign::from_spec(&spec, smoke_config(seed));
         let outcome = campaign.run(1, None).expect("tolerant run");
         let json = wheels_xcal::export::to_json(&outcome.db).expect("export serializes");
-        let digest = fnv1a(json.as_bytes());
+        let digest = fnv1a64(json.as_bytes());
         // The streamed export `repro --export` writes must pin to the
         // same digest as the whole-document one.
         for jobs in [1, 4] {
@@ -92,7 +84,7 @@ fn current_digests(world: &World) -> String {
             wheels_xcal::export::write_json(&outcome.db, jobs, &mut streamed)
                 .expect("export streams");
             assert_eq!(
-                fnv1a(&streamed),
+                fnv1a64(&streamed),
                 digest,
                 "{} seed {seed}: write_json at jobs {jobs} differs from to_json",
                 world.scenario
@@ -129,8 +121,23 @@ fn smoke_checkpoint_log_digest_matches_golden() {
         .run(1, Some(&CheckpointOptions::fresh(&dir)))
         .expect("checkpointed run completes");
     let log = std::fs::read(dir.join(LOG_NAME)).expect("log written");
-    let got = format!("11 {:016x} {}\n", fnv1a(&log), log.len());
+    let got = format!("11 {:016x} {}\n", fnv1a64(&log), log.len());
     check_golden("checkpoint log", "smoke_checkpoint_log.txt", got);
+}
+
+/// The `.drm` files of the same smoke run: every record's DRM2 encoding,
+/// concatenated in record order.
+#[test]
+fn smoke_drm_digest_matches_golden() {
+    let campaign = Campaign::from_spec(&ScenarioSpec::paper(), smoke_config(11));
+    let db = campaign.run(1, None).expect("tolerant run").db;
+    let files: Vec<u8> = db
+        .records
+        .iter()
+        .flat_map(|r| drm::encode(&drm::log_for(r)))
+        .collect();
+    let got = format!("11 {:016x} {}\n", fnv1a64(&files), files.len());
+    check_golden("drm", "smoke_drm.txt", got);
 }
 
 fn check_world(world: &World) {

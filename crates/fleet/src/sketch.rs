@@ -19,7 +19,7 @@
 //! [`UTIL_CLAMP`] before conversion so a pathological overload cannot
 //! overflow the accumulators.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of fixed histogram bins over utilization `[0, 1]`.
 pub const LOAD_BINS: usize = 32;
@@ -44,7 +44,7 @@ pub fn load_bin(util: f64) -> usize {
 }
 
 /// Accumulator for one (technology × hour-of-day) slot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct TechHourAcc {
     /// Active subscriber-hours × 1e6.
     pub sub_hours_micro: u64,
@@ -73,7 +73,7 @@ impl TechHourAcc {
 }
 
 /// Per-cell accumulator: who lives on the cell and how loaded it was.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CellAcc {
     /// Cell identifier (the RAN's `CellId` payload).
     pub cell: u32,
@@ -122,7 +122,7 @@ impl CellHourObs {
 }
 
 /// Fixed-bin histogram of utilization, weighted by observed span.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct LoadHistogram {
     /// `LOAD_BINS` counters of span-micro weight.
     pub bins: Vec<u64>,
@@ -179,7 +179,7 @@ impl LoadHistogram {
 /// The streaming summary one campaign work unit produces for one
 /// operator's population, mergeable with any other unit's sketch of the
 /// same operator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct FleetUnitSketch {
     /// Subscribers attached to this operator (max-merged; every unit
     /// derives the same value from the world seed).
@@ -380,15 +380,5 @@ mod tests {
         assert_eq!(load_bin(1.0), LOAD_BINS - 1);
         assert_eq!(load_bin(0.0), 0);
         assert_eq!(load_bin(-0.5), 0);
-    }
-
-    #[test]
-    fn sketch_round_trips_through_json() {
-        let mut s = FleetUnitSketch::empty();
-        s.population = 1234;
-        s.observe(&obs(5, 3, 0.8));
-        let json = serde_json::to_string(&s).unwrap();
-        let back: FleetUnitSketch = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
     }
 }

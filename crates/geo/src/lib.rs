@@ -63,7 +63,7 @@ pub fn mph_to_mps(mph: f64) -> f64 {
 
 /// Speed bins used throughout the paper (Fig. 2d, Fig. 7, Fig. 8):
 /// low (0–20 mph), mid (20–60 mph) and high (60+ mph).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize)]
 pub enum SpeedBin {
     /// 0–20 mph: city driving, stop lights, downtown cores.
     Low,

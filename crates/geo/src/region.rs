@@ -9,7 +9,7 @@
 //! (Fig. 2d, Fig. 7) emerge.
 
 /// Kind of area the vehicle is driving through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize)]
 pub enum RegionKind {
     /// Downtown core of a major city: densest deployments, mmWave candidate
     /// sites, stop-and-go traffic.

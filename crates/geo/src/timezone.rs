@@ -14,7 +14,7 @@ use std::fmt;
 
 /// A US timezone, with the DST-adjusted UTC offset in effect during the trip
 /// (August 2022, so daylight saving time everywhere along the route).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize)]
 pub enum Timezone {
     /// UTC-7 in August (PDT). Los Angeles, Las Vegas.
     Pacific,

@@ -15,7 +15,7 @@ use wheels_geo::timezone::Timezone;
 use wheels_ran::operator::Operator;
 
 /// Cloud datacenter vs in-network edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum ServerKind {
     /// AWS EC2 (us-west California / us-east Ohio).
     Cloud,

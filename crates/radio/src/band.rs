@@ -8,7 +8,7 @@
 use std::fmt;
 
 /// A cellular radio technology as reported by XCAL / Android APIs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize)]
 pub enum Technology {
     /// Plain LTE (single carrier).
     Lte,

@@ -12,7 +12,7 @@ use wheels_radio::band::Technology;
 use crate::operator::Operator;
 
 /// Globally unique cell identifier (unique across operators and layers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize)]
 pub struct CellId(pub u32);
 
 /// One cell site (one sector of one gNB/eNB on one layer).

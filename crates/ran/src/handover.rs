@@ -25,7 +25,7 @@ pub const A3_TTT_S: f64 = 0.64;
 
 /// Classification of a handover by the technologies involved (Fig. 12
 /// breaks ΔT₂ down by these four types).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum HandoverKind {
     /// 4G → 4G (LTE/LTE-A to LTE/LTE-A).
     Horizontal4g,
@@ -68,7 +68,7 @@ impl HandoverKind {
 }
 
 /// A completed handover, as recorded in the signaling log.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, serde::Serialize)]
 pub struct HandoverEvent {
     /// Time the HO executed, seconds.
     pub time_s: f64,

@@ -50,7 +50,7 @@ pub use ue::{LinkSnapshot, UeRadio};
 
 /// Traffic direction. The paper analyzes downlink and uplink separately
 /// throughout (coverage in Fig. 2b, performance everywhere else).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize)]
 pub enum Direction {
     /// Server → UE.
     Downlink,

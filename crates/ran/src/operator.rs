@@ -11,7 +11,7 @@ use std::fmt;
 use wheels_radio::beam::BeamProfile;
 
 /// A US mobile network operator in the study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize)]
 pub enum Operator {
     /// Verizon ("V" in the paper's tables).
     Verizon,

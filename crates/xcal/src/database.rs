@@ -5,7 +5,7 @@
 //! and the app layer data". Every figure and table in the paper is a query
 //! over this database; `wheels-analysis` consumes it.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use wheels_geo::timezone::Timezone;
 use wheels_ran::handover::HandoverEvent;
@@ -17,7 +17,7 @@ use crate::handover_logger::PassiveLogger;
 use crate::kpi::KpiSample;
 
 /// The kind of test a record holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum TestKind {
     /// nuttcp downlink bulk transfer (30 s).
     ThroughputDl,
@@ -71,7 +71,7 @@ impl TestKind {
 }
 
 /// Per-run application QoE metrics (fields used depend on the app).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct AppMetrics {
     /// Frame compression enabled (AR/CAV).
     pub compressed: Option<bool>,
@@ -98,7 +98,7 @@ pub struct AppMetrics {
 }
 
 /// One test's consolidated record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TestRecord {
     /// Unique id.
     pub id: u32,
@@ -193,7 +193,7 @@ impl TestRecord {
 }
 
 /// The consolidated database of the whole campaign.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ConsolidatedDb {
     /// Every test of the campaign, in time order.
     pub records: Vec<TestRecord>,

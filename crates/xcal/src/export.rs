@@ -362,11 +362,6 @@ fn samples_fragment(samples: &[PassiveSample], global_start: usize, buf: &mut St
     }
 }
 
-/// Deserialize a database from JSON.
-pub fn from_json(s: &str) -> serde_json::Result<ConsolidatedDb> {
-    serde_json::from_str(s)
-}
-
 /// CSV header for the throughput-sample export.
 pub const CSV_HEADER: &str =
     "test_id,op,kind,static,time_s,tput_mbps,tech,rsrp_dbm,mcs,bler,ca,speed_mph,timezone,region,handovers";
@@ -472,15 +467,6 @@ mod tests {
             }],
             passive: vec![],
         }
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let db = tiny_db();
-        let j = to_json(&db).unwrap();
-        let back = from_json(&j).unwrap();
-        assert_eq!(back.records.len(), 1);
-        assert_eq!(back.records[0].kpi[0].mcs, 20);
     }
 
     #[test]

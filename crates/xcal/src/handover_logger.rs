@@ -12,13 +12,13 @@
 //! them from a serving-only UE step (`wheels_ran::ue::ServingRadio`),
 //! which never computes a link state.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use wheels_radio::band::Technology;
 use wheels_ran::cell::CellId;
 
 /// One passive-logger record.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct PassiveSample {
     /// Plan time, seconds.
     pub time_s: f64,
@@ -35,7 +35,7 @@ pub struct PassiveSample {
 }
 
 /// The full passive log of one operator across the trip.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct PassiveLogger {
     samples: Vec<PassiveSample>,
 }

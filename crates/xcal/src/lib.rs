@@ -17,7 +17,6 @@
 //! * [`handover_logger`] — the passive ping-based logger phones
 //!   (pessimistic coverage view of Fig. 1).
 //! * [`sync`] — timestamp-format-aware matching of app logs to XCAL logs.
-//! * [`drm`] — a binary `.drm` codec (the XCAP-M parsing substrate).
 //! * [`database`] — the consolidated per-test database.
 //! * [`export`] — JSON export of the dataset (the paper releases its data).
 
@@ -25,7 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod database;
-pub mod drm;
 pub mod export;
 pub mod handover_logger;
 pub mod kpi;

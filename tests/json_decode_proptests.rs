@@ -1,9 +1,11 @@
 //! Property tests for the tree-free JSON decoder.
 //!
 //! `serde_json::from_str` reads JSON text straight into the target type
-//! (see `serde::de`). These properties pin the decoding rules on the
-//! types the workspace actually stores — KPI samples, test records,
-//! checkpoint payloads, scenario specs and integrity reports:
+//! (see `serde::de`). The one type production decodes is the scenario
+//! spec (`repro --scenario FILE.json`); every other workspace type only
+//! serializes. These properties pin the decoding rules on scenario specs
+//! and on test-local mirrors of the types the workspace writes as JSON —
+//! KPI samples, test records, checkpoint payloads and integrity reports:
 //!
 //! 1. every generated value survives serialize → decode → serialize,
 //!    compact and pretty, and `from_value` agrees with `from_str`;
@@ -15,7 +17,8 @@
 //! 6. nesting deeper than 128 levels is rejected, inside skipped values too;
 //! 7. tuple structs and tuple variants accept trailing extra elements,
 //!    tuples do not;
-//! 8. an integrity report without a `resume` field still loads;
+//! 8. an integrity report as written (no `resume` key when it is `None`)
+//!    decodes, and so does an explicit `"resume":null`;
 //! 9. parsing into a `Value` and writing it back is byte-stable.
 
 use std::sync::OnceLock;
@@ -278,15 +281,30 @@ fn redecode<T: Serialize + Deserialize>(json: &str) -> Result<String, serde::Err
     serde_json::from_str::<T>(json).map(|v| compact(&v))
 }
 
-/// Serialize → decode → serialize is byte-stable in both layouts, and
-/// decoding the value's tree with `from_value` gives the same value.
-fn assert_roundtrip<T: Serialize + Deserialize>(v: &T) {
-    let c = compact(v);
-    assert_eq!(redecode::<T>(&c).expect("compact decodes"), c);
+/// `v`, serialized compact or pretty or as a tree, decodes as `M`, and
+/// `M` writes `want` back.
+fn assert_decodes_as<M: Serialize + Deserialize>(v: &impl Serialize, want: &str) {
+    assert_eq!(redecode::<M>(&compact(v)).expect("compact decodes"), want);
     let p = serde_json::to_string_pretty(v).expect("serializes");
-    assert_eq!(redecode::<T>(&p).expect("pretty decodes"), c);
-    let via_tree = T::from_value(&v.to_value()).expect("tree decodes");
-    assert_eq!(compact(&via_tree), c);
+    assert_eq!(redecode::<M>(&p).expect("pretty decodes"), want);
+    let via_tree = M::from_value(&v.to_value()).expect("tree decodes");
+    assert_eq!(compact(&via_tree), want);
+}
+
+/// Serialize → decode as `M` → serialize is byte-stable in both layouts,
+/// and decoding the value's tree with `from_value` gives the same value.
+fn assert_roundtrip_as<M: Serialize + Deserialize>(v: &impl Serialize) {
+    assert_decodes_as::<M>(v, &compact(v));
+}
+
+/// What the [`Integrity`] mirror writes for `r`: a derived encoder has
+/// no way to omit a `None` field, so it writes `"resume":null`.
+fn mirrored(r: &IntegrityReport) -> String {
+    let c = compact(r);
+    match r.resume {
+        Some(_) => c,
+        None => format!("{},\"resume\":null}}", c.trim_end_matches('}')),
+    }
 }
 
 /// An edit of one object's key/value pairs.
@@ -387,6 +405,114 @@ fn nested(n: usize) -> String {
     format!("{}0{}", "[".repeat(n), "]".repeat(n))
 }
 
+/// Test-local mirrors of the types the workspace writes as JSON: the
+/// same field names and number types, each enum as its variant name.
+/// The passive log and the fleet sketch of a checkpoint stay JSON trees.
+#[derive(Debug, Serialize, Deserialize)]
+struct Kpi {
+    time_s: f64,
+    tput_mbps: Option<f32>,
+    tech: String,
+    cell: u32,
+    rsrp_dbm: f32,
+    sinr_db: f32,
+    mcs: u8,
+    bler: f32,
+    ca: u8,
+    handovers_in_window: u8,
+    speed_mps: f32,
+    odometer_m: f64,
+    region: String,
+    timezone: String,
+    in_handover: bool,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+struct Handover {
+    time_s: f64,
+    from: (u32, String),
+    to: (u32, String),
+    duration_ms: f64,
+    kind: String,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+struct App {
+    compressed: Option<bool>,
+    e2e_ms_mean: Option<f32>,
+    e2e_ms_median: Option<f32>,
+    offload_fps: Option<f32>,
+    map_accuracy: Option<f32>,
+    qoe: Option<f32>,
+    avg_bitrate_mbps: Option<f32>,
+    rebuffer_frac: Option<f32>,
+    send_bitrate_mbps: Option<f32>,
+    net_latency_ms: Option<f32>,
+    frame_drop_frac: Option<f32>,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+struct Record {
+    id: u32,
+    op: String,
+    kind: String,
+    start_s: f64,
+    duration_s: f64,
+    server_kind: String,
+    server_name: String,
+    is_static: bool,
+    start_odometer_m: f64,
+    end_odometer_m: f64,
+    timezone: String,
+    frac_hs5g: f32,
+    kpi: Vec<Kpi>,
+    rtt_ms: Vec<f32>,
+    handovers: Vec<Handover>,
+    app: Option<App>,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+struct Unit {
+    unit: String,
+    status: String,
+    attempts: u32,
+    faults: Vec<String>,
+    records_kept: usize,
+    records_lost: usize,
+    kpi_samples_lost: usize,
+    truncated_kpi_frac: f64,
+    passive_samples_lost: usize,
+    backoff_s: f64,
+    error: Option<String>,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+struct Resume {
+    restored_units: usize,
+    recomputed_units: usize,
+    corrupt_records: usize,
+    foreign_records: usize,
+    notes: Vec<String>,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+struct Integrity {
+    profile: String,
+    seed: u64,
+    max_retries: u32,
+    units: Vec<Unit>,
+    resume: Option<Resume>,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+struct Checkpoint {
+    has_shard: bool,
+    report: Unit,
+    records: Vec<Record>,
+    passive: Option<(String, Value)>,
+    fleet: Option<Value>,
+}
+
 /// A tuple struct and an enum with every variant shape.
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
 struct Triple(u32, f64, String);
@@ -435,45 +561,45 @@ proptest! {
 
     #[test]
     fn kpi_samples_roundtrip(v in Gen(kpi)) {
-        assert_roundtrip(&v);
+        assert_roundtrip_as::<Kpi>(&v);
     }
 
     #[test]
     fn test_records_roundtrip(v in Gen(record)) {
-        assert_roundtrip(&v);
+        assert_roundtrip_as::<Record>(&v);
     }
 
     #[test]
     fn unit_checkpoints_roundtrip(v in Gen(checkpoint)) {
-        assert_roundtrip(&v);
+        assert_roundtrip_as::<Checkpoint>(&v);
     }
 
     #[test]
     fn scenario_specs_roundtrip(v in Gen(spec)) {
-        assert_roundtrip(&v);
+        assert_roundtrip_as::<ScenarioSpec>(&v);
         let back: ScenarioSpec = serde_json::from_str(&compact(&v)).expect("decodes");
         prop_assert_eq!(back, v);
     }
 
     #[test]
     fn integrity_reports_roundtrip(v in Gen(report)) {
-        assert_roundtrip(&v);
-        let back: IntegrityReport = serde_json::from_str(&compact(&v)).expect("decodes");
-        prop_assert_eq!(back, v);
+        assert_decodes_as::<Integrity>(&v, &mirrored(&v));
     }
 
     #[test]
     fn shuffled_key_order_decodes_the_same(
-        (v, tree) in Edited { value: checkpoint, edit: shuffle_keys },
+        (v, tree) in Edited { value: spec, edit: shuffle_keys },
     ) {
-        prop_assert_eq!(redecode::<UnitCheckpoint>(&compact(&tree)).expect("decodes"), compact(&v));
+        let back: ScenarioSpec = serde_json::from_str(&compact(&tree)).expect("decodes");
+        prop_assert_eq!(back, v);
     }
 
     #[test]
     fn unknown_keys_are_ignored(
-        (v, tree) in Edited { value: checkpoint, edit: add_unknown_keys },
+        (v, tree) in Edited { value: spec, edit: add_unknown_keys },
     ) {
-        prop_assert_eq!(redecode::<UnitCheckpoint>(&compact(&tree)).expect("decodes"), compact(&v));
+        let back: ScenarioSpec = serde_json::from_str(&compact(&tree)).expect("decodes");
+        prop_assert_eq!(back, v);
     }
 
     #[test]
@@ -482,31 +608,32 @@ proptest! {
         let rest = body.strip_prefix('{').expect("an object");
         for bad in ["[1,]", "tru", "\"open", "{\"k\" 1}", "1.2.3", "-", "1e+", "\"\\ud800\""] {
             let json = format!("{{\"__unknown\":{bad},{rest}");
-            prop_assert!(serde_json::from_str::<KpiSample>(&json).is_err(), "{json}");
+            prop_assert!(serde_json::from_str::<Kpi>(&json).is_err(), "{json}");
         }
         let json = format!("{{\"__unknown\":[1,{{\"k\":null}}],{rest}");
-        prop_assert_eq!(redecode::<KpiSample>(&json).expect("decodes"), compact(&v));
+        prop_assert_eq!(redecode::<Kpi>(&json).expect("decodes"), compact(&v));
     }
 
     #[test]
     fn missing_option_field_is_none_missing_required_is_an_error(
         (v, tree) in Edited { value: kpi, edit: no_edit },
     ) {
-        let back: KpiSample = serde_json::from_str(&compact(&without(&tree, "tput_mbps")))
+        let back: Kpi = serde_json::from_str(&compact(&without(&tree, "tput_mbps")))
             .expect("an absent Option field decodes");
         prop_assert_eq!(back.tput_mbps, None);
         prop_assert_eq!(back.time_s.to_bits(), v.time_s.to_bits());
         for key in keys(&tree).iter().filter(|k| *k != "tput_mbps") {
             let json = compact(&without(&tree, key));
-            prop_assert!(serde_json::from_str::<KpiSample>(&json).is_err(), "without {key}");
+            prop_assert!(serde_json::from_str::<Kpi>(&json).is_err(), "without {key}");
         }
     }
 
     #[test]
     fn duplicate_keys_keep_the_first_value(
-        (v, tree) in Edited { value: checkpoint, edit: add_duplicate_keys },
+        (v, tree) in Edited { value: spec, edit: add_duplicate_keys },
     ) {
-        prop_assert_eq!(redecode::<UnitCheckpoint>(&compact(&tree)).expect("decodes"), compact(&v));
+        let back: ScenarioSpec = serde_json::from_str(&compact(&tree)).expect("decodes");
+        prop_assert_eq!(back, v);
     }
 
     #[test]
@@ -515,7 +642,7 @@ proptest! {
         mcs in any::<u8>(),
     ) {
         let json = compact(&with_first(&tree, "mcs", mcs.to_value()));
-        let back: KpiSample = serde_json::from_str(&json).expect("decodes");
+        let back: Kpi = serde_json::from_str(&json).expect("decodes");
         prop_assert_eq!(back.mcs, mcs);
         prop_assert_eq!(back.odometer_m.to_bits(), v.odometer_m.to_bits());
     }
@@ -529,11 +656,11 @@ proptest! {
         // Skipped under an unknown key of a top-level struct: level n + 1.
         let tail = compact(&kpi_at_zero()).split_off(1);
         let json = format!("{{\"__unknown\":{},{tail}", nested(n));
-        prop_assert_eq!(serde_json::from_str::<KpiSample>(&json).is_ok(), n < 128);
+        prop_assert_eq!(serde_json::from_str::<Kpi>(&json).is_ok(), n < 128);
         // Under a KPI sample inside a test record's `kpi` array: level n + 3.
         let rec = compact(&record_with_one_kpi());
         let json = rec.replacen("\"kpi\":[{", &format!("\"kpi\":[{{\"__unknown\":{},", nested(n)), 1);
-        prop_assert_eq!(serde_json::from_str::<TestRecord>(&json).is_ok(), n < 126);
+        prop_assert_eq!(serde_json::from_str::<Record>(&json).is_ok(), n < 126);
     }
 
     #[test]
@@ -567,10 +694,11 @@ proptest! {
         let legacy = IntegrityReport { resume: None, ..v };
         let json = serde_json::to_string_pretty(&legacy).expect("serializes");
         prop_assert!(!json.contains("\"resume\""), "{json}");
-        let back: IntegrityReport = serde_json::from_str(&json).expect("decodes");
-        prop_assert_eq!(&back, &legacy);
-        let null = format!("{},\"resume\":null}}", compact(&legacy).trim_end_matches('}'));
-        prop_assert_eq!(serde_json::from_str::<IntegrityReport>(&null).expect("decodes"), legacy);
+        let back: Integrity = serde_json::from_str(&json).expect("decodes");
+        prop_assert!(back.resume.is_none());
+        let null = mirrored(&legacy);
+        prop_assert_eq!(compact(&back), null.clone());
+        prop_assert_eq!(redecode::<Integrity>(&null).expect("decodes"), null);
     }
 
     #[test]
