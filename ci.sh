@@ -132,6 +132,29 @@ for bad in "--scale bogus" "--bogus"; do
   fi
 done
 
+echo "== repro command line: usage errors exit 2 before any campaign =="
+# The whole command line is parsed first: an unknown artifact id, an
+# unknown flag or a missing value must exit 2 with the usage and never
+# start a campaign; --help exits 0 without one (it used to run a
+# full-scale campaign first).
+for bad in "--scale smoke fig99" "--scale smoke --sede 3 table1" "--scale smoke table1 --seed"; do
+  bad_status=0
+  # shellcheck disable=SC2086
+  ./target/release/repro $bad > /dev/null 2> "$tmp/repro-bad.err" || bad_status=$?
+  if [ "$bad_status" -ne 2 ] || ! grep -q "usage: repro" "$tmp/repro-bad.err" \
+      || grep -q -e panicked -e "running campaign" "$tmp/repro-bad.err"; then
+    echo "repro $bad: exit $bad_status, want 2 with the usage before any campaign"
+    cat "$tmp/repro-bad.err"
+    exit 1
+  fi
+done
+./target/release/repro --help > "$tmp/repro-help.out" 2> "$tmp/repro-help.err"
+grep -q "usage: repro" "$tmp/repro-help.out"
+if grep -q "running campaign" "$tmp/repro-help.err"; then
+  echo "repro --help ran a campaign"
+  exit 1
+fi
+
 echo "== report byte-equivalence (quarter scale, fig-jobs 1 vs 4) =="
 # The figure fan-out must not change a single byte of `repro all`, and
 # neither may the phase timers: --timings and --timings-json write to
@@ -154,6 +177,12 @@ echo "== jobs/export-jobs byte gates (quarter scale) =="
   > "$tmp/q-j1.txt" 2> /dev/null
 ./target/release/repro --scale quarter --seed 11 --jobs 4 --export-jobs 4 \
   --export "$tmp/q-j4.json" table1 > "$tmp/q-j4.txt" 2> /dev/null
+# The jobs-1 export itself is pinned too: quarter scale reaches float
+# values the smoke goldens never do, so a formatter slip shows here. The
+# digests were recorded with the build before the float formatter
+# rewrite; re-record them (sha256sum of both files) only for an intended
+# change to the exported bytes.
+(cd "$tmp" && sha256sum --check --quiet) < crates/campaign/tests/golden/quarter_export_seed11.sha256
 cmp "$tmp/q-j1.json" "$tmp/q-j4.json"
 cmp "$tmp/q-j1.json.integrity.json" "$tmp/q-j4.json.integrity.json"
 cmp "$tmp/q-j1.txt" "$tmp/q-j4.txt"

@@ -35,9 +35,14 @@
 //! rendered by the `ext-fleet` artifact.
 //!
 //! `--timings` prints a phase breakdown (campaign / index build / figures
-//! / export) to stderr; `--timings-json FILE` writes the same breakdown
-//! as JSON, one canonical record shape; the benchmark reads its
-//! `campaign_s`, `export_s` and `kpi_samples`.
+//! / export, the export split into render and publish) to stderr;
+//! `--timings-json FILE` writes the same breakdown as JSON, one canonical
+//! record shape (`export_s` is `export_render_s + export_publish_s`); the
+//! benchmark reads its `campaign_s`, `export_s` and `kpi_samples`.
+//!
+//! The whole command line is checked before anything runs: an unknown
+//! flag or artifact id, or a missing or bad value, prints the usage to
+//! stderr and exits 2; `--help` prints it to stdout and exits 0.
 //!
 //! `--fault-profile none|paper|harsh` injects deterministic apparatus
 //! faults (probe crashes, server outages, modem detaches, timeouts); the
@@ -161,158 +166,171 @@ fn artifact_blurb(id: &str) -> &'static str {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = ReproScale::Full;
-    let mut seed = 2026u64;
-    let mut jobs = 1usize;
-    let mut fig_jobs = 1usize;
-    let mut export_jobs = 1usize;
-    let mut timings = false;
-    let mut timings_json: Option<String> = None;
-    // The fault and fleet flags; overlaid on the scale preset's config.
-    let mut flags = CampaignConfig::default();
-    let mut export: Option<String> = None;
-    let mut checkpoint_dir: Option<String> = None;
-    let mut resume = false;
-    let mut kill_after: Option<usize> = None;
-    let mut scenario: Option<ScenarioSpec> = None;
-    let mut scenario_dump = false;
-    let mut wanted: Vec<String> = Vec::new();
-    let mut i = 0;
-    while let Some(arg) = args.get(i) {
+const USAGE: &str = "usage: repro [--scale full|quarter|smoke] [--seed N] [--jobs N] \
+                     [--population N] \
+                     [--fig-jobs N] [--export-jobs N] [--timings] [--timings-json FILE] \
+                     [--fault-profile none|paper|harsh] [--max-retries N] [--fail-fast] \
+                     [--checkpoint-dir DIR] [--resume] [--kill-after K] \
+                     [--scenario NAME|FILE.json] [--scenario-dump] [--list] [--help] \
+                     [--export FILE] <id...|all>";
+
+/// The usage text, with every artifact id.
+fn usage() -> String {
+    format!(
+        "{USAGE}\nids: {} report {}",
+        EXPERIMENTS.join(" "),
+        EXTENSIONS.join(" ")
+    )
+}
+
+/// What the command line asks for.
+struct Args {
+    scale: ReproScale,
+    seed: u64,
+    jobs: usize,
+    fig_jobs: usize,
+    export_jobs: usize,
+    timings: bool,
+    timings_json: Option<String>,
+    /// The fault and fleet flags; overlaid on the scale preset's config.
+    flags: CampaignConfig,
+    export: Option<String>,
+    checkpoint_dir: Option<String>,
+    resume: bool,
+    kill_after: Option<usize>,
+    scenario: Option<String>,
+    scenario_dump: bool,
+    list: bool,
+    wanted: Vec<String>,
+}
+
+/// Parse the whole command line before anything runs; `Ok(None)` is
+/// `--help`. An unknown flag, an unknown artifact id, or a missing or
+/// unparsable value is an error.
+fn parse_args(args: &[String]) -> Result<Option<Args>, String> {
+    let mut a = Args {
+        scale: ReproScale::Full,
+        seed: 2026,
+        jobs: 1,
+        fig_jobs: 1,
+        export_jobs: 1,
+        timings: false,
+        timings_json: None,
+        flags: CampaignConfig::default(),
+        export: None,
+        checkpoint_dir: None,
+        resume: false,
+        kill_after: None,
+        scenario: None,
+        scenario_dump: false,
+        list: false,
+        wanted: Vec::new(),
+    };
+    let workers = |n: &str, flag: &str| {
+        n.parse()
+            .ok()
+            .filter(|&n: &usize| n >= 1)
+            .ok_or(format!("{flag} needs a positive worker count"))
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = || {
+            it.next()
+                .map(String::as_str)
+                .ok_or(format!("{arg} needs a value"))
+        };
         match arg.as_str() {
-            "--list" => {
-                print_list();
-                return;
-            }
-            "--scenario" => {
-                i += 1;
-                let arg = args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--scenario needs a registry name or a JSON file path");
-                    std::process::exit(2);
-                });
-                scenario = Some(load_scenario(&arg));
-            }
-            "--scenario-dump" => scenario_dump = true,
+            "--help" => return Ok(None),
+            "--list" => a.list = true,
+            "--scenario" => a.scenario = Some(value()?.to_string()),
+            "--scenario-dump" => a.scenario_dump = true,
             "--scale" => {
-                i += 1;
-                let name = args.get(i).map(String::as_str);
-                scale = name.and_then(ReproScale::parse).unwrap_or_else(|| {
-                    eprintln!("unknown scale {name:?} (full|quarter|smoke)");
-                    std::process::exit(2);
-                });
+                let name = value()?;
+                a.scale = ReproScale::parse(name)
+                    .ok_or(format!("unknown scale {name:?} (full|quarter|smoke)"))?;
             }
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--seed needs a number");
-                        std::process::exit(2);
-                    });
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("--jobs needs a positive worker count");
-                        std::process::exit(2);
-                    });
-            }
-            "--fig-jobs" => {
-                i += 1;
-                fig_jobs = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("--fig-jobs needs a positive worker count");
-                        std::process::exit(2);
-                    });
-            }
-            "--export-jobs" => {
-                i += 1;
-                export_jobs = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("--export-jobs needs a positive worker count");
-                        std::process::exit(2);
-                    });
-            }
-            "--timings" => timings = true,
-            "--timings-json" => {
-                i += 1;
-                timings_json = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--timings-json needs a path");
-                    std::process::exit(2);
-                }));
-            }
+            "--seed" => a.seed = value()?.parse().map_err(|_| "--seed needs a number")?,
+            "--jobs" => a.jobs = workers(value()?, arg)?,
+            "--fig-jobs" => a.fig_jobs = workers(value()?, arg)?,
+            "--export-jobs" => a.export_jobs = workers(value()?, arg)?,
+            "--timings" => a.timings = true,
+            "--timings-json" => a.timings_json = Some(value()?.to_string()),
             "--fault-profile" => {
-                i += 1;
-                flags.fault_profile = args
-                    .get(i)
-                    .and_then(|s| FaultProfile::parse(s))
-                    .unwrap_or_else(|| {
-                        eprintln!("unknown fault profile (none|paper|harsh)");
-                        std::process::exit(2);
-                    });
+                a.flags.fault_profile = FaultProfile::parse(value()?)
+                    .ok_or("unknown fault profile (none|paper|harsh)")?;
             }
             "--max-retries" => {
-                i += 1;
-                flags.max_retries = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--max-retries needs a non-negative count");
-                        std::process::exit(2);
-                    });
+                a.flags.max_retries = value()?
+                    .parse()
+                    .map_err(|_| "--max-retries needs a non-negative count")?;
             }
-            "--fail-fast" => flags.fail_fast = true,
+            "--fail-fast" => a.flags.fail_fast = true,
             "--population" => {
-                i += 1;
-                flags.population = Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(
-                    || {
-                        eprintln!("--population needs a subscriber count");
-                        std::process::exit(2);
-                    },
-                ));
+                a.flags.population = Some(
+                    value()?
+                        .parse()
+                        .map_err(|_| "--population needs a subscriber count")?,
+                );
             }
-            "--checkpoint-dir" => {
-                i += 1;
-                checkpoint_dir = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--checkpoint-dir needs a directory path");
-                    std::process::exit(2);
-                }));
-            }
-            "--resume" => resume = true,
+            "--checkpoint-dir" => a.checkpoint_dir = Some(value()?.to_string()),
+            "--resume" => a.resume = true,
             "--kill-after" => {
-                i += 1;
-                kill_after = Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(
-                    || {
-                        eprintln!("--kill-after needs a unit count");
-                        std::process::exit(2);
-                    },
-                ));
+                a.kill_after = Some(
+                    value()?
+                        .parse()
+                        .map_err(|_| "--kill-after needs a unit count")?,
+                );
             }
-            "--export" => {
-                i += 1;
-                export = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--export needs a path");
-                    std::process::exit(2);
-                }));
+            "--export" => a.export = Some(value()?.to_string()),
+            "all" => a.wanted.extend(EXPERIMENTS.iter().map(|s| s.to_string())),
+            id if id == "report" || EXPERIMENTS.contains(&id) || EXTENSIONS.contains(&id) => {
+                a.wanted.push(id.to_string());
             }
-            "all" => wanted.extend(EXPERIMENTS.iter().map(|s| s.to_string())),
-            other => wanted.push(other.to_string()),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+            id => return Err(format!("unknown experiment id {id:?}")),
         }
-        i += 1;
     }
+    if (a.resume || a.kill_after.is_some()) && a.checkpoint_dir.is_none() {
+        return Err("--resume and --kill-after need --checkpoint-dir DIR".to_string());
+    }
+    Ok(Some(a))
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        scale,
+        seed,
+        jobs,
+        fig_jobs,
+        export_jobs,
+        timings,
+        timings_json,
+        flags,
+        export,
+        checkpoint_dir,
+        resume,
+        kill_after,
+        scenario,
+        scenario_dump,
+        list,
+        mut wanted,
+    } = match parse_args(&argv) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{}", usage());
+            return;
+        }
+        Err(msg) => {
+            eprintln!("{msg}\n{}", usage());
+            std::process::exit(2);
+        }
+    };
+    if list {
+        print_list();
+        return;
+    }
+    let scenario = scenario.as_deref().map(load_scenario);
     if scenario_dump {
         let spec = scenario.clone().unwrap_or_else(ScenarioSpec::paper);
         println!(
@@ -323,21 +341,10 @@ fn main() {
         return;
     }
     if wanted.is_empty() {
-        eprintln!("usage: repro [--scale full|quarter|smoke] [--seed N] [--jobs N] \
-                   [--population N] \
-                   [--fig-jobs N] [--export-jobs N] [--timings] [--timings-json FILE] \
-                   [--fault-profile none|paper|harsh] [--max-retries N] [--fail-fast] \
-                   [--checkpoint-dir DIR] [--resume] [--kill-after K] \
-                   [--scenario NAME|FILE.json] [--scenario-dump] [--list] \
-                   [--export FILE] <id...|all>");
-        eprintln!("ids: {}", EXPERIMENTS.join(" "));
+        eprintln!("no experiment ids\n{}", usage());
         std::process::exit(2);
     }
     wanted.dedup();
-    if (resume || kill_after.is_some()) && checkpoint_dir.is_none() {
-        eprintln!("--resume and --kill-after need --checkpoint-dir DIR");
-        std::process::exit(2);
-    }
 
     let cfg = CampaignConfig {
         fault_profile: flags.fault_profile,
@@ -416,11 +423,18 @@ fn main() {
     let ix = AnalysisIndex::build_for(&db, campaign.ops().to_vec());
     let index_elapsed = t1.elapsed();
 
+    // The export phase is render (write_json into the temp file's
+    // buffer) plus publish (temp file creation, flush, fsync, rename,
+    // directory fsync and the integrity report).
     let t2 = Instant::now(); // lint:allow(D3): phase timing, reported only
     let mut export_elapsed = Duration::ZERO;
+    let mut render_elapsed = Duration::ZERO;
     if let Some(path) = export {
         let written = atomic_write_with(std::path::Path::new(&path), |w| {
-            wheels_xcal::export::write_json(&db, export_jobs, w)
+            let render_start = t2.elapsed();
+            let rendered = wheels_xcal::export::write_json(&db, export_jobs, w);
+            render_elapsed = t2.elapsed() - render_start;
+            rendered
         });
         if let Err(e) = written {
             eprintln!("cannot write {path}: {e}");
@@ -434,6 +448,7 @@ fn main() {
         eprintln!("dataset exported to {path}, integrity report to {report_path}");
         export_elapsed = t2.elapsed();
     }
+    let publish_elapsed = export_elapsed.saturating_sub(render_elapsed);
 
     // Render the requested artifacts on `fig_jobs` workers with the same
     // atomic-counter queue as the campaign executor, then print in request
@@ -473,13 +488,16 @@ fn main() {
 
     if timings {
         eprintln!(
-            "timings: campaign {:.3}s, index build {:.3}s, figures {:.3}s ({} ids, {} fig jobs), export {:.3}s",
+            "timings: campaign {:.3}s, index build {:.3}s, figures {:.3}s ({} ids, {} fig jobs), \
+             export {:.3}s (render {:.3}s, publish {:.3}s)",
             campaign_elapsed.as_secs_f64(),
             index_elapsed.as_secs_f64(),
             figures_elapsed.as_secs_f64(),
             wanted.len(),
             fig_jobs,
             export_elapsed.as_secs_f64(),
+            render_elapsed.as_secs_f64(),
+            publish_elapsed.as_secs_f64(),
         );
         if fleet_population > 0 {
             eprintln!(
@@ -492,7 +510,7 @@ fn main() {
     if let Some(path) = timings_json {
         let total = campaign_elapsed + index_elapsed + figures_elapsed + export_elapsed;
         let json = format!(
-            "{{\n  \"scale\": \"{scale:?}\",\n  \"seed\": {seed},\n  \"jobs\": {jobs},\n  \"fig_jobs\": {fig_jobs},\n  \"export_jobs\": {export_jobs},\n  \"population\": {fleet_population},\n  \"artifacts\": {},\n  \"campaign_s\": {:.6},\n  \"kpi_samples\": {kpi_samples},\n  \"samples_per_s\": {:.1},\n  \"subscriber_hours_per_s\": {:.1},\n  \"index_build_s\": {:.6},\n  \"figures_s\": {:.6},\n  \"export_s\": {:.6},\n  \"total_s\": {:.6}\n}}\n",
+            "{{\n  \"scale\": \"{scale:?}\",\n  \"seed\": {seed},\n  \"jobs\": {jobs},\n  \"fig_jobs\": {fig_jobs},\n  \"export_jobs\": {export_jobs},\n  \"population\": {fleet_population},\n  \"artifacts\": {},\n  \"campaign_s\": {:.6},\n  \"kpi_samples\": {kpi_samples},\n  \"samples_per_s\": {:.1},\n  \"subscriber_hours_per_s\": {:.1},\n  \"index_build_s\": {:.6},\n  \"figures_s\": {:.6},\n  \"export_s\": {:.6},\n  \"export_render_s\": {:.6},\n  \"export_publish_s\": {:.6},\n  \"total_s\": {:.6}\n}}\n",
             wanted.len(),
             campaign_elapsed.as_secs_f64(),
             kpi_samples as f64 / campaign_elapsed.as_secs_f64(),
@@ -500,6 +518,8 @@ fn main() {
             index_elapsed.as_secs_f64(),
             figures_elapsed.as_secs_f64(),
             export_elapsed.as_secs_f64(),
+            render_elapsed.as_secs_f64(),
+            publish_elapsed.as_secs_f64(),
             total.as_secs_f64(),
         );
         write_or_die(&path, json.as_bytes());

@@ -19,7 +19,8 @@
 //!    tuples do not;
 //! 8. an integrity report as written (no `resume` key when it is `None`)
 //!    decodes, and so does an explicit `"resume":null`;
-//! 9. parsing into a `Value` and writing it back is byte-stable.
+//! 9. parsing into a `Value` and writing it back is byte-stable;
+//! 10. a raw identifier (`r#type`) is the key or tag `type`, both ways.
 
 use std::sync::OnceLock;
 
@@ -525,6 +526,20 @@ enum Shape {
     Named { a: u8, b: Option<String> },
 }
 
+/// Raw identifiers as keys and tags: their JSON names drop the `r#`.
+#[allow(non_camel_case_types)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+enum RawTag {
+    r#enum,
+    r#struct { r#type: u8 },
+}
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct RawKeys {
+    r#type: u8,
+    r#match: Vec<RawTag>,
+}
+
 /// Raw number tokens whose text a float would not print back the same.
 const TOKENS: &[&str] = &[
     "0",
@@ -752,6 +767,28 @@ fn record_with_one_kpi() -> TestRecord {
         handovers: vec![],
         app: None,
     }
+}
+
+#[test]
+fn raw_identifiers_roundtrip_without_their_prefix() {
+    let v = RawKeys {
+        r#type: 3,
+        r#match: vec![RawTag::r#enum, RawTag::r#struct { r#type: 4 }],
+    };
+    let text = compact(&v);
+    assert_eq!(
+        text,
+        "{\"type\":3,\"match\":[\"enum\",{\"struct\":{\"type\":4}}]}"
+    );
+    assert_eq!(serde_json::from_str::<RawKeys>(&text).expect("decodes"), v);
+    let shuffled = "{\"match\":[],\"type\":7}";
+    assert_eq!(
+        serde_json::from_str::<RawKeys>(shuffled)
+            .expect("decodes")
+            .r#type,
+        7
+    );
+    assert!(serde_json::from_str::<RawKeys>("{\"r#type\":3,\"match\":[]}").is_err());
 }
 
 #[test]
