@@ -196,7 +196,8 @@ echo "== crash-resume byte gate (quarter scale, kill mid-run, jobs 1 and 4) =="
 # checkpointed run after 5 durable unit commits (exit 137), resume it,
 # and demand an export, integrity report, and table byte-identical to
 # the uninterrupted jobs-1 golden from the previous stage — at both
-# worker counts. No torn export may exist after the kill.
+# worker counts. No torn export may exist after the kill, and the resume
+# must restore exactly the 5 committed units.
 for jobs in 1 4; do
   ck="$tmp/ck-j$jobs"
   set +e
@@ -215,8 +216,10 @@ for jobs in 1 4; do
     --checkpoint-dir "$ck" --resume \
     --export "$tmp/resume-j$jobs.json" table1 \
     > "$tmp/resume-j$jobs.txt" 2> "$tmp/resume-j$jobs.err"
-  grep -q "resume:" "$tmp/resume-j$jobs.err" || {
-    echo "jobs $jobs: resume printed no accounting"; exit 1;
+  # The kill leaves exactly 5 durable records at any worker count, so
+  # the resume restores exactly 5.
+  grep -q "resume: 5 units restored" "$tmp/resume-j$jobs.err" || {
+    echo "jobs $jobs: resume did not restore exactly 5 units"; exit 1;
   }
   cmp "$tmp/resume-j$jobs.json" "$tmp/q-j1.json"
   cmp "$tmp/resume-j$jobs.json.integrity.json" "$tmp/q-j1.json.integrity.json"
@@ -227,7 +230,8 @@ echo "== smoke crash-resume gates: rail-corridor and a 10^4 fleet (jobs 4) =="
 # The same kill -> resume -> cmp loop on paths the quarter gate above
 # leaves cold: rail-corridor's scenario session lengths, and the fleet
 # sketch each drive unit of a populated run commits. Both go through the
-# checkpoint codec: the resume must restore units, not just recompute.
+# checkpoint codec: the resume must restore the 5 committed units, not
+# just recompute.
 smoke_resume_gate() {
   local name=$1
   shift
@@ -246,8 +250,8 @@ smoke_resume_gate() {
     --checkpoint-dir "$tmp/ck-$name" --resume \
     --export "$tmp/$name-resume.json" table1 \
     > "$tmp/$name-resume.txt" 2> "$tmp/$name-resume.err"
-  grep -q "resume: [1-9][0-9]* units restored" "$tmp/$name-resume.err" || {
-    echo "$name: resume restored no units"; exit 1;
+  grep -q "resume: 5 units restored" "$tmp/$name-resume.err" || {
+    echo "$name: resume did not restore exactly the 5 committed units"; exit 1;
   }
   cmp "$tmp/$name-resume.json" "$tmp/$name-cold.json"
   cmp "$tmp/$name-resume.json.integrity.json" "$tmp/$name-cold.json.integrity.json"

@@ -15,9 +15,14 @@
 //! out longest kind first (passive loggers span every plan day, a drive
 //! unit one day, a static site one test cycle), canonical within each
 //! kind, so no worker is left idling behind a long unit handed out
-//! last. Slots, merge, checkpoint restore and the inline `jobs <= 1`
-//! path all keep canonical order, so outputs never see the dispatch
-//! order.
+//! last. Slots, merge, checkpoint restore and the single-worker
+//! (`jobs <= 1`) schedule all keep canonical order, so outputs never see
+//! the dispatch order.
+//!
+//! Checkpointed runs group-commit: workers encode each finished unit's
+//! record and queue it for one committer thread, which appends whatever
+//! is waiting and makes it durable with one `sync_data` per batch, so no
+//! worker sits on disk I/O.
 //!
 //! Units run under a supervisor ([`Campaign::run_unit_supervised`]): the
 //! configured [`FaultPlan`] may abort an attempt (server outage, timeout
@@ -32,6 +37,7 @@
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 use parking_lot::Mutex;
 
@@ -251,23 +257,28 @@ impl Campaign {
     /// canonical unit order, regardless of which units were restored and
     /// which workers ran the rest.
     ///
-    /// `jobs <= 1` runs inline on the caller's thread; otherwise a scoped
-    /// pool of `jobs` workers drains a shared index queue in
-    /// [`dispatch_order`], so a slow unit (a passive logger, a full drive
-    /// day) starts early and never serializes the tail of the schedule. A
-    /// slot left empty after execution becomes an explicit
-    /// [`UnitError::MissingSlot`] loss, never a panic.
+    /// A scoped pool of `jobs` workers (at least one) drains a shared
+    /// index queue: in [`dispatch_order`] when there are several, so a
+    /// slow unit (a passive logger, a full drive day) starts early and
+    /// never serializes the tail of the schedule, and in canonical order
+    /// when there is one. A slot left empty after execution becomes an
+    /// explicit [`UnitError::MissingSlot`] loss, never a panic.
     ///
     /// `restored` holds outcomes recovered from a checkpoint log, keyed by
     /// [`WorkUnit::fault_words`]: matching units are *not* re-run (and not
-    /// re-committed — their records are already durable). Every newly
-    /// computed outcome is committed to `checkpoint` — written and fsynced
-    /// — **before** it counts as done; a commit failure interrupts the run
-    /// with [`CampaignError::Io`] rather than silently continuing with a
-    /// checkpoint stream that lies. `kill` is the chaos hook: it observes
-    /// every durable commit and, when it fires, the run stops with
-    /// [`CampaignError::Killed`] exactly as if the process had died —
-    /// except in-process, so tests can sweep kill points deterministically.
+    /// re-committed — their records are already durable). With a
+    /// `checkpoint` writer, each worker encodes every outcome it computes
+    /// and hands the record to one committer thread over a bounded queue
+    /// ([`commit_batches`]), then takes its next unit; the committer makes
+    /// records durable a batch at a time. This returns only once the
+    /// committer has drained the queue and synced, so every unit counts
+    /// as done only after its record is. A commit failure interrupts the
+    /// run with [`CampaignError::Io`] rather than silently continuing with
+    /// a checkpoint stream that lies. `kill` is the chaos hook (it needs a
+    /// writer): it observes every durable commit and, when it fires, the
+    /// run stops with [`CampaignError::Killed`] exactly as if the process
+    /// had died after the k-th record — except in-process, so tests can
+    /// sweep kill points deterministically.
     pub(crate) fn execute_units(
         &self,
         units: &[WorkUnit],
@@ -277,78 +288,75 @@ impl Campaign {
         kill: Option<&ProcessKill>,
     ) -> Result<Vec<UnitOutcome>, CampaignError> {
         let plan = FaultPlan::new(self.cfg.seed, self.cfg.fault_profile);
-        let commit = |unit: &WorkUnit, outcome: &UnitOutcome| -> Result<(), CampaignError> {
-            if let Some(w) = checkpoint {
-                w.commit(unit, outcome)
-                    .map_err(io_err(format!("checkpoint commit for {}", unit.label())))?;
-            }
-            if let Some(k) = kill {
-                if k.on_commit() {
-                    return Err(CampaignError::Killed {
-                        committed: k.committed(),
-                    });
-                }
-            }
-            Ok(())
+        let workers = jobs.min(units.len()).max(1);
+        let order = if workers > 1 {
+            dispatch_order(units)
+        } else {
+            (0..units.len()).collect()
         };
-        if jobs <= 1 || units.len() <= 1 {
-            let mut out = Vec::with_capacity(units.len());
-            for unit in units {
-                if let Some(outcome) = restored.remove(&unit.fault_words()) {
-                    out.push(outcome);
-                    continue;
-                }
-                let outcome = self.run_unit_supervised(unit, &plan);
-                commit(unit, &outcome)?;
-                out.push(outcome);
-            }
-            return Ok(out);
-        }
-        let order = dispatch_order(units);
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<UnitOutcome>>> =
-            units.iter().map(|_| Mutex::new(None)).collect();
-        for (slot, unit) in slots.iter().zip(units) {
-            if let Some(outcome) = restored.remove(&unit.fault_words()) {
-                *slot.lock() = Some(outcome);
-            }
-        }
+        let slots: Vec<Mutex<Option<UnitOutcome>>> = units
+            .iter()
+            .map(|unit| Mutex::new(restored.remove(&unit.fault_words())))
+            .collect();
         let dead = AtomicBool::new(false);
-        let interrupt: Mutex<Option<CampaignError>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..jobs.min(units.len()) {
-                scope.spawn(|| loop {
-                    if dead.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) else {
-                        break;
-                    };
-                    let Some(unit) = units.get(i) else { break };
-                    // In range whenever `units.get(i)` is: one slot per unit.
-                    let Some(slot) = slots.get(i) else { break };
-                    if slot.lock().is_some() {
-                        continue; // restored from a checkpoint
-                    }
-                    let outcome = self.run_unit_supervised(unit, &plan);
-                    let commit_result = commit(unit, &outcome);
-                    // The outcome is stored either way: on a kill it was
-                    // already durably committed, and resume must see it.
-                    *slot.lock() = Some(outcome);
-                    if let Err(e) = commit_result {
-                        let mut g = interrupt.lock();
-                        if g.is_none() {
-                            *g = Some(e);
-                        }
-                        dead.store(true, Ordering::SeqCst);
-                        break;
-                    }
-                });
+        let work = |queue: Option<SyncSender<(usize, Vec<u8>)>>| loop {
+            if dead.load(Ordering::SeqCst) {
+                break;
             }
-        });
-        if let Some(i) = interrupt.into_inner() {
-            return Err(i);
-        }
+            let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                break;
+            };
+            let Some(unit) = units.get(i) else { break };
+            // In range whenever `units.get(i)` is: one slot per unit.
+            let Some(slot) = slots.get(i) else { break };
+            if slot.lock().is_some() {
+                continue; // restored from a checkpoint
+            }
+            let outcome = self.run_unit_supervised(unit, &plan);
+            let record = checkpoint.map(|w| w.record(unit, &outcome));
+            *slot.lock() = Some(outcome);
+            if let (Some(queue), Some(record)) = (&queue, record) {
+                if queue.send((i, record)).is_err() {
+                    break; // the committer stopped: killed or failed
+                }
+            }
+        };
+        std::thread::scope(|scope| {
+            let (queue, committer) = match checkpoint {
+                Some(writer) => {
+                    let (tx, rx) = sync_channel(workers);
+                    let dead = &dead;
+                    let committer = scope.spawn(move || {
+                        let r = commit_batches(writer, units, &rx, workers, kill);
+                        if r.is_err() {
+                            dead.store(true, Ordering::SeqCst);
+                        }
+                        // Dropping the receiver wakes any worker blocked
+                        // on a full queue.
+                        drop(rx);
+                        r
+                    });
+                    (Some(tx), Some(committer))
+                }
+                None => (None, None),
+            };
+            let work = &work;
+            for _ in 0..workers {
+                let queue = queue.clone();
+                scope.spawn(move || work(queue));
+            }
+            // The committer's queue closes once every worker has exited.
+            drop(queue);
+            committer.map_or(Ok(()), |c| {
+                c.join().unwrap_or_else(|payload| {
+                    Err(CampaignError::Io {
+                        context: "checkpoint committer".to_string(),
+                        error: panic_message(payload),
+                    })
+                })
+            })
+        })?;
         Ok(slots
             .into_iter()
             .zip(units)
@@ -358,6 +366,56 @@ impl Campaign {
             })
             .collect())
     }
+}
+
+/// The committer: append the records the workers queue, a batch at a
+/// time, with one `sync_data` per batch. A batch is every record waiting
+/// when the committer gets to it, at most `max_batch` of them and never
+/// more than `kill` lets commit before it fires, so a kill leaves exactly
+/// its kill point's records durable. Only after the sync does the batch
+/// count as committed and pass through the kill hook. Returns once every
+/// sender has hung up and the last batch is durable, or at the first
+/// failed append (naming the batch's first unit) or fired kill; either
+/// way nothing more is written.
+fn commit_batches(
+    writer: &CheckpointWriter,
+    units: &[WorkUnit],
+    queue: &Receiver<(usize, Vec<u8>)>,
+    max_batch: usize,
+    kill: Option<&ProcessKill>,
+) -> Result<(), CampaignError> {
+    let killed = |k: &ProcessKill| CampaignError::Killed {
+        committed: k.committed(),
+    };
+    let mut batch: Vec<(usize, Vec<u8>)> = Vec::with_capacity(max_batch);
+    while let Ok(first) = queue.recv() {
+        let room = kill.map_or(max_batch, |k| {
+            k.kill_point().saturating_sub(k.committed()).min(max_batch)
+        });
+        if let (0, Some(k)) = (room, kill) {
+            return Err(killed(k));
+        }
+        batch.push(first);
+        while batch.len() < room {
+            let Ok(rec) = queue.try_recv() else { break };
+            batch.push(rec);
+        }
+        if let Err(e) = writer.append(batch.iter().map(|(_, rec)| rec.as_slice())) {
+            let first = batch.first().and_then(|&(i, _)| units.get(i));
+            let label = first.map(WorkUnit::label).unwrap_or_default();
+            let more = match batch.len() {
+                1 => String::new(),
+                n => format!(" and {} more units", n - 1),
+            };
+            return Err(io_err(format!("checkpoint commit for {label}{more}"))(e));
+        }
+        for _ in batch.drain(..) {
+            if let Some(k) = kill.filter(|k| k.on_commit()) {
+                return Err(killed(k));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The order in which the worker pool hands out `units`: indexes into

@@ -229,6 +229,11 @@ pub struct ScheduleSpec {
     pub run_passive: bool,
 }
 
+/// The longest single test session a schedule may ask for, seconds. A
+/// static unit plays every session of its cycle, so an unbounded session
+/// length is an unbounded unit; the paper's longest session is 180 s.
+pub const MAX_SESSION_S: f64 = 3600.0;
+
 /// A complete declarative world: route, trip, operators, servers,
 /// schedule. See the module docs for the identity guarantee of
 /// [`ScenarioSpec::paper`].
@@ -308,6 +313,18 @@ fn intern(s: &str) -> &'static str {
     let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
     set.insert(leaked);
     leaked
+}
+
+/// `lat`/`lon` lie on the globe: latitude in [-90, 90], longitude in
+/// [-180, 180] degrees (NaN fails both).
+fn check_lat_lon(what: &str, lat: f64, lon: f64) -> Result<(), String> {
+    if (-90.0..=90.0).contains(&lat) && (-180.0..=180.0).contains(&lon) {
+        Ok(())
+    } else {
+        Err(format!(
+            "{what} lies off the globe: lat {lat} must be in [-90, 90], lon {lon} in [-180, 180]"
+        ))
+    }
 }
 
 fn tech_by_key(key: &str) -> Option<Technology> {
@@ -639,6 +656,7 @@ impl ScenarioSpec {
             if !(c.lat.is_finite() && c.lon.is_finite() && c.scale.is_finite() && c.scale > 0.0) {
                 return Err(format!("city {:?} has non-finite or non-positive fields", c.name));
             }
+            check_lat_lon(&format!("city {:?}", c.name), c.lat, c.lon)?;
         }
         // `Route::from_cities` sums the same haversine legs and rejects
         // a zero total: catch it here, as a usage error.
@@ -665,8 +683,18 @@ impl ScenarioSpec {
                 return Err(format!("overnight city {name:?} is not on the route"));
             }
         }
-        if !(self.trip.stop_s.0 < self.trip.stop_s.1 && self.trip.stop_s.0 >= 0.0) {
+        let (stop_lo, stop_hi) = self.trip.stop_s;
+        if !(stop_lo < stop_hi && stop_lo >= 0.0 && stop_hi.is_finite()) {
             return Err(format!("stop_s range {:?} is invalid", self.trip.stop_s));
+        }
+        for (label, v) in [
+            ("ou_theta", self.trip.ou_theta),
+            ("ou_sigma_mph", self.trip.ou_sigma_mph),
+            ("city_stop_per_m", self.trip.city_stop_per_m),
+        ] {
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(format!("trip {label} must be finite and >= 0, got {v}"));
+            }
         }
         if !(self.trip.max_mph.is_finite() && self.trip.max_mph > 0.0) {
             return Err(format!("max_mph must be positive, got {}", self.trip.max_mph));
@@ -710,6 +738,9 @@ impl ScenarioSpec {
         if self.fleet.clouds.is_empty() {
             return Err("fleet needs at least one cloud".to_string());
         }
+        for c in &self.fleet.clouds {
+            check_lat_lon(&format!("cloud {:?}", c.name), c.lat, c.lon)?;
+        }
         if self.fleet.cloud_by_tz.len() != Timezone::ALL.len() {
             return Err(format!(
                 "cloud_by_tz needs one entry per timezone ({}), got {}",
@@ -739,8 +770,10 @@ impl ScenarioSpec {
             ("video_s", s.video_s),
             ("game_s", s.game_s),
         ] {
-            if !(v.is_finite() && v > 0.0) {
-                return Err(format!("schedule {label} must be positive, got {v}"));
+            if !(v.is_finite() && v > 0.0 && v <= MAX_SESSION_S) {
+                return Err(format!(
+                    "schedule {label} must lie in (0, {MAX_SESSION_S}] seconds, got {v}"
+                ));
             }
         }
         if let Some(sub) = &self.subscribers {
@@ -960,6 +993,42 @@ mod tests {
         // One city moved off the shared coordinate makes it drivable.
         s.route.cities[1].lon += 0.01;
         assert_eq!(s.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_bounds_sessions_and_coordinates() {
+        for spec in ScenarioSpec::registry() {
+            assert_eq!(spec.validate(), Ok(()), "{}", spec.name);
+        }
+        for v in [1e12, f64::INFINITY, f64::NAN, 0.0, MAX_SESSION_S + 1.0] {
+            let mut s = ScenarioSpec::paper();
+            s.schedule.video_s = v;
+            let err = s.validate().expect_err("unbounded session accepted");
+            assert!(err.contains("video_s"), "{err}");
+        }
+        let mut s = ScenarioSpec::paper();
+        s.schedule.game_s = MAX_SESSION_S;
+        assert_eq!(s.validate(), Ok(()), "the cap itself is allowed");
+
+        for (lat, lon) in [(1000.0, 0.0), (-90.5, 0.0), (0.0, 180.5), (0.0, -1e9)] {
+            let mut s = ScenarioSpec::paper();
+            s.route.cities[1].lat = lat;
+            s.route.cities[1].lon = lon;
+            let err = s.validate().expect_err("off-globe city accepted");
+            assert!(err.contains("off the globe"), "{err}");
+            let mut s = ScenarioSpec::paper();
+            s.fleet.clouds[0].lat = lat;
+            s.fleet.clouds[0].lon = lon;
+            let err = s.validate().expect_err("off-globe cloud accepted");
+            assert!(err.contains("off the globe"), "{err}");
+        }
+
+        let mut s = ScenarioSpec::paper();
+        s.trip.ou_sigma_mph = f64::NAN;
+        assert!(s.validate().is_err(), "non-finite trip parameter accepted");
+        let mut s = ScenarioSpec::paper();
+        s.trip.stop_s.1 = f64::INFINITY;
+        assert!(s.validate().is_err(), "unbounded stop accepted");
     }
 
     #[test]

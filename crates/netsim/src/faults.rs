@@ -222,18 +222,22 @@ impl FaultPlan {
 /// In-process chaos hook for crash-safety testing: "kills the process"
 /// after a configured number of durable checkpoint commits.
 ///
-/// The supervised executor calls [`ProcessKill::on_commit`] once per
-/// work-unit checkpoint record it has made durable (written + fsynced).
-/// When the count reaches the kill point the executor stops scheduling
-/// and the run ends as killed — the in-process analogue of a SIGKILL
-/// landing right after the k-th record hit the disk. The repro binary
-/// additionally converts the kill into a real nonzero process exit, so
-/// CI can rehearse an actual crash + `--resume` cycle.
+/// The supervised executor's committer calls [`ProcessKill::on_commit`]
+/// once per work-unit checkpoint record it has made durable (written +
+/// fsynced), and never lets a batch of records cross the kill point
+/// ([`ProcessKill::kill_point`] minus [`ProcessKill::committed`]). When
+/// the count reaches the kill point the executor stops scheduling and
+/// the run ends as killed with exactly k durable records — the
+/// in-process analogue of a SIGKILL landing right after the k-th record
+/// hit the disk. The repro binary additionally converts the kill into a
+/// real nonzero process exit, so CI can rehearse an actual crash +
+/// `--resume` cycle.
 ///
 /// Deterministic in the only sense that matters for crash recovery: the
-/// *set* of committed units may vary with worker count, but resume must
-/// reproduce the golden bytes from **any** committed subset — which is
-/// exactly the property the kill-point sweep tests pin down.
+/// *count* of committed units is exact, but the *set* may vary with
+/// worker count, and resume must reproduce the golden bytes from **any**
+/// committed subset — which is exactly the property the kill-point sweep
+/// tests pin down.
 #[derive(Debug)]
 pub struct ProcessKill {
     after_units: usize,
