@@ -105,10 +105,11 @@ pub(crate) mod test_support {
     pub fn network_db() -> &'static ConsolidatedDb {
         NET_DB.get_or_init(|| {
             let mut cfg = CampaignConfig::full(2027);
-            cfg.run_apps = false;
             cfg.scale = 0.22;
             cfg.passive_tick_s = 4.0;
-            Campaign::from_spec(&ScenarioSpec::paper(), cfg).run(1, None).expect("tolerant run").db
+            let mut spec = ScenarioSpec::paper();
+            spec.schedule.run_apps = false;
+            Campaign::from_spec(&spec, cfg).run(1, None).expect("tolerant run").db
         })
     }
 

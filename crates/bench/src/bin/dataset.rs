@@ -18,7 +18,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
-use wheels_bench::ReproScale;
+use wheels_bench::{emit, ReproScale};
 use wheels_campaign::stats::Table1;
 use wheels_campaign::{atomic_write, atomic_write_with, drm, Campaign, ScenarioSpec};
 use wheels_xcal::export;
@@ -81,7 +81,7 @@ fn main() {
     let Args { out, scale, seed } = match parse_args(&args) {
         Ok(Some(parsed)) => parsed,
         Ok(None) => {
-            println!("{USAGE}");
+            emit(&format!("{USAGE}\n"));
             return;
         }
         Err(msg) => {
@@ -151,5 +151,5 @@ fn main() {
     let t1 = Table1::compute(&db, campaign.plan().route());
     write_or_die(&out.join("summary.txt"), t1.render().as_bytes());
     eprintln!("wrote summary.txt");
-    println!("{}", t1.render());
+    emit(&format!("{}\n", t1.render()));
 }

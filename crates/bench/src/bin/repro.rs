@@ -64,8 +64,7 @@
 //! JSON, checkpoints) goes through an atomic temp-file + fsync + rename
 //! write — no crash can leave a torn output under a final name.
 
-use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 // lint:allow(D3): --timings instrumentation; wall-clock phase
 // durations are reported to stderr/JSON and never reach sim state
@@ -73,7 +72,7 @@ use std::time::{Duration, Instant};
 
 use wheels_analysis::figures as figs;
 use wheels_analysis::AnalysisIndex;
-use wheels_bench::{ReproScale, EXPERIMENTS, EXTENSIONS};
+use wheels_bench::{emit, ReproScale, EXPERIMENTS, EXTENSIONS};
 use wheels_campaign::stats::Table1;
 use wheels_campaign::{
     atomic_write, atomic_write_with, Campaign, CampaignConfig, CampaignError, CheckpointOptions,
@@ -85,29 +84,6 @@ use wheels_campaign::{
 fn write_or_die(path: &str, bytes: &[u8]) {
     if let Err(e) = atomic_write(std::path::Path::new(path), bytes) {
         eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-}
-
-/// Set once stdout's reader has gone away; later stdout text is dropped.
-static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
-
-/// Write `text` to stdout, the one path every stdout byte takes. A
-/// reader that went away (`repro --list | head -2`) is not an error: the
-/// rest of stdout is dropped quietly, and the run still writes the files
-/// it was asked for and exits 0. Any other stdout failure prints a
-/// message and exits 1.
-fn emit(text: &str) {
-    if STDOUT_CLOSED.load(Ordering::Relaxed) {
-        return;
-    }
-    let mut out = std::io::stdout().lock();
-    if let Err(e) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
-        if e.kind() == std::io::ErrorKind::BrokenPipe {
-            STDOUT_CLOSED.store(true, Ordering::Relaxed);
-            return;
-        }
-        eprintln!("cannot write to stdout: {e}");
         std::process::exit(1);
     }
 }

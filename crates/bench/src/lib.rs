@@ -10,7 +10,33 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::io::Write;
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use wheels_campaign::CampaignConfig;
+
+/// Set once stdout's reader has gone away; later stdout text is dropped.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Write `text` to stdout, the one path every stdout byte of `repro` and
+/// `dataset` takes. A reader that went away (`repro --list | head -2`)
+/// is not an error: the rest of stdout is dropped quietly, and the run
+/// still writes the files it was asked for and exits 0. Any other stdout
+/// failure prints a message and exits 1.
+pub fn emit(text: &str) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+            return;
+        }
+        eprintln!("cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 /// Scale presets for the repro binary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,6 +1,7 @@
 //! The `repro` binary's command line, end to end: a bad command line
 //! exits 2 with the usage before any campaign runs, and `--help` exits 0
-//! without one. A campaign announces itself with "running campaign" on
+//! without one. `repro` and `dataset` both end quietly when their stdout
+//! reader has gone away. A campaign announces itself with "running campaign" on
 //! stderr, so its absence shows nothing ran.
 
 use std::process::{Command, Output};
@@ -80,12 +81,12 @@ fn help_prints_the_usage_and_runs_nothing() {
     assert!(stdout.contains("ext-fleet"), "{stdout}");
 }
 
-/// Run `repro args` with its stdout on a pipe whose read end is already
+/// Run `bin args` with its stdout on a pipe whose read end is already
 /// closed, as `repro --list | head -0` leaves it.
-fn repro_into_closed_pipe(args: &[&str]) -> Output {
+fn into_closed_pipe(bin: &str, args: &[&str]) -> Output {
     let (reader, writer) = std::io::pipe().expect("pipe");
     drop(reader);
-    Command::new(env!("CARGO_BIN_EXE_repro"))
+    Command::new(bin)
         .args(args)
         .stdout(writer)
         .stderr(std::process::Stdio::piped())
@@ -95,18 +96,20 @@ fn repro_into_closed_pipe(args: &[&str]) -> Output {
 
 #[test]
 fn a_closed_stdout_ends_quietly() {
-    for args in [
-        &["--list"][..],
-        &["--help"],
-        &["--scenario-dump"],
-        &["--scale", "smoke", "--seed", "3", "table4", "table5"],
+    let repro = env!("CARGO_BIN_EXE_repro");
+    for (bin, args) in [
+        (repro, &["--list"][..]),
+        (repro, &["--help"]),
+        (repro, &["--scenario-dump"]),
+        (repro, &["--scale", "smoke", "--seed", "3", "table4", "table5"]),
+        (env!("CARGO_BIN_EXE_dataset"), &["--help"]),
     ] {
-        let out = repro_into_closed_pipe(args);
+        let out = into_closed_pipe(bin, args);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_ne!(out.status.code(), Some(101), "{args:?} panicked: {stderr}");
-        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-        assert!(!stderr.contains("Broken pipe"), "{args:?}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "{bin} {args:?} panicked: {stderr}");
+        assert_eq!(out.status.code(), Some(0), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.contains("Broken pipe"), "{bin} {args:?}: {stderr}");
     }
 }
 
@@ -115,7 +118,7 @@ fn a_closed_stdout_still_writes_the_timings_file() {
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("closed-pipe-timings.json");
     let _ = std::fs::remove_file(&path);
     let file = path.to_string_lossy();
-    let out = repro_into_closed_pipe(&["--scale", "smoke", "--timings-json", &file, "table1"]);
+    let out = into_closed_pipe(env!("CARGO_BIN_EXE_repro"), &["--scale", "smoke", "--timings-json", &file, "table1"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     let timings = std::fs::read_to_string(&path).expect("timings file written");
@@ -136,7 +139,12 @@ fn scenario_file(name: &str, edit: impl FnOnce(&mut wheels_campaign::ScenarioSpe
 fn an_unbounded_scenario_is_rejected_before_any_campaign() {
     let long_video = scenario_file("long-video.json", |s| s.schedule.video_s = 1e12);
     let off_globe = scenario_file("off-globe.json", |s| s.route.cities[0].lat = 1000.0);
-    for (file, why) in [(&long_video, "video_s"), (&off_globe, "off the globe")] {
+    let long_road = scenario_file("long-road.json", |s| s.route.target_total_m = Some(1e12));
+    for (file, why) in [
+        (&long_video, "video_s"),
+        (&off_globe, "off the globe"),
+        (&long_road, "road factor"),
+    ] {
         let out = repro(&["--scale", "smoke", "--scenario", file, "table1"]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{file}: {stderr}");

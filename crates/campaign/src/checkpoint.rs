@@ -216,9 +216,13 @@ pub fn world_hash(spec: &ScenarioSpec, cfg: &CampaignConfig) -> u64 {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    absorb(u64::from(cfg.run_apps));
-    absorb(u64::from(cfg.run_static));
-    absorb(u64::from(cfg.run_passive));
+    // Three words once held the config's suite switches, always on
+    // (`1`) in a run that ran every suite; the switches live only in the
+    // spec now, whose JSON is hashed above. Absorbing the same words
+    // keeps every existing log's key, so those logs still restore.
+    for _ in 0..3 {
+        absorb(1);
+    }
     absorb(cfg.passive_tick_s.to_bits());
     absorb(cfg.snapshot_tick_s.to_bits());
     absorb(cfg.gap_s.to_bits());
@@ -1022,9 +1026,9 @@ mod tests {
         let spec = ScenarioSpec::paper();
         let cfg = CampaignConfig::quick(1);
         let base = world_hash(&spec, &cfg);
-        let mut apps_off = cfg.clone();
-        apps_off.run_apps = false;
-        assert_ne!(base, world_hash(&spec, &apps_off));
+        let mut apps_off = spec.clone();
+        apps_off.schedule.run_apps = false;
+        assert_ne!(base, world_hash(&apps_off, &cfg));
         let mut gap = cfg.clone();
         gap.gap_s += 1.0;
         assert_ne!(base, world_hash(&spec, &gap));

@@ -11,12 +11,6 @@ pub struct CampaignConfig {
     /// campaign; smaller values skip cycles but keep their time slots, so
     /// the surviving tests still span the whole route).
     pub scale: f64,
-    /// Run the four killer apps (disable for network-only studies).
-    pub run_apps: bool,
-    /// Run the static city baselines.
-    pub run_static: bool,
-    /// Run the passive handover-logger phones.
-    pub run_passive: bool,
     /// Passive logger cadence, seconds.
     pub passive_tick_s: f64,
     /// UE link-snapshot cadence during tests, seconds.
@@ -49,9 +43,6 @@ impl Default for CampaignConfig {
         CampaignConfig {
             seed: 0,
             scale: 1.0,
-            run_apps: true,
-            run_static: true,
-            run_passive: true,
             passive_tick_s: 1.0,
             snapshot_tick_s: 0.1,
             gap_s: 4.0,
@@ -81,14 +72,6 @@ impl CampaignConfig {
             ..Self::full(seed)
         }
     }
-
-    /// Network-tests-only variant of [`CampaignConfig::quick`].
-    pub fn quick_network_only(seed: u64) -> Self {
-        CampaignConfig {
-            run_apps: false,
-            ..Self::quick(seed)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -99,7 +82,6 @@ mod tests {
     fn full_is_full_scale() {
         let c = CampaignConfig::full(1);
         assert_eq!(c.scale, 1.0);
-        assert!(c.run_apps && c.run_static && c.run_passive);
     }
 
     #[test]

@@ -167,14 +167,14 @@ impl Campaign {
                 units.push(WorkUnit::Drive { op, day });
             }
         }
-        if self.cfg.run_static && self.sched.run_static {
+        if self.sched.run_static {
             for &op in &self.ops {
                 for (_city, site_od, _tech) in static_sites(&self.slot(op).db, self.plan.route()) {
                     units.push(WorkUnit::Static { op, site_od });
                 }
             }
         }
-        if self.cfg.run_passive && self.sched.run_passive {
+        if self.sched.run_passive {
             for &op in &self.ops {
                 units.push(WorkUnit::Passive { op });
             }
@@ -542,12 +542,19 @@ mod tests {
     use wheels_netsim::faults::FaultProfile;
 
     fn tiny(seed: u64, profile: FaultProfile) -> Campaign {
-        let mut cfg = CampaignConfig::quick_network_only(seed);
+        let mut cfg = CampaignConfig::quick(seed);
         cfg.scale = 0.01;
-        cfg.run_static = false;
-        cfg.run_passive = false;
         cfg.fault_profile = profile;
-        Campaign::from_spec(&ScenarioSpec::paper(), cfg)
+        Campaign::from_spec(&drive_only(), cfg)
+    }
+
+    /// The paper's world with only the network tests' drive units.
+    fn drive_only() -> ScenarioSpec {
+        let mut spec = ScenarioSpec::paper();
+        spec.schedule.run_apps = false;
+        spec.schedule.run_static = false;
+        spec.schedule.run_passive = false;
+        spec
     }
 
     #[test]
@@ -566,9 +573,11 @@ mod tests {
 
     #[test]
     fn pool_dispatches_longest_kind_first_canonical_within_kind() {
-        let mut cfg = CampaignConfig::quick_network_only(42);
+        let mut cfg = CampaignConfig::quick(42);
         cfg.scale = 0.01;
-        let campaign = Campaign::from_spec(&ScenarioSpec::paper(), cfg);
+        let mut spec = ScenarioSpec::paper();
+        spec.schedule.run_apps = false;
+        let campaign = Campaign::from_spec(&spec, cfg);
         let units = campaign.plan_units();
         let order = dispatch_order(&units);
         let mut seen = order.clone();
@@ -628,14 +637,12 @@ mod tests {
 
     #[test]
     fn zero_retries_plus_fail_fast_aborts_deterministically() {
-        let mut cfg = CampaignConfig::quick_network_only(42);
+        let mut cfg = CampaignConfig::quick(42);
         cfg.scale = 0.01;
-        cfg.run_static = false;
-        cfg.run_passive = false;
         cfg.fault_profile = FaultProfile::Harsh;
         cfg.max_retries = 0;
         cfg.fail_fast = true;
-        let campaign = Campaign::from_spec(&ScenarioSpec::paper(), cfg);
+        let campaign = Campaign::from_spec(&drive_only(), cfg);
         // With no retry budget under harsh faults, some of the 24 drive
         // units is statistically certain to abort its only attempt.
         let a = campaign.run(1, None).expect_err("must abort");

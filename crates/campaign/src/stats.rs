@@ -171,11 +171,13 @@ mod tests {
 
     #[test]
     fn table1_from_tiny_campaign() {
-        let mut cfg = CampaignConfig::quick_network_only(5);
+        let mut cfg = CampaignConfig::quick(5);
         cfg.scale = 0.01;
-        cfg.run_static = false;
         cfg.passive_tick_s = 20.0;
-        let campaign = Campaign::from_spec(&ScenarioSpec::paper(), cfg);
+        let mut spec = ScenarioSpec::paper();
+        spec.schedule.run_apps = false;
+        spec.schedule.run_static = false;
+        let campaign = Campaign::from_spec(&spec, cfg);
         let db = campaign.run(1, None).expect("tolerant run").db;
         let t1 = Table1::compute(&db, campaign.plan().route());
         assert!((t1.distance_km - 5_711.0).abs() < 2.0);

@@ -90,10 +90,12 @@ impl Payload {
 fn payloads() -> &'static [Payload; 3] {
     static P: OnceLock<[Payload; 3]> = OnceLock::new();
     P.get_or_init(|| {
-        let mut cfg = CampaignConfig::quick_network_only(5);
+        let mut cfg = CampaignConfig::quick(5);
         cfg.scale = 0.02;
         cfg.passive_tick_s = 120.0;
-        let campaign = Campaign::from_spec(&ScenarioSpec::paper(), cfg);
+        let mut spec = ScenarioSpec::paper();
+        spec.schedule.run_apps = false;
+        let campaign = Campaign::from_spec(&spec, cfg);
         let ok = |unit: WorkUnit| {
             let mut report = UnitReport::new(unit.label());
             report.status = UnitStatus::Ok;

@@ -37,14 +37,12 @@ const SEEDS: [u64; 2] = [11, 42];
 /// Tiny but fully representative paper campaign: all three unit kinds
 /// (drive, static, passive) are scheduled; only the app layer is off.
 fn tiny(seed: u64) -> Campaign {
-    Campaign::from_spec(&ScenarioSpec::paper(), tiny_cfg(seed))
-}
-
-fn tiny_cfg(seed: u64) -> CampaignConfig {
-    let mut cfg = CampaignConfig::quick_network_only(seed);
+    let mut cfg = CampaignConfig::quick(seed);
     cfg.scale = 0.02;
     cfg.passive_tick_s = 30.0;
-    cfg
+    let mut spec = ScenarioSpec::paper();
+    spec.schedule.run_apps = false;
+    Campaign::from_spec(&spec, cfg)
 }
 
 /// Fresh scratch dir under the cargo-provided tmp root.

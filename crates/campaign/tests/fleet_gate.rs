@@ -15,14 +15,17 @@ use wheels_xcal::export;
 
 /// Tiny but fully representative config: all three unit kinds run.
 fn tiny(seed: u64) -> CampaignConfig {
-    let mut cfg = CampaignConfig::quick_network_only(seed);
+    let mut cfg = CampaignConfig::quick(seed);
     cfg.scale = 0.02;
     cfg.passive_tick_s = 30.0;
     cfg
 }
 
+/// The paper's world with the app suite off.
 fn paper(cfg: CampaignConfig) -> Campaign {
-    Campaign::from_spec(&ScenarioSpec::paper(), cfg)
+    let mut spec = ScenarioSpec::paper();
+    spec.schedule.run_apps = false;
+    Campaign::from_spec(&spec, cfg)
 }
 
 fn scratch(name: &str) -> PathBuf {

@@ -14,10 +14,12 @@ use wheels::ran::{Direction, Operator};
 
 fn main() {
     println!("== handover study (Fig. 11 / Fig. 12) ==\n");
-    let mut cfg = CampaignConfig::quick_network_only(11);
+    let mut cfg = CampaignConfig::quick(11);
     cfg.scale = 0.15;
-    cfg.run_static = false;
-    let campaign = Campaign::from_spec(&ScenarioSpec::paper(), cfg);
+    let mut spec = ScenarioSpec::paper();
+    spec.schedule.run_apps = false;
+    spec.schedule.run_static = false;
+    let campaign = Campaign::from_spec(&spec, cfg);
     let db = campaign.run(1, None).expect("tolerant run").db;
 
     let ix = AnalysisIndex::build(&db);

@@ -39,11 +39,13 @@ fn main() {
 
     // Then the real what-if over a simulated campaign.
     println!("\nrunning a reduced campaign for concurrent test triples...");
-    let mut cfg = CampaignConfig::quick_network_only(33);
+    let mut cfg = CampaignConfig::quick(33);
     cfg.scale = 0.12;
-    cfg.run_static = false;
-    cfg.run_passive = false;
-    let campaign = Campaign::from_spec(&ScenarioSpec::paper(), cfg);
+    let mut spec = ScenarioSpec::paper();
+    spec.schedule.run_apps = false;
+    spec.schedule.run_static = false;
+    spec.schedule.run_passive = false;
+    let campaign = Campaign::from_spec(&spec, cfg);
     let db = campaign.run(1, None).expect("tolerant run").db;
     let whatif = ext_multipath::compute(&AnalysisIndex::build(&db));
     println!("{}", whatif.render());

@@ -18,10 +18,12 @@ use wheels::xcal::database::TestKind;
 
 fn main() {
     println!("== operator diversity (Fig. 6) ==\n");
-    let mut cfg = CampaignConfig::quick_network_only(21);
+    let mut cfg = CampaignConfig::quick(21);
     cfg.scale = 0.15;
-    cfg.run_static = false;
-    let campaign = Campaign::from_spec(&ScenarioSpec::paper(), cfg);
+    let mut spec = ScenarioSpec::paper();
+    spec.schedule.run_apps = false;
+    spec.schedule.run_static = false;
+    let campaign = Campaign::from_spec(&spec, cfg);
     let db = campaign.run(1, None).expect("tolerant run").db;
 
     let f = fig06_operator_diversity::compute(&AnalysisIndex::build(&db));

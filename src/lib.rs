@@ -34,19 +34,22 @@ use wheels_xcal::database::ConsolidatedDb;
 /// Run a miniature campaign (all test kinds, statics, passive loggers)
 /// and return its consolidated database. Takes a few seconds.
 pub fn quick_campaign(seed: u64) -> ConsolidatedDb {
-    run_paper(CampaignConfig::quick(seed))
+    run_paper(seed, true)
 }
 
 /// Run a miniature network-tests-only campaign (no apps): the fastest way
 /// to get a dataset with throughput/RTT/handover records.
 pub fn quick_network_campaign(seed: u64) -> ConsolidatedDb {
-    run_paper(CampaignConfig::quick_network_only(seed))
+    run_paper(seed, false)
 }
 
-/// Run the paper's world under `cfg` on one thread. Without fail-fast or
-/// a checkpoint log the run tolerates every lost unit, so it cannot fail.
-fn run_paper(cfg: CampaignConfig) -> ConsolidatedDb {
-    Campaign::from_spec(&ScenarioSpec::paper(), cfg)
+/// Run the paper's world at [`CampaignConfig::quick`] scale on one
+/// thread, with or without the app suite. Without fail-fast or a
+/// checkpoint log the run tolerates every lost unit, so it cannot fail.
+fn run_paper(seed: u64, run_apps: bool) -> ConsolidatedDb {
+    let mut spec = ScenarioSpec::paper();
+    spec.schedule.run_apps = run_apps;
+    Campaign::from_spec(&spec, CampaignConfig::quick(seed))
         .run(1, None)
         .expect("tolerant run")
         .db

@@ -11,8 +11,9 @@ fn db() -> &'static ConsolidatedDb {
         let mut cfg = CampaignConfig::quick(99);
         cfg.scale = 0.035;
         cfg.passive_tick_s = 60.0;
-        cfg.run_passive = false;
-        Campaign::from_spec(&ScenarioSpec::paper(), cfg).run(1, None).expect("tolerant run").db
+        let mut spec = ScenarioSpec::paper();
+        spec.schedule.run_passive = false;
+        Campaign::from_spec(&spec, cfg).run(1, None).expect("tolerant run").db
     })
 }
 

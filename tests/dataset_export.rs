@@ -9,9 +9,10 @@ use wheels::xcal::export;
 fn mini() -> ConsolidatedDb {
     let mut cfg = CampaignConfig::quick(55);
     cfg.scale = 0.008;
-    cfg.run_static = false;
     cfg.passive_tick_s = 60.0;
-    Campaign::from_spec(&ScenarioSpec::paper(), cfg).run(1, None).expect("tolerant run").db
+    let mut spec = ScenarioSpec::paper();
+    spec.schedule.run_static = false;
+    Campaign::from_spec(&spec, cfg).run(1, None).expect("tolerant run").db
 }
 
 /// The value under `key` of a JSON object.

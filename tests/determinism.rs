@@ -4,11 +4,13 @@ use wheels::campaign::{Campaign, CampaignConfig, ScenarioSpec};
 use wheels::xcal::database::ConsolidatedDb;
 
 fn mini(seed: u64) -> ConsolidatedDb {
-    let mut cfg = CampaignConfig::quick_network_only(seed);
+    let mut cfg = CampaignConfig::quick(seed);
     cfg.scale = 0.01;
-    cfg.run_static = false;
     cfg.passive_tick_s = 30.0;
-    Campaign::from_spec(&ScenarioSpec::paper(), cfg).run(1, None).expect("tolerant run").db
+    let mut spec = ScenarioSpec::paper();
+    spec.schedule.run_apps = false;
+    spec.schedule.run_static = false;
+    Campaign::from_spec(&spec, cfg).run(1, None).expect("tolerant run").db
 }
 
 #[test]

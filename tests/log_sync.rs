@@ -13,11 +13,13 @@ use wheels::xcal::sync::{match_logs, match_logs_naive};
 use wheels::xcal::timestamp::Timestamp;
 
 fn logs() -> CampaignLogs {
-    let mut cfg = CampaignConfig::quick_network_only(8);
+    let mut cfg = CampaignConfig::quick(8);
     cfg.scale = 0.015;
-    cfg.run_static = false;
-    cfg.run_passive = false;
-    let campaign = Campaign::from_spec(&ScenarioSpec::paper(), cfg);
+    let mut spec = ScenarioSpec::paper();
+    spec.schedule.run_apps = false;
+    spec.schedule.run_static = false;
+    spec.schedule.run_passive = false;
+    let campaign = Campaign::from_spec(&spec, cfg);
     let db = campaign.run(1, None).expect("tolerant run").db;
     campaign.build_logs(&db)
 }

@@ -16,10 +16,12 @@ use wheels::xcal::database::ConsolidatedDb;
 fn db() -> &'static ConsolidatedDb {
     static DB: OnceLock<ConsolidatedDb> = OnceLock::new();
     DB.get_or_init(|| {
-        let mut cfg = CampaignConfig::quick_network_only(314);
+        let mut cfg = CampaignConfig::quick(314);
         cfg.scale = 0.12;
         cfg.passive_tick_s = 6.0;
-        Campaign::from_spec(&ScenarioSpec::paper(), cfg).run(1, None).expect("tolerant run").db
+        let mut spec = ScenarioSpec::paper();
+        spec.schedule.run_apps = false;
+        Campaign::from_spec(&spec, cfg).run(1, None).expect("tolerant run").db
     })
 }
 
@@ -110,7 +112,7 @@ fn finding_handovers_rare_and_brief() {
 #[test]
 fn finding_table1_statistics_in_paper_ballpark() {
     let d = db();
-    let cfg = CampaignConfig::quick_network_only(314);
+    let cfg = CampaignConfig::quick(314);
     let campaign = Campaign::from_spec(&ScenarioSpec::paper(), cfg);
     let t1 = wheels::campaign::stats::Table1::compute(d, campaign.plan().route());
     assert!((t1.distance_km - 5_711.0).abs() < 2.0);

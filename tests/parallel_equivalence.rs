@@ -17,11 +17,13 @@ fn mini(seed: u64) -> Campaign {
 
 /// [`mini`] under an apparatus fault profile.
 fn mini_faulted(seed: u64, profile: FaultProfile) -> Campaign {
-    let mut cfg = CampaignConfig::quick_network_only(seed);
+    let mut cfg = CampaignConfig::quick(seed);
     cfg.scale = 0.004;
     cfg.passive_tick_s = 120.0;
     cfg.fault_profile = profile;
-    Campaign::from_spec(&ScenarioSpec::paper(), cfg)
+    let mut spec = ScenarioSpec::paper();
+    spec.schedule.run_apps = false;
+    Campaign::from_spec(&spec, cfg)
 }
 
 /// The exported dataset of `campaign` run on `jobs` workers.
