@@ -28,6 +28,15 @@ cargo run -q --offline -p wheels-lint -- --json-out LINT_report.json \
 lint_t1=$(date +%s%N)
 echo "lint stage wall time: $(( (lint_t1 - lint_t0) / 1000000 )) ms"
 
+echo "== warnings: every target of both workspaces, -D warnings =="
+# Tests, examples and benches included, so an unused import or a dead
+# helper fails here instead of piling up. A type check only (no codegen),
+# in its own target directory so the release cache below is not rebuilt.
+RUSTFLAGS="-D warnings" cargo check --all-targets --offline --workspace \
+  --target-dir target/check
+RUSTFLAGS="-D warnings" cargo check --all-targets --offline \
+  --manifest-path benchmark/Cargo.toml --target-dir target/check
+
 echo "== build (release) =="
 # --workspace: the stages below run ./target/release/repro, which lives in
 # wheels-bench, not in the root package a bare `cargo build` builds.

@@ -9,7 +9,7 @@ use crate::map_table::map_for_latency_ms;
 use crate::offload::{OffloadRun, OffloadSummary};
 use crate::AppLink;
 
-/// Result of one 20 s AR run.
+/// Result of one AR run.
 #[derive(Debug, Clone)]
 pub struct ArResult {
     /// The underlying offload summary.
@@ -32,11 +32,13 @@ impl Default for ArApp {
 }
 
 impl ArApp {
-    /// Run once starting at `t0_s`, with or without frame compression.
-    pub fn run(&self, t0_s: f64, compressed: bool, link: &mut dyn AppLink) -> ArResult {
+    /// Run once for `run_s` seconds starting at `t0_s`, with or without
+    /// frame compression.
+    pub fn run(&self, t0_s: f64, run_s: f64, compressed: bool, link: &mut dyn AppLink) -> ArResult {
         let offload = OffloadRun {
             config: self.config,
             compressed,
+            run_s,
         }
         .execute(t0_s, link);
         // Per-frame accuracy via Table 5, averaged — the tracker produces a
@@ -68,14 +70,14 @@ mod tests {
     #[test]
     fn best_static_accuracy_ballpark() {
         // Paper: best static achieves mAP 36.5 at E2E 68 ms.
-        let r = ArApp::default().run(0.0, true, &mut ConstantLink::good());
+        let r = ArApp::default().run(0.0, 20.0, true, &mut ConstantLink::good());
         assert!((33.0..38.5).contains(&r.map_accuracy), "{}", r.map_accuracy);
     }
 
     #[test]
     fn driving_accuracy_lower() {
-        let good = ArApp::default().run(0.0, true, &mut ConstantLink::good());
-        let poor = ArApp::default().run(0.0, true, &mut ConstantLink::poor());
+        let good = ArApp::default().run(0.0, 20.0, true, &mut ConstantLink::good());
+        let poor = ArApp::default().run(0.0, 20.0, true, &mut ConstantLink::poor());
         assert!(poor.map_accuracy < good.map_accuracy - 2.0);
         // Paper driving median mAP ≈ 30 with compression.
         assert!((20.0..33.0).contains(&poor.map_accuracy), "{}", poor.map_accuracy);
@@ -83,8 +85,8 @@ mod tests {
 
     #[test]
     fn compression_helps_on_weak_links() {
-        let with = ArApp::default().run(0.0, true, &mut ConstantLink::poor());
-        let without = ArApp::default().run(0.0, false, &mut ConstantLink::poor());
+        let with = ArApp::default().run(0.0, 20.0, true, &mut ConstantLink::poor());
+        let without = ArApp::default().run(0.0, 20.0, false, &mut ConstantLink::poor());
         assert!(with.offload.e2e_median_ms < without.offload.e2e_median_ms);
         assert!(with.map_accuracy > without.map_accuracy);
     }
@@ -93,6 +95,7 @@ mod tests {
     fn accuracy_never_exceeds_table_max() {
         let r = ArApp::default().run(
             0.0,
+            20.0,
             true,
             &mut ConstantLink {
                 obs: crate::LinkObs {

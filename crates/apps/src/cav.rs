@@ -13,7 +13,7 @@ use crate::AppLink;
 /// (§7.1.2, citing the AVR/AutoCast line of work).
 pub const CAV_DEADLINE_MS: f64 = 100.0;
 
-/// Result of one 20 s CAV run.
+/// Result of one CAV run.
 #[derive(Debug, Clone)]
 pub struct CavResult {
     /// The underlying offload summary.
@@ -36,12 +36,19 @@ impl Default for CavApp {
 }
 
 impl CavApp {
-    /// Run once starting at `t0_s`, with or without point-cloud
-    /// compression.
-    pub fn run(&self, t0_s: f64, compressed: bool, link: &mut dyn AppLink) -> CavResult {
+    /// Run once for `run_s` seconds starting at `t0_s`, with or without
+    /// point-cloud compression.
+    pub fn run(
+        &self,
+        t0_s: f64,
+        run_s: f64,
+        compressed: bool,
+        link: &mut dyn AppLink,
+    ) -> CavResult {
         let offload = OffloadRun {
             config: self.config,
             compressed,
+            run_s,
         }
         .execute(t0_s, link);
         let hits = offload
@@ -72,6 +79,7 @@ mod tests {
         // 97.9 ms before a single network bit; the budget is unreachable.
         let r = CavApp::default().run(
             0.0,
+            20.0,
             true,
             &mut ConstantLink {
                 obs: LinkObs {
@@ -93,6 +101,7 @@ mod tests {
         // inference, E2E ≈ 100 ms.
         let r = CavApp::default().run(
             0.0,
+            20.0,
             false,
             &mut ConstantLink {
                 obs: LinkObs {
@@ -110,8 +119,8 @@ mod tests {
     fn compression_reduces_driving_e2e_about_8x() {
         // §7.1.2: "reducing the median E2E latency by 8X".
         let mut link = ConstantLink::poor();
-        let with = CavApp::default().run(0.0, true, &mut link);
-        let without = CavApp::default().run(0.0, false, &mut link);
+        let with = CavApp::default().run(0.0, 20.0, true, &mut link);
+        let without = CavApp::default().run(0.0, 20.0, false, &mut link);
         let ratio = without.offload.e2e_median_ms / with.offload.e2e_median_ms;
         assert!((4.0..20.0).contains(&ratio), "ratio {ratio}");
     }
@@ -119,7 +128,7 @@ mod tests {
     #[test]
     fn driving_median_e2e_in_papers_range() {
         // Paper: median 269 ms (compressed) while driving.
-        let r = CavApp::default().run(0.0, true, &mut ConstantLink::poor());
+        let r = CavApp::default().run(0.0, 20.0, true, &mut ConstantLink::poor());
         assert!((150.0..450.0).contains(&r.offload.e2e_median_ms), "{}", r.offload.e2e_median_ms);
     }
 }

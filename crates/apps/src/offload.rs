@@ -23,7 +23,7 @@ pub struct FrameOutcome {
     pub e2e_ms: f64,
 }
 
-/// Summary of a 20 s offloading run.
+/// Summary of one offloading run.
 #[derive(Debug, Clone)]
 pub struct OffloadSummary {
     /// Whether compression was enabled.
@@ -47,6 +47,9 @@ pub struct OffloadRun {
     pub config: OffloadConfig,
     /// Whether to compress frames before upload.
     pub compressed: bool,
+    /// Length of the run, seconds: frames are captured in
+    /// `[t0_s, t0_s + run_s)`.
+    pub run_s: f64,
 }
 
 impl OffloadRun {
@@ -60,7 +63,7 @@ impl OffloadRun {
         // Pipeline becomes free at `free_at`; the next frame offloaded is
         // the first capture at or after that instant.
         let mut free_at = t0_s;
-        let end = t0_s + cfg.run_s;
+        let end = t0_s + self.run_s;
         loop {
             // Next capture instant >= free_at, aligned to the frame clock.
             let k = ((free_at - t0_s) / period_s).ceil().max(0.0);
@@ -89,7 +92,7 @@ impl OffloadRun {
         let median = e2e.get(e2e.len() / 2).copied().unwrap_or(0.0);
         OffloadSummary {
             compressed: self.compressed,
-            offload_fps: frames.len() as f64 / cfg.run_s,
+            offload_fps: frames.len() as f64 / self.run_s,
             e2e_mean_ms: mean,
             e2e_median_ms: median,
             handover_frames,
@@ -125,6 +128,7 @@ mod tests {
         let run = OffloadRun {
             config: AR_CONFIG,
             compressed: true,
+            run_s: 20.0,
         };
         let s = run.execute(0.0, &mut ConstantLink::good());
         assert!((40.0..90.0).contains(&s.e2e_mean_ms), "{}", s.e2e_mean_ms);
@@ -136,6 +140,7 @@ mod tests {
         let run = OffloadRun {
             config: AR_CONFIG,
             compressed: true,
+            run_s: 20.0,
         };
         let s = run.execute(0.0, &mut ConstantLink::poor());
         // ~50 KB over 3 Mbps ≈ 137 ms upload + 90 RTT + 32 pipeline.
@@ -147,7 +152,12 @@ mod tests {
     fn compression_off_is_slower_for_cav() {
         let e2e_median_ms = |config, compressed| {
             let mut link = ConstantLink::poor();
-            OffloadRun { config, compressed }.execute(0.0, &mut link).e2e_median_ms
+            let run = OffloadRun {
+                config,
+                compressed,
+                run_s: 20.0,
+            };
+            run.execute(0.0, &mut link).e2e_median_ms
         };
         let (with, without) = (e2e_median_ms(CAV_CONFIG, true), e2e_median_ms(CAV_CONFIG, false));
         // 2000 KB vs 38 KB over 3 Mbps: ~5 s vs ~0.25 s; ratio ~8x at the
@@ -163,6 +173,7 @@ mod tests {
         let run = OffloadRun {
             config: AR_CONFIG,
             compressed: true,
+            run_s: 20.0,
         };
         let mut link = ConstantLink {
             obs: crate::LinkObs {
@@ -181,6 +192,7 @@ mod tests {
         let run = OffloadRun {
             config: AR_CONFIG,
             compressed: true,
+            run_s: 20.0,
         };
         let s = run.execute(10.0, &mut ConstantLink::good());
         let period = AR_CONFIG.frame_period_ms() / 1_000.0;
@@ -206,6 +218,7 @@ mod tests {
         let run = OffloadRun {
             config: AR_CONFIG,
             compressed: true,
+            run_s: 20.0,
         };
         let s = run.execute(0.0, &mut HoLink);
         assert!(s.handover_frames > 0);

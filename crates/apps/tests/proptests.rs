@@ -33,7 +33,7 @@ proptest! {
     #[test]
     fn offload_fps_bounded_by_source(mut link in arb_link(), comp in any::<bool>()) {
         for cfg in [AR_CONFIG, CAV_CONFIG] {
-            let s = OffloadRun { config: cfg, compressed: comp }.execute(0.0, &mut link);
+            let s = OffloadRun { config: cfg, compressed: comp, run_s: 20.0 }.execute(0.0, &mut link);
             prop_assert!(s.offload_fps <= cfg.fps + 1e-9);
             prop_assert!(s.offload_fps >= 0.0);
             // E2E at least the fixed pipeline cost.
@@ -50,13 +50,13 @@ proptest! {
 
     #[test]
     fn ar_accuracy_within_table(mut link in arb_link(), comp in any::<bool>()) {
-        let r = ArApp::default().run(0.0, comp, &mut link);
+        let r = ArApp::default().run(0.0, 20.0, comp, &mut link);
         prop_assert!((13.0..=38.46).contains(&r.map_accuracy));
     }
 
     #[test]
     fn cav_deadline_fraction_valid(mut link in arb_link()) {
-        let r = CavApp::default().run(0.0, true, &mut link);
+        let r = CavApp::default().run(0.0, 20.0, true, &mut link);
         prop_assert!((0.0..=1.0).contains(&r.deadline_hit_frac));
     }
 
@@ -66,8 +66,8 @@ proptest! {
         let mk = |ul| ConstantLink {
             obs: LinkObs { dl_mbps: 100.0, ul_mbps: ul, rtt_ms: 50.0, in_handover: false },
         };
-        let a = ArApp::default().run(0.0, true, &mut mk(slow));
-        let b = ArApp::default().run(0.0, true, &mut mk(fast));
+        let a = ArApp::default().run(0.0, 20.0, true, &mut mk(slow));
+        let b = ArApp::default().run(0.0, 20.0, true, &mut mk(fast));
         prop_assert!(b.offload.e2e_median_ms <= a.offload.e2e_median_ms + 1e-6);
     }
 

@@ -567,7 +567,7 @@ fn render_one(
         "fig12" => figs::fig12_ho_impact::compute(ix).render(),
         "table4" => format!(
             "Table 4 — AR/CAV configuration\n{}",
-            wheels_apps::config::render_table4()
+            wheels_apps::config::render_table4(campaign.schedule().app_offload_s)
         ),
         "table5" => render_table5(),
         "fig13" => figs::fig13_ar::compute(ix).render(),

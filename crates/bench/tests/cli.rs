@@ -140,10 +140,18 @@ fn an_unbounded_scenario_is_rejected_before_any_campaign() {
     let long_video = scenario_file("long-video.json", |s| s.schedule.video_s = 1e12);
     let off_globe = scenario_file("off-globe.json", |s| s.route.cities[0].lat = 1000.0);
     let long_road = scenario_file("long-road.json", |s| s.route.target_total_m = Some(1e12));
+    // No target, so the odometer is the great-circle length: a city on
+    // the far side of the globe makes that about 33 000 km.
+    let long_drive = scenario_file("long-drive.json", |s| {
+        s.route.target_total_m = None;
+        s.route.cities[1].lat = -40.0;
+        s.route.cities[1].lon = 100.0;
+    });
     for (file, why) in [
         (&long_video, "video_s"),
         (&off_globe, "off the globe"),
         (&long_road, "road factor"),
+        (&long_drive, "route length"),
     ] {
         let out = repro(&["--scale", "smoke", "--scenario", file, "table1"]);
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -4,12 +4,11 @@
 //! caching the latest [`LinkSnapshot`] so that a TCP flow ticking at 20 ms
 //! or an AR app sampling per frame re-uses the 100 ms RAN state instead of
 //! advancing it. It also collects every snapshot and handover for the
-//! test's XCAL record, and answers the per-tick position queries of the
-//! flows it feeds ([`LinkDriver::pos_at`]). Both walk plan time forward,
+//! test's XCAL record, and answers the per-tick wired-RTT queries of the
+//! flows it feeds ([`LinkDriver::wired_ms`]). Both walk plan time forward,
 //! so the driver threads one [`RouteHint`] through its route lookups.
 
 use wheels_apps::{AppLink, LinkObs};
-use wheels_geo::coord::LatLon;
 use wheels_geo::route::RouteHint;
 use wheels_geo::timezone::Timezone;
 use wheels_geo::trip::{DrivePlan, DriveState};
@@ -31,7 +30,13 @@ pub struct LinkDriver<'a> {
     /// constant at a fixed site, so one template replaces a `state_at`
     /// interpolation per cadence step.
     static_state: Option<DriveState>,
-    /// Route search hint shared by [`Self::at`] and [`Self::pos_at`].
+    /// The test's server, the far end of the wired leg.
+    server: Server,
+    /// Wired round trip (ms) from a static test's fixed site to `server`:
+    /// the position never moves, so the haversine runs once per test.
+    /// Unused while driving.
+    static_wired_ms: f64,
+    /// Route search hint shared by [`Self::at`] and [`Self::wired_ms`].
     hint: RouteHint,
     last: Option<LinkSnapshot>,
     next_step_t: f64,
@@ -42,10 +47,11 @@ pub struct LinkDriver<'a> {
 }
 
 impl<'a> LinkDriver<'a> {
-    /// Driver for a driving test.
+    /// Driver for a driving test against `server`.
     pub fn driving(
         ue: &'a mut UeRadio,
         plan: &'a DrivePlan,
+        server: Server,
         demand: TrafficDemand,
         tick_s: f64,
     ) -> Self {
@@ -55,6 +61,8 @@ impl<'a> LinkDriver<'a> {
             demand,
             tick_s,
             static_state: None,
+            server,
+            static_wired_ms: f64::NAN,
             hint: RouteHint::default(),
             last: None,
             next_step_t: f64::NEG_INFINITY,
@@ -63,10 +71,12 @@ impl<'a> LinkDriver<'a> {
         }
     }
 
-    /// Driver for a static test at a fixed odometer position.
+    /// Driver for a static test against `server` at a fixed odometer
+    /// position.
     pub fn static_at(
         ue: &'a mut UeRadio,
         plan: &'a DrivePlan,
+        server: Server,
         demand: TrafficDemand,
         tick_s: f64,
         odometer_m: f64,
@@ -85,7 +95,8 @@ impl<'a> LinkDriver<'a> {
         };
         LinkDriver {
             static_state: Some(template),
-            ..Self::driving(ue, plan, demand, tick_s)
+            static_wired_ms: RttModel::wired_ms(pt.pos, &server),
+            ..Self::driving(ue, plan, server, demand, tick_s)
         }
     }
 
@@ -125,16 +136,17 @@ impl<'a> LinkDriver<'a> {
         snap
     }
 
-    /// Vehicle position at absolute time `t_s` (the fixed site for a
-    /// static test), bit-identical to [`DrivePlan::pos_at`]. Unlike
-    /// [`Self::at`] this is exact at every call, not cached per cadence
-    /// step: flows ticking faster than the RAN cadence still see the
-    /// vehicle move.
-    pub fn pos_at(&mut self, t_s: f64) -> LatLon {
-        match &self.static_state {
-            Some(tpl) => tpl.pos,
-            None => self.plan.pos_at_hinted(t_s, &mut self.hint),
+    /// Wired round trip (ms) from the vehicle at absolute time `t_s` to
+    /// the test's server: [`RttModel::wired_ms`] at [`DrivePlan::pos_at`],
+    /// bit for bit. A static test's value was derived once, at
+    /// construction. Unlike [`Self::at`] this is exact at every call, not
+    /// cached per cadence step: flows ticking faster than the RAN cadence
+    /// still see the vehicle move.
+    pub fn wired_ms(&mut self, t_s: f64) -> f64 {
+        if self.static_state.is_some() {
+            return self.static_wired_ms;
         }
+        RttModel::wired_ms(self.plan.pos_at_hinted(t_s, &mut self.hint), &self.server)
     }
 
     /// Fraction of snapshots on high-speed 5G (Fig. 10's x-axis).
@@ -150,11 +162,12 @@ impl<'a> LinkDriver<'a> {
     }
 }
 
-/// Base RTT (seconds) for the fluid TCP model: wired path + radio access.
-/// Stochastic spikes live in [`RttModel`] and apply to ping tests; TCP's
-/// queueing delay is produced by the flow's own buffer.
-pub fn tcp_base_rtt_s(snap: &LinkSnapshot, pos: wheels_geo::coord::LatLon, server: &Server) -> f64 {
-    (RttModel::wired_ms(pos, server) + radio_rtt_ms(snap.tech)) / 1_000.0
+/// Base RTT (seconds) for the fluid TCP model: the wired leg `wired_ms`
+/// ([`LinkDriver::wired_ms`]) + radio access. Stochastic spikes live in
+/// [`RttModel`] and apply to ping tests; TCP's queueing delay is produced
+/// by the flow's own buffer.
+pub fn tcp_base_rtt_s(snap: &LinkSnapshot, wired_ms: f64) -> f64 {
+    (wired_ms + radio_rtt_ms(snap.tech)) / 1_000.0
 }
 
 /// [`AppLink`] adapter: exposes the RAN capacity and an RTT sample stream
@@ -163,7 +176,6 @@ pub fn tcp_base_rtt_s(snap: &LinkSnapshot, pos: wheels_geo::coord::LatLon, serve
 pub struct AppLinkAdapter<'a, 'b> {
     driver: &'b mut LinkDriver<'a>,
     rtt: &'b mut RttModel,
-    server: Server,
 }
 
 /// TCP efficiency factor [`AppLinkAdapter`] applies to raw capacity.
@@ -171,20 +183,19 @@ const TCP_EFFICIENCY: f64 = 0.85;
 
 impl<'a, 'b> AppLinkAdapter<'a, 'b> {
     /// The app link over `driver`, sampling RTT from the phone's `rtt`
-    /// model towards `server`.
-    pub fn new(driver: &'b mut LinkDriver<'a>, rtt: &'b mut RttModel, server: Server) -> Self {
-        AppLinkAdapter { driver, rtt, server }
+    /// model towards the driver's server.
+    pub fn new(driver: &'b mut LinkDriver<'a>, rtt: &'b mut RttModel) -> Self {
+        AppLinkAdapter { driver, rtt }
     }
 }
 
 impl AppLink for AppLinkAdapter<'_, '_> {
     fn sample(&mut self, t_s: f64) -> LinkObs {
         let snap = self.driver.at(t_s);
-        let pos = self.driver.pos_at(t_s);
+        let wired_ms = self.driver.wired_ms(t_s);
         let rtt_ms = self.rtt.sample_ms(
             t_s,
-            pos,
-            &self.server,
+            wired_ms,
             snap.tech,
             snap.sinr_dl_db,
             snap.speed_mps,
@@ -213,6 +224,7 @@ pub fn demand_for(kind: wheels_xcal::TestKind) -> TrafficDemand {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use wheels_netsim::server::CLOUD_OHIO;
     use wheels_ran::deployment::build_cells;
     use wheels_ran::operator::Operator;
     use wheels_ran::ue::UeParams;
@@ -231,6 +243,7 @@ mod tests {
         let mut d = LinkDriver::driving(
             &mut ue,
             &plan,
+            CLOUD_OHIO,
             TrafficDemand::Backlog(Direction::Downlink),
             0.1,
         );
@@ -249,6 +262,7 @@ mod tests {
         let mut d = LinkDriver::static_at(
             &mut ue,
             &plan,
+            CLOUD_OHIO,
             TrafficDemand::Backlog(Direction::Downlink),
             0.1,
             50_000.0,
@@ -257,6 +271,32 @@ mod tests {
             let s = d.at(t0 + i as f64 * 0.1);
             assert_eq!(s.odometer_m, 50_000.0);
             assert_eq!(s.speed_mps, 0.0);
+        }
+    }
+
+    #[test]
+    fn wired_leg_matches_per_tick_haversine() {
+        // Static: derived once, yet every 20 ms tick sees the bits a
+        // per-tick haversine from the fixed site gives. Driving: the
+        // hinted position at every tick, bit for bit.
+        let (plan, mut ue) = setup();
+        let t0 = plan.days()[0].start_time_s as f64;
+        let od = 50_000.0;
+        let site = plan.route().point_at(od).pos;
+        let demand = TrafficDemand::Backlog(Direction::Downlink);
+        let mut parked = LinkDriver::static_at(&mut ue, &plan, CLOUD_OHIO, demand, 0.1, od);
+        for i in 0..500 {
+            let t = t0 + i as f64 * 0.02;
+            let want = RttModel::wired_ms(site, &CLOUD_OHIO);
+            let got = parked.wired_ms(t);
+            assert_eq!(got.to_bits(), want.to_bits(), "static tick {i}");
+        }
+        let mut moving = LinkDriver::driving(&mut ue, &plan, CLOUD_OHIO, demand, 0.1);
+        for i in 0..500 {
+            let t = t0 + i as f64 * 0.02;
+            let want = RttModel::wired_ms(plan.pos_at(t), &CLOUD_OHIO);
+            let got = moving.wired_ms(t);
+            assert_eq!(got.to_bits(), want.to_bits(), "driving tick {i}");
         }
     }
 

@@ -330,6 +330,11 @@ impl Campaign {
         &self.ops
     }
 
+    /// The session lengths and suite switches the campaign runs.
+    pub fn schedule(&self) -> &ScheduleSpec {
+        &self.sched
+    }
+
     /// Whether the scenario runs the app suite.
     pub(crate) fn apps_enabled(&self) -> bool {
         self.sched.run_apps
@@ -688,8 +693,10 @@ impl Campaign {
         let tick_s = self.cfg.snapshot_tick_s;
         let scratch = std::mem::take(&mut phone.snap_scratch);
         let mut driver = match static_od {
-            Some(od) => LinkDriver::static_at(&mut phone.ue, &self.plan, demand, tick_s, od),
-            None => LinkDriver::driving(&mut phone.ue, &self.plan, demand, tick_s),
+            Some(od) => {
+                LinkDriver::static_at(&mut phone.ue, &self.plan, server, demand, tick_s, od)
+            }
+            None => LinkDriver::driving(&mut phone.ue, &self.plan, server, demand, tick_s),
         }
         .reusing(scratch);
         let mut tput = None;
@@ -703,12 +710,11 @@ impl Campaign {
                 };
                 tput = Some(test.run(t0, |t| {
                     let s = driver.at(t);
-                    let pos = driver.pos_at(t);
                     let cap = match dir {
                         Some(Direction::Uplink) => s.cap_ul_mbps,
                         _ => s.cap_dl_mbps,
                     };
-                    (cap, tcp_base_rtt_s(&s, pos, &server))
+                    (cap, tcp_base_rtt_s(&s, driver.wired_ms(t)))
                 }));
                 None
             }
@@ -717,10 +723,10 @@ impl Campaign {
                     duration_s,
                     ..Default::default()
                 };
-                let samples = test.run(t0, &server, &mut phone.rtt, |t| {
+                let samples = test.run(t0, &mut phone.rtt, |t| {
                     let s = driver.at(t);
                     PingLinkState {
-                        pos: driver.pos_at(t),
+                        wired_ms: driver.wired_ms(t),
                         tech: s.tech,
                         sinr_db: s.sinr_dl_db,
                         speed_mps: s.speed_mps,
@@ -731,20 +737,20 @@ impl Campaign {
                 None
             }
             TestKind::AppAr => {
-                let mut link = AppLinkAdapter::new(&mut driver, &mut phone.rtt, server);
-                let r = ArApp::default().run(t0, compressed, &mut link);
+                let mut link = AppLinkAdapter::new(&mut driver, &mut phone.rtt);
+                let r = ArApp::default().run(t0, duration_s, compressed, &mut link);
                 Some(AppMetrics {
                     map_accuracy: Some(r.map_accuracy as f32),
                     ..offload_metrics(compressed, &r.offload)
                 })
             }
             TestKind::AppCav => {
-                let mut link = AppLinkAdapter::new(&mut driver, &mut phone.rtt, server);
-                let r = CavApp::default().run(t0, compressed, &mut link);
+                let mut link = AppLinkAdapter::new(&mut driver, &mut phone.rtt);
+                let r = CavApp::default().run(t0, duration_s, compressed, &mut link);
                 Some(offload_metrics(compressed, &r.offload))
             }
             TestKind::AppVideo => {
-                let mut link = AppLinkAdapter::new(&mut driver, &mut phone.rtt, server);
+                let mut link = AppLinkAdapter::new(&mut driver, &mut phone.rtt);
                 let r = VideoSession { duration_s }.run(t0, &mut link);
                 Some(AppMetrics {
                     qoe: Some(r.qoe as f32),
@@ -754,7 +760,7 @@ impl Campaign {
                 })
             }
             TestKind::AppGaming => {
-                let mut link = AppLinkAdapter::new(&mut driver, &mut phone.rtt, server);
+                let mut link = AppLinkAdapter::new(&mut driver, &mut phone.rtt);
                 let r = GamingSession { duration_s }.run(t0, &mut link);
                 Some(AppMetrics {
                     send_bitrate_mbps: Some(r.send_bitrate_mbps as f32),

@@ -248,6 +248,13 @@ impl ScheduleSpec {
 /// length is an unbounded unit; the paper's longest session is 180 s.
 pub const MAX_SESSION_S: f64 = 3600.0;
 
+/// The longest drive a route may describe, meters: its odometer length
+/// (`route.target_total_m`, or the great-circle length without one). The
+/// world build walks every 250 m tile once per operator and technology,
+/// so an unbounded route is an unbounded build; 20 000 km is about 3.5×
+/// the paper's 5 711 km.
+pub const MAX_ROUTE_M: f64 = 20_000_000.0;
+
 /// The largest road factor (`route.target_total_m` over the route's
 /// great-circle length) a route may ask for; the registry's worlds use
 /// 1.12 (paper) to 1.94 (metro-loop).
@@ -670,7 +677,7 @@ impl ScenarioSpec {
         // The odometer stretches every leg by `target / geometric`: below
         // 1 a road would be shorter than the great circle, and above 3 it
         // winds further than any registered world (paper 1.02-1.45,
-        // metro-loop 1.94). The drive's total length is not bounded here.
+        // metro-loop 1.94).
         if let Some(t) = self.route.target_total_m {
             let factor = t / geom_m;
             if !(1.0..=MAX_ROAD_FACTOR).contains(&factor) {
@@ -679,6 +686,12 @@ impl ScenarioSpec {
                      length; the road factor must lie in [1, {MAX_ROAD_FACTOR}]"
                 ));
             }
+        }
+        let total_m = self.route.target_total_m.unwrap_or(geom_m);
+        if total_m > MAX_ROUTE_M {
+            return Err(format!(
+                "route length {total_m:.0} m exceeds the {MAX_ROUTE_M:.0} m limit on one drive"
+            ));
         }
         if self.trip.overnight_cities.is_empty() {
             return Err("trip needs at least one overnight city".to_string());
@@ -1038,6 +1051,19 @@ mod tests {
             s.route.target_total_m = Some(t);
             assert_eq!(s.validate(), Ok(()), "road factor {} rejected", t / geom_m);
         }
+
+        // The drive's total length is capped with or without a target:
+        // a city on the far side of the globe makes the great-circle
+        // route alone about 33 000 km.
+        let mut s = ScenarioSpec::paper();
+        s.route.target_total_m = None;
+        s.route.cities[1].lat = -40.0;
+        s.route.cities[1].lon = 100.0;
+        let err = s.validate().expect_err("20 000+ km route accepted");
+        assert!(err.contains("route length"), "{err}");
+        let mut s = ScenarioSpec::paper();
+        s.route.target_total_m = Some(MAX_ROUTE_M + 1.0);
+        assert!(s.validate().is_err(), "a target past the cap accepted");
 
         let mut s = ScenarioSpec::paper();
         s.trip.ou_sigma_mph = f64::NAN;

@@ -11,6 +11,12 @@
 //! fall inside its own window, and a phone's next test must not start
 //! before its previous one ends.
 //!
+//! AR and CAV runs last their scenario's `app_offload_s` too: with a 5 s
+//! offload session a 20 s run would sample 15 s into the next test, with
+//! the same backwards step and the same debug-build panic. The
+//! record-window check below holds every record of every registry world,
+//! and of the paper spec at a 5 s offload session, to its own window.
+//!
 //! Every phone walks the §3 cycle (its first three tests with the app
 //! suite off) back to back, one gap between tests; the second check
 //! holds each unit's records to that order, written out below
@@ -86,6 +92,51 @@ fn rail_corridor_sessions_never_overlap_the_next_test() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn every_record_stays_inside_its_own_window() {
+    let mut short_offload = ScenarioSpec::paper();
+    short_offload.schedule.app_offload_s = 5.0;
+    let mut specs = ScenarioSpec::registry();
+    specs.push(short_offload);
+    for spec in specs {
+        let offload_s = spec.schedule.app_offload_s;
+        let at = format!("{} (offload {offload_s} s)", spec.name);
+        // fail_fast: a worker panic (the debug build's "shadowing
+        // evaluated backwards") aborts the campaign instead of degrading.
+        let outcome = Campaign::from_spec(&spec, smoke_config(11))
+            .run(1, None)
+            .unwrap_or_else(|e| panic!("{at}: {e}"));
+        let mut offload_records = 0;
+        for r in &outcome.db.records {
+            let (start, end) = (r.start_s, r.start_s + r.duration_s);
+            let inside = |t: f64| (start..=end).contains(&t);
+            for k in &r.kpi {
+                assert!(
+                    inside(k.time_s),
+                    "{at}: record {} ({:?}) has a KPI sample at {:.1} s outside [{start:.1}, {end:.1}]",
+                    r.id,
+                    r.kind,
+                    k.time_s
+                );
+            }
+            for h in &r.handovers {
+                assert!(
+                    inside(h.time_s),
+                    "{at}: record {} ({:?}) logged a handover at {:.1} s outside [{start:.1}, {end:.1}]",
+                    r.id,
+                    r.kind,
+                    h.time_s
+                );
+            }
+            if matches!(r.kind, TestKind::AppAr | TestKind::AppCav) {
+                assert_eq!(r.duration_s, offload_s, "{at}: record {}", r.id);
+                offload_records += 1;
+            }
+        }
+        assert!(offload_records > 0, "{at}: no AR/CAV record ran");
     }
 }
 

@@ -80,10 +80,12 @@ impl LintConfig {
             // per phone-tick or once per span inside the campaign inner
             // loop, so a stray allocation multiplies by millions of
             // calls. Names match either bare (`evaluate_layer_span`) or
-            // qualified with the impl type (`ShadowBank::advance_span`).
+            // qualified with the impl type (`ShadowBank::visit_span`).
             hotpaths: &[
-                // radio: correlated-shadowing span generator
-                "ShadowBank::advance_span",
+                // radio: correlated-shadowing span visitor and its
+                // single-field step
+                "ShadowBank::visit_span",
+                "ShadowBank::advance_one",
                 // geo: hinted route / plan lookups (per tick and per tile)
                 "Route::point_at_hinted",
                 "Route::nearest_city_hinted",
@@ -99,11 +101,11 @@ impl LintConfig {
                 "UeRadio::draw_link",
                 "UeRadio::link",
                 "ServingRadio::step",
-                "ShadowStore::advance_span",
+                "ShadowStore::visit_span",
                 "evaluate_layer_span",
                 "FleetLoad::fold_span",
-                // campaign: per-TCP-tick position of the link driver
-                "LinkDriver::pos_at",
+                // campaign: per-TCP-tick wired RTT leg of the link driver
+                "LinkDriver::wired_ms",
                 // netsim: congestion-control per-ack ticks
                 "Cubic::on_ack",
                 "Bbr::on_ack",
@@ -158,7 +160,7 @@ impl LintConfig {
         self.d7_scope.iter().any(|frag| norm_path.contains(frag))
     }
 
-    /// Is `qual` (e.g. `ShadowBank::advance_span`) a registered hot
+    /// Is `qual` (e.g. `ShadowBank::visit_span`) a registered hot
     /// path? Bare registry entries match any function with that name.
     pub fn is_hotpath(&self, qual: &str, bare: &str) -> bool {
         self.hotpaths.iter().any(|h| *h == qual || *h == bare)

@@ -428,7 +428,7 @@ pub fn finalize(files: &[AnalyzedFile], cfg: &LintConfig) -> Vec<(usize, RawFind
 
 /// D8: functions registered in the hot-path registry may not allocate —
 /// directly or through one level of calls. PR 6's span-batched hot loops
-/// (`ShadowBank::advance_span`, `UeRadio::step`, `evaluate_layer_span`,
+/// (`ShadowBank::visit_span`, `UeRadio::step`, `evaluate_layer_span`,
 /// the CUBIC/BBR ack path, `FleetLoad::fold_span`, the export emitters)
 /// earn their speedups by reusing scratch buffers; one stray `format!`
 /// erases that silently. The transitive hop resolves callees by name:

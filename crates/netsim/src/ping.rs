@@ -4,11 +4,9 @@
 //! used the ICMP-based ping utility. Each test ran for 20 s and sent one
 //! ICMP packet every 200 ms."*
 
-use wheels_geo::coord::LatLon;
 use wheels_radio::band::Technology;
 
 use crate::rtt::RttModel;
-use crate::server::Server;
 
 /// One ping result.
 #[derive(Debug, Clone, Copy)]
@@ -22,8 +20,9 @@ pub struct RttSample {
 /// Link state the RTT model needs at one ping instant.
 #[derive(Debug, Clone, Copy)]
 pub struct PingLinkState {
-    /// UE position.
-    pub pos: LatLon,
+    /// Wired round trip to the test's server, ms
+    /// ([`RttModel::wired_ms`]).
+    pub wired_ms: f64,
     /// Serving technology.
     pub tech: Technology,
     /// Downlink wideband SINR, dB.
@@ -53,12 +52,11 @@ impl Default for RttTest {
 }
 
 impl RttTest {
-    /// Run the test starting at `t0_s` against `server`, querying `link`
-    /// for the UE state at each ping instant.
+    /// Run the test starting at `t0_s`, querying `link` for the UE state
+    /// (its wired leg to the server included) at each ping instant.
     pub fn run(
         &self,
         t0_s: f64,
-        server: &Server,
         model: &mut RttModel,
         mut link: impl FnMut(f64) -> PingLinkState,
     ) -> Vec<RttSample> {
@@ -69,8 +67,7 @@ impl RttTest {
             let st = link(t);
             let rtt_ms = model.sample_ms(
                 t,
-                st.pos,
-                server,
+                st.wired_ms,
                 st.tech,
                 st.sinr_db,
                 st.speed_mps,
@@ -88,10 +85,11 @@ mod tests {
     use crate::server::CLOUD_OHIO;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use wheels_geo::coord::LatLon;
 
     fn state() -> PingLinkState {
         PingLinkState {
-            pos: LatLon::new(41.0, -96.0),
+            wired_ms: RttModel::wired_ms(LatLon::new(41.0, -96.0), &CLOUD_OHIO),
             tech: Technology::LteA,
             sinr_db: 15.0,
             speed_mps: 30.0,
@@ -103,7 +101,7 @@ mod tests {
     fn hundred_samples_per_20s_test() {
         let test = RttTest::default();
         let mut model = RttModel::new(SmallRng::seed_from_u64(1));
-        let samples = test.run(0.0, &CLOUD_OHIO, &mut model, |_| state());
+        let samples = test.run(0.0, &mut model, |_| state());
         assert_eq!(samples.len(), 100);
     }
 
@@ -111,7 +109,7 @@ mod tests {
     fn samples_spaced_200ms() {
         let test = RttTest::default();
         let mut model = RttModel::new(SmallRng::seed_from_u64(1));
-        let samples = test.run(50.0, &CLOUD_OHIO, &mut model, |_| state());
+        let samples = test.run(50.0, &mut model, |_| state());
         assert!((samples[1].time_s - samples[0].time_s - 0.2).abs() < 1e-9);
         assert!((samples[0].time_s - 50.0).abs() < 1e-9);
     }
@@ -120,7 +118,7 @@ mod tests {
     fn rtts_positive_and_bounded() {
         let test = RttTest::default();
         let mut model = RttModel::new(SmallRng::seed_from_u64(2));
-        let samples = test.run(0.0, &CLOUD_OHIO, &mut model, |_| state());
+        let samples = test.run(0.0, &mut model, |_| state());
         for s in samples {
             assert!(s.rtt_ms > 5.0 && s.rtt_ms <= 3_000.0, "{}", s.rtt_ms);
         }

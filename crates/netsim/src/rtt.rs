@@ -70,14 +70,14 @@ impl RttModel {
 
     /// Sample an end-to-end RTT in ms at time `t_s`.
     ///
-    /// `sinr_db` and `speed_mps` condition the spike process; `in_handover`
-    /// adds the residual interruption.
-    #[allow(clippy::too_many_arguments)]
+    /// `wired_ms` is the wired leg to the test's server
+    /// ([`Self::wired_ms`]); the caller derives it, once per test when the
+    /// UE is parked. `sinr_db` and `speed_mps` condition the spike
+    /// process; `in_handover` adds the residual interruption.
     pub fn sample_ms(
         &mut self,
         t_s: f64,
-        ue: LatLon,
-        server: &Server,
+        wired_ms: f64,
         tech: Technology,
         sinr_db: f64,
         speed_mps: f64,
@@ -101,7 +101,7 @@ impl RttModel {
             let e: f64 = -(1.0 - self.rng.gen::<f64>()).ln();
             self.spike_ms += (mean * e).min(2_800.0);
         }
-        let base = Self::wired_ms(ue, server) + radio_rtt_ms(tech);
+        let base = wired_ms + radio_rtt_ms(tech);
         // Motion inflates the scheduling/HARQ component persistently
         // (CQI staleness, RLC retransmissions): Fig. 8's RTT-speed trend.
         let motion_ms = 28.0 * speed_penalty;
@@ -145,7 +145,8 @@ mod tests {
             let mut v: Vec<f64> = (0..n)
                 .map(|i| {
                     let t = i as f64 * 0.2;
-                    m.sample_ms(t, ue, server, Technology::Nr5gMmWave, sinr_db, speed_mps, false)
+                    let wired = RttModel::wired_ms(ue, server);
+                    m.sample_ms(t, wired, Technology::Nr5gMmWave, sinr_db, speed_mps, false)
                 })
                 .collect();
             v.sort_by(f64::total_cmp);
@@ -179,18 +180,10 @@ mod tests {
     #[test]
     fn spikes_produce_heavy_tail() {
         let mut m = RttModel::new(rng());
-        let ue = LatLon::new(41.0, -100.0);
+        let wired = RttModel::wired_ms(LatLon::new(41.0, -100.0), &CLOUD_OHIO);
         let mut max: f64 = 0.0;
         for i in 0..40_000 {
-            let r = m.sample_ms(
-                i as f64 * 0.2,
-                ue,
-                &CLOUD_OHIO,
-                Technology::Lte,
-                -2.0,
-                30.0,
-                false,
-            );
+            let r = m.sample_ms(i as f64 * 0.2, wired, Technology::Lte, -2.0, 30.0, false);
             max = max.max(r);
         }
         // Paper: maxima of 2-3 s under driving.
@@ -200,11 +193,11 @@ mod tests {
 
     #[test]
     fn handover_inflates_rtt() {
-        let ue = LatLon::new(41.0, -100.0);
+        let wired = RttModel::wired_ms(LatLon::new(41.0, -100.0), &CLOUD_OHIO);
         let mut m1 = RttModel::new(rng());
         let mut m2 = RttModel::new(rng());
-        let a = m1.sample_ms(0.0, ue, &CLOUD_OHIO, Technology::LteA, 15.0, 10.0, false);
-        let b = m2.sample_ms(0.0, ue, &CLOUD_OHIO, Technology::LteA, 15.0, 10.0, true);
+        let a = m1.sample_ms(0.0, wired, Technology::LteA, 15.0, 10.0, false);
+        let b = m2.sample_ms(0.0, wired, Technology::LteA, 15.0, 10.0, true);
         assert!(b > a + 30.0);
     }
 
@@ -212,11 +205,10 @@ mod tests {
     fn bad_signal_spikes_more_often() {
         let count_spiky = |sinr: f64| {
             let mut m = RttModel::new(rng());
-            let ue = LatLon::new(41.0, -100.0);
+            let wired = RttModel::wired_ms(LatLon::new(41.0, -100.0), &CLOUD_OHIO);
             (0..20_000)
                 .filter(|&i| {
-                    m.sample_ms(i as f64 * 0.2, ue, &CLOUD_OHIO, Technology::Lte, sinr, 25.0, false)
-                        > 300.0
+                    m.sample_ms(i as f64 * 0.2, wired, Technology::Lte, sinr, 25.0, false) > 300.0
                 })
                 .count()
         };

@@ -8,20 +8,32 @@ use std::sync::OnceLock;
 
 use crate::band::Band;
 
-/// Constants for the cheap `log10` lower bound: a rounded-down `log10(2)`
-/// and a 64-entry rounded-down table of `log10(1 + k/64)`.
-fn log10_lb_consts() -> &'static (f64, [f64; 64]) {
-    static CONSTS: OnceLock<(f64, [f64; 64])> = OnceLock::new();
-    CONSTS.get_or_init(|| {
-        // The 1e-12 nudges make both pieces strict lower bounds regardless
-        // of libm's rounding direction (its error is ~1 ulp ≈ 1e-16 here).
-        let log10_2_lo = 2f64.log10() - 1e-12;
-        let mut table = [0.0; 64];
-        for (k, t) in table.iter_mut().enumerate() {
-            *t = (1.0 + k as f64 / 64.0).log10() - 1e-12;
-        }
-        (log10_2_lo, table)
-    })
+/// Constants of the cheap `log10` lower bound behind
+/// [`PathLossModel::loss_lb_db`]: a rounded-down `log10(2)` and a 64-entry
+/// rounded-down table of `log10(1 + k/64)`.
+#[derive(Debug)]
+pub struct Log10Lb {
+    log10_2_lo: f64,
+    table: [f64; 64],
+}
+
+impl Log10Lb {
+    /// The process-wide constants, built on first use. A candidate scan
+    /// fetches them once per span, not once per cell.
+    pub fn get() -> &'static Log10Lb {
+        static CONSTS: OnceLock<Log10Lb> = OnceLock::new();
+        CONSTS.get_or_init(|| {
+            // The 1e-12 nudges make both pieces strict lower bounds
+            // regardless of libm's rounding direction (its error is ~1 ulp
+            // ≈ 1e-16 here).
+            let log10_2_lo = 2f64.log10() - 1e-12;
+            let mut table = [0.0; 64];
+            for (k, t) in table.iter_mut().enumerate() {
+                *t = (1.0 + k as f64 / 64.0).log10() - 1e-12;
+            }
+            Log10Lb { log10_2_lo, table }
+        })
+    }
 }
 
 /// A log-distance path-loss model for one band in one clutter environment.
@@ -89,16 +101,17 @@ impl PathLossModel {
     ///
     /// Returns `f64::NEG_INFINITY` (a vacuous bound) when `d² < 4`, where
     /// the exponent decomposition would need the sub-1 m clamp handled.
-    pub fn loss_lb_db(&self, d2_m2: f64) -> f64 {
+    ///
+    /// `lb` is [`Log10Lb::get`], passed in so a scan reads it once.
+    pub fn loss_lb_db(&self, lb: &Log10Lb, d2_m2: f64) -> f64 {
         if !(d2_m2 >= 4.0) {
             return f64::NEG_INFINITY;
         }
-        let (log10_2_lo, table) = log10_lb_consts();
         let bits = d2_m2.to_bits();
         let e = ((bits >> 52) & 0x7FF) as i64 - 1023;
         let k = ((bits >> 46) & 0x3F) as usize;
         // log10(d) = log10(d²)/2, bounded below piece by piece.
-        let lb_log10_d = 0.5 * ((e as f64) * log10_2_lo + table[k]);
+        let lb_log10_d = 0.5 * ((e as f64) * lb.log10_2_lo + lb.table[k]);
         self.fspl_1m_db + self.exp10 * lb_log10_d + self.clutter_db - 1e-6
     }
 }
@@ -149,7 +162,7 @@ mod tests {
                 let mut d = 2.0;
                 while d < 40_000.0 {
                     let exact = m.loss_db(d);
-                    let lb = m.loss_lb_db(d * d);
+                    let lb = m.loss_lb_db(Log10Lb::get(), d * d);
                     assert!(lb < exact, "lb {lb} !< exact {exact} at d={d}");
                     assert!(exact - lb < 0.2, "slack {} at d={d}", exact - lb);
                     d *= 1.0173;
@@ -161,8 +174,8 @@ mod tests {
     #[test]
     fn loss_lb_vacuous_below_two_meters() {
         let m = PathLossModel::new(Band::new(1_900.0), 0.5);
-        assert_eq!(m.loss_lb_db(3.9), f64::NEG_INFINITY);
-        assert_eq!(m.loss_lb_db(0.0), f64::NEG_INFINITY);
+        assert_eq!(m.loss_lb_db(Log10Lb::get(), 3.9), f64::NEG_INFINITY);
+        assert_eq!(m.loss_lb_db(Log10Lb::get(), 0.0), f64::NEG_INFINITY);
     }
 
     #[test]

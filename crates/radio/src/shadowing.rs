@@ -19,12 +19,15 @@ use rand::{Rng, SeedableRng};
 /// Many shadowing fields advance by the same Δ in one simulation tick
 /// (every cell in the audible window is queried at the same odometer each
 /// step), so the `exp`/`sqrt` pair can be shared across fields with equal
-/// (Δ, D_corr, σ). Keying on bit patterns keeps [`ShadowBank::advance_span`]
+/// (Δ, D_corr, σ). Keying on bit patterns keeps [`ShadowBank::visit_span`]
 /// bit-identical to [`ShadowingField::at`]: a memo hit replays exactly the
 /// values a miss would compute, and the advance `ρ·S + sqrt(1−ρ²)·σ·Z`
 /// evaluates left-associatively, so hoisting `k` changes no rounding.
+///
+/// Any AR(1) process of that form can share it: the cell-load process
+/// (`wheels_ran::load`) advances over time with Δ = dt and D_corr = τ.
 #[derive(Debug, Clone)]
-struct RhoMemo {
+pub struct RhoMemo {
     delta_m: f64,
     corr_dist_m: f64,
     sigma_db: f64,
@@ -46,8 +49,11 @@ impl Default for RhoMemo {
 }
 
 impl RhoMemo {
+    /// `(ρ, k)` for an advance by `delta_m` with decorrelation distance
+    /// `corr_dist_m` and std-dev `sigma_db`, recomputed only when an input
+    /// differs bit for bit from the last call's.
     #[inline]
-    fn coeffs(&mut self, delta_m: f64, corr_dist_m: f64, sigma_db: f64) -> (f64, f64) {
+    pub fn coeffs(&mut self, delta_m: f64, corr_dist_m: f64, sigma_db: f64) -> (f64, f64) {
         if self.delta_m.to_bits() != delta_m.to_bits()
             || self.corr_dist_m.to_bits() != corr_dist_m.to_bits()
             || self.sigma_db.to_bits() != sigma_db.to_bits()
@@ -125,9 +131,11 @@ impl ShadowingField {
 ///
 /// The per-tick candidate scan advances every audible cell's field at the
 /// same odometer. The bank keeps generator state, last distance, and last
-/// value in dense position-indexed arrays so one [`ShadowBank::advance_span`]
+/// value in dense position-indexed arrays so one [`ShadowBank::visit_span`]
 /// call walks a contiguous window with no per-field lookup, sharing the AR
-/// coefficients through a `RhoMemo`. Each field consumes its own stream
+/// coefficients through a [`RhoMemo`] and handing each value straight to
+/// the caller's scorer (no second walk over a returned buffer). Each field
+/// consumes its own stream
 /// in its own order, so every value is bit-identical to a standalone
 /// [`ShadowingField`] fed the same seed and distance sequence (a test pins
 /// this).
@@ -140,8 +148,6 @@ pub struct ShadowBank {
     val: Vec<f64>,
     live: Vec<bool>,
     memo: RhoMemo,
-    /// Scratch: values returned from the current call.
-    out: Vec<f64>,
 }
 
 impl ShadowBank {
@@ -156,7 +162,6 @@ impl ShadowBank {
             val: Vec::new(),
             live: Vec::new(),
             memo: RhoMemo::default(),
-            out: Vec::new(),
         }
     }
 
@@ -172,51 +177,59 @@ impl ShadowBank {
         }
     }
 
-    /// Advance the fields at `positions` to odometer `d_m` and return their
-    /// values, in position order. `seed_of` supplies the field seed for a
-    /// position the first time it goes live (same derivation a standalone
-    /// [`ShadowingField::new`] would receive).
-    pub fn advance_span(
+    /// Advance the fields at `positions` to odometer `d_m`, handing each
+    /// position and its value to `visit` in position order. `seed_of`
+    /// supplies the field seed for a position the first time it goes live
+    /// (same derivation a standalone [`ShadowingField::new`] would
+    /// receive). Every position is advanced whether or not `visit` uses
+    /// its value, so each field's stream stays where a per-tick
+    /// [`ShadowingField::at`] would leave it.
+    #[inline]
+    pub fn visit_span(
         &mut self,
         positions: std::ops::Range<usize>,
         d_m: f64,
         mut seed_of: impl FnMut(usize) -> u64,
-    ) -> &[f64] {
+        mut visit: impl FnMut(usize, f64),
+    ) {
         self.ensure_len(positions.end);
-        self.out.clear();
         for pos in positions {
-            let v = if !self.live[pos] {
-                self.live[pos] = true;
-                // lint:allow(D4): same (UE seed ^ cell id) derivation and
-                // decorrelating multiplier as ShadowingField::new
-                self.rng[pos] = SmallRng::seed_from_u64(
-                    seed_of(pos).wrapping_mul(0xA24B_AED4_963E_E407),
-                );
-                let v = gauss(&mut self.rng[pos]) * self.sigma_db;
-                self.val[pos] = v;
-                self.last_d_m[pos] = d_m;
-                v
-            } else {
-                let delta = d_m - self.last_d_m[pos];
-                debug_assert!(delta >= -1e-9, "shadowing evaluated backwards");
-                if delta <= 0.0 {
-                    self.val[pos]
-                } else {
-                    let (rho, k) = self.memo.coeffs(delta, self.corr_dist_m, self.sigma_db);
-                    let v = rho * self.val[pos] + k * gauss(&mut self.rng[pos]);
-                    self.val[pos] = v;
-                    self.last_d_m[pos] = d_m;
-                    v
-                }
-            };
-            self.out.push(v);
+            let v = self.advance_field(pos, d_m, &mut seed_of);
+            visit(pos, v);
         }
-        &self.out
     }
 
-    /// Advance a single field (convenience wrapper over `advance_span`).
+    /// Advance the single field at `pos` to `d_m` and return its value:
+    /// the per-position step of [`Self::visit_span`].
     pub fn advance_one(&mut self, pos: usize, d_m: f64, seed: u64) -> f64 {
-        self.advance_span(pos..pos + 1, d_m, |_| seed)[0]
+        self.ensure_len(pos + 1);
+        self.advance_field(pos, d_m, |_| seed)
+    }
+
+    /// The AR(1) step of one field; `pos` must be in bounds.
+    #[inline(always)]
+    fn advance_field(&mut self, pos: usize, d_m: f64, seed_of: impl FnOnce(usize) -> u64) -> f64 {
+        if !self.live[pos] {
+            self.live[pos] = true;
+            let seed = seed_of(pos).wrapping_mul(0xA24B_AED4_963E_E407);
+            // lint:allow(D4): same (UE seed ^ cell id) derivation and
+            // decorrelating multiplier as ShadowingField::new
+            self.rng[pos] = SmallRng::seed_from_u64(seed);
+            let v = gauss(&mut self.rng[pos]) * self.sigma_db;
+            self.val[pos] = v;
+            self.last_d_m[pos] = d_m;
+            return v;
+        }
+        let delta = d_m - self.last_d_m[pos];
+        debug_assert!(delta >= -1e-9, "shadowing evaluated backwards");
+        if delta <= 0.0 {
+            return self.val[pos];
+        }
+        let (rho, k) = self.memo.coeffs(delta, self.corr_dist_m, self.sigma_db);
+        let v = rho * self.val[pos] + k * gauss(&mut self.rng[pos]);
+        self.val[pos] = v;
+        self.last_d_m[pos] = d_m;
+        v
     }
 
     /// Whether the field at `pos` is live.
@@ -245,9 +258,9 @@ impl ShadowBank {
     }
 }
 
-/// Approximate standard normal via sum of 12 uniforms (Irwin–Hall), the
-/// same kernel [`ShadowingField`] uses.
-fn gauss(rng: &mut SmallRng) -> f64 {
+/// Approximate standard normal via sum of 12 uniforms (Irwin–Hall): the
+/// one kernel every shadowing field and load process draws through.
+pub fn gauss(rng: &mut SmallRng) -> f64 {
     let mut s = 0.0;
     for _ in 0..12 {
         s += rng.gen::<f64>();
@@ -307,6 +320,22 @@ mod tests {
         assert_ne!(f1.at(100.0), f2.at(100.0));
     }
 
+    /// The values one `visit_span` call hands out, in visiting order.
+    fn span_values(
+        bank: &mut ShadowBank,
+        positions: std::ops::Range<usize>,
+        d: f64,
+        seed_of: impl FnMut(usize) -> u64,
+    ) -> Vec<f64> {
+        let start = positions.start;
+        let mut got = Vec::new();
+        bank.visit_span(positions, d, seed_of, |pos, v| {
+            assert_eq!(pos, start + got.len(), "positions visited in order");
+            got.push(v);
+        });
+        got
+    }
+
     #[test]
     fn bank_bit_identical_to_standalone_fields() {
         // A bank advancing a drifting window of fields must reproduce each
@@ -323,14 +352,14 @@ mod tests {
             // Window slides forward one position every 20 steps.
             let lo = step / 20;
             let hi = (lo + 12).min(40);
-            let got = bank.advance_span(lo..hi, d, seed_of).to_vec();
+            let got = span_values(&mut bank, lo..hi, d, seed_of);
             for (j, pos) in (lo..hi).enumerate() {
                 let want = reference[pos].at(d);
                 assert_eq!(want.to_bits(), got[j].to_bits(), "pos {pos} step {step}");
             }
             // Occasionally re-query the same distance (repeat path).
             if step % 7 == 0 {
-                let again = bank.advance_span(lo..hi, d, seed_of).to_vec();
+                let again = span_values(&mut bank, lo..hi, d, seed_of);
                 assert_eq!(got, again);
             }
         }
@@ -343,7 +372,7 @@ mod tests {
             .map(|p| ShadowingField::new(6.0, 60.0, seed_of(p)))
             .collect();
         for d in [0.0, 2.5, 5.0, 7.5, 7.5, 8.0, 500.0, 502.5, 505.0] {
-            let got = bank.advance_span(0..6, d, seed_of).to_vec();
+            let got = span_values(&mut bank, 0..6, d, seed_of);
             for (pos, g) in got.iter().enumerate() {
                 let want = reference[pos].at(d);
                 assert_eq!(want.to_bits(), g.to_bits(), "pos {pos} d={d}");
@@ -354,8 +383,8 @@ mod tests {
     #[test]
     fn bank_retire_before_drops_stale_fields() {
         let mut bank = ShadowBank::new(6.0, 60.0);
-        let _ = bank.advance_span(0..10, 100.0, |p| p as u64);
-        let _ = bank.advance_span(5..15, 900.0, |p| p as u64);
+        bank.visit_span(0..10, 100.0, |p| p as u64, |_, _| {});
+        bank.visit_span(5..15, 900.0, |p| p as u64, |_, _| {});
         bank.retire_before(500.0);
         assert_eq!(bank.live_count(), 10, "positions 5..15 stay live");
         assert!(!bank.is_live(0) && bank.is_live(5) && bank.is_live(14));

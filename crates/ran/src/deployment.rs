@@ -283,18 +283,43 @@ pub fn layer_plan_tuned(
     }
 }
 
+/// Length of one deployment tile, meters: the granularity at which the
+/// coverage Markov chain re-draws and cells are placed.
+const TILE_M: f64 = 250.0;
+
+/// The deployment context (region, timezone) of every [`TILE_M`] tile of
+/// `route`, in odometer order: tile `i` starts where `i` additions of
+/// `od += 250.0` from 0 land.
+///
+/// The context depends on the route alone, so it is derived once per
+/// route and read by every (operator, technology) pass of the build,
+/// each of which walks the same odometer sequence itself.
+pub fn tile_plan(route: &Route) -> Vec<(RegionKind, Timezone)> {
+    let mut tiles = Vec::with_capacity((route.total_m() / TILE_M).ceil().max(0.0) as usize);
+    let mut hint = RouteHint::default();
+    let mut od = 0.0;
+    while od < route.total_m() {
+        let region = route.region_at_hinted(od, &mut hint);
+        tiles.push((region, route.timezone_at_hinted(od, &mut hint)));
+        od += TILE_M;
+    }
+    tiles
+}
+
 /// Generate the full cell database for one operator along `route`.
 ///
 /// Deterministic in `(op, seed)`. Cell ids are unique within the returned
 /// database; combine operators with distinct seeds and id offsets via
 /// [`build_ops`].
 pub fn build_cells(route: &Route, op: Operator, seed: u64, id_offset: u32) -> CellDb {
-    build_cells_tuned(route, op, seed, id_offset, &OperatorTuning::NEUTRAL)
+    let tiles = tile_plan(route);
+    build_cells_on(&tiles, op, seed, id_offset, &OperatorTuning::NEUTRAL)
 }
 
-/// [`build_cells`] with scenario tuning applied to every layer plan.
-pub fn build_cells_tuned(
-    route: &Route,
+/// [`build_cells`] over a precomputed [`tile_plan`], with scenario tuning
+/// applied to every layer plan.
+fn build_cells_on(
+    tiles: &[(RegionKind, Timezone)],
     op: Operator,
     seed: u64,
     id_offset: u32,
@@ -303,7 +328,6 @@ pub fn build_cells_tuned(
     // lint:allow(D4): deployment seed arrives from scenario compilation
     // (slot-keyed); the salt only splits per-operator sub-streams
     let mut rng = SmallRng::seed_from_u64(seed ^ (op as u64).wrapping_mul(0x9E37_79B9));
-    let tile_m = 250.0;
     let mut sites = Vec::new();
     let mut next_id = id_offset;
     for tech in Technology::ALL {
@@ -312,20 +336,17 @@ pub fn build_cells_tuned(
         let mut dist_since_cell = f64::INFINITY;
         let mut next_spacing = 0.0;
         let mut od = 0.0;
-        let mut hint = RouteHint::default();
-        while od < route.total_m() {
-            let region = route.region_at_hinted(od, &mut hint);
-            let tz = route.timezone_at_hinted(od, &mut hint);
+        for &(region, tz) in tiles {
             let plan = layer_plan_tuned(op, tech, region, tz, tuning);
             // Markov patch persistence: re-draw the coverage state with
             // probability tile/patch_len, else keep it.
-            let redraw = !state_valid || rng.gen_bool((tile_m / plan.patch_len_m).clamp(0.0, 1.0));
+            let redraw = !state_valid || rng.gen_bool((TILE_M / plan.patch_len_m).clamp(0.0, 1.0));
             if redraw {
                 covered = rng.gen_bool(plan.coverage.clamp(0.0, 1.0));
                 state_valid = true;
             }
             if covered && plan.spacing_m.is_finite() {
-                dist_since_cell += tile_m;
+                dist_since_cell += TILE_M;
                 if dist_since_cell >= next_spacing {
                     let lateral_max = match tech {
                         Technology::Nr5gMmWave => 110.0,
@@ -341,7 +362,7 @@ pub fn build_cells_tuned(
                         id: CellId(next_id),
                         op,
                         tech,
-                        odometer_m: od + rng.gen_range(0.0..tile_m),
+                        odometer_m: od + rng.gen_range(0.0..TILE_M),
                         lateral_m: rng.gen_range(lateral_max * 0.1..lateral_max),
                         eirp_re_dbm: eirp_re_dbm(op, tech, &mut rng),
                     });
@@ -353,25 +374,27 @@ pub fn build_cells_tuned(
                 dist_since_cell = f64::INFINITY;
                 next_spacing = 0.0;
             }
-            od += tile_m;
+            od += TILE_M;
         }
     }
     CellDb::new(op, sites)
 }
 
 /// Build the cell databases of an arbitrary operator set with per-operator
-/// tuning. Seeds and id offsets are keyed on the operator *slot* (not the
-/// list position), so a subset scenario sees exactly the deployment the
-/// full panel would. Cell-id ranges are disjoint across operators.
+/// tuning, over one shared [`tile_plan`] of `route`. Seeds and id offsets
+/// are keyed on the operator *slot* (not the list position), so a subset
+/// scenario sees exactly the deployment the full panel would. Cell-id
+/// ranges are disjoint across operators.
 pub fn build_ops(
     route: &Route,
     seed: u64,
     ops: &[(Operator, OperatorTuning)],
 ) -> Vec<CellDb> {
+    let tiles = tile_plan(route);
     ops.iter()
         .map(|(op, tuning)| {
-            build_cells_tuned(
-                route,
+            build_cells_on(
+                &tiles,
                 *op,
                 seed.wrapping_add(*op as u64),
                 *op as u32 * 1_000_000,

@@ -15,11 +15,9 @@
 //! observation folds into the integer-domain sketches of `wheels-fleet`.
 //! No per-subscriber state is ever stored: memory is O(cells).
 
-use rand::rngs::SmallRng;
-use rand::Rng;
-
 use wheels_fleet::{CellHourObs, FleetUnitSketch, MICRO};
 use wheels_radio::band::Technology;
+use wheels_radio::shadowing::gauss;
 
 use crate::cell::{CellDb, CellId};
 use crate::config::link_config_ref;
@@ -108,14 +106,6 @@ pub struct FleetLoad {
     /// Mean base utilization per technology layer, [`Technology::ALL`]
     /// order (drives the promotion-policy congestion response).
     tech_base_util: [f64; 5],
-}
-
-fn gauss(rng: &mut SmallRng) -> f64 {
-    let mut s = 0.0;
-    for _ in 0..12 {
-        s += rng.gen::<f64>();
-    }
-    s - 6.0
 }
 
 fn hour_of_day(t_s: f64) -> usize {

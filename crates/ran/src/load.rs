@@ -15,6 +15,8 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use wheels_radio::shadowing::{gauss, RhoMemo};
+
 /// Parameters of the load-share process.
 #[derive(Debug, Clone, Copy)]
 pub struct LoadParams {
@@ -110,6 +112,9 @@ pub struct LoadProcess {
     last_t: f64,
     congested_until: f64,
     rng: SmallRng,
+    /// AR(1) coefficients for the last `dt`: the 0.1 s cadence repeats
+    /// almost every step, so `exp` and `sqrt` run only when it changes.
+    memo: RhoMemo,
 }
 
 impl LoadProcess {
@@ -126,6 +131,7 @@ impl LoadProcess {
             last_t: f64::NEG_INFINITY,
             congested_until: f64::NEG_INFINITY,
             rng,
+            memo: RhoMemo::default(),
         }
     }
 
@@ -137,9 +143,10 @@ impl LoadProcess {
         }
         let dt = (t - self.last_t).max(0.0);
         if dt > 0.0 {
-            let rho = (-dt / self.params.tau_s).exp();
-            self.x = rho * self.x
-                + (1.0 - rho * rho).sqrt() * self.params.sigma * gauss(&mut self.rng);
+            // `k = sqrt(1 − ρ²)·σ` is the left prefix of the innovation
+            // term, so the memoized product rounds exactly as the inline one.
+            let (rho, k) = self.memo.coeffs(dt, self.params.tau_s, self.params.sigma);
+            self.x = rho * self.x + k * gauss(&mut self.rng);
             // Congestion arrivals.
             if t > self.congested_until {
                 let p = (self.params.congestion_rate * dt).clamp(0.0, 1.0);
@@ -168,14 +175,6 @@ impl LoadProcess {
     pub fn params(&self) -> &LoadParams {
         &self.params
     }
-}
-
-fn gauss(rng: &mut SmallRng) -> f64 {
-    let mut s = 0.0;
-    for _ in 0..12 {
-        s += rng.gen::<f64>();
-    }
-    s - 6.0
 }
 
 #[cfg(test)]
@@ -264,6 +263,56 @@ mod tests {
     #[test]
     fn static_params_have_higher_median() {
         assert!(LoadParams::static_urban().median_share > LoadParams::driving().median_share);
+    }
+
+    /// `share_at` with the AR(1) coefficients computed inline on every
+    /// call, as before they were memoized.
+    fn unmemoized_share_at(p: &mut LoadProcess, t: f64) -> f64 {
+        if p.last_t == f64::NEG_INFINITY {
+            p.last_t = t;
+        }
+        let dt = (t - p.last_t).max(0.0);
+        if dt > 0.0 {
+            let rho = (-dt / p.params.tau_s).exp();
+            p.x = rho * p.x + (1.0 - rho * rho).sqrt() * p.params.sigma * gauss(&mut p.rng);
+            if t > p.congested_until {
+                let prob = (p.params.congestion_rate * dt).clamp(0.0, 1.0);
+                if p.rng.gen_bool(prob) {
+                    let (lo, hi) = p.params.congestion_s;
+                    p.congested_until = t + p.rng.gen_range(lo..hi);
+                }
+            }
+            p.last_t = t;
+        }
+        let mut share = p.params.median_share * p.x.exp();
+        if t <= p.congested_until {
+            share *= p.params.congestion_factor;
+        }
+        share.clamp(0.005, 1.0)
+    }
+
+    #[test]
+    fn coefficient_memo_is_bit_identical_to_inline_formula() {
+        // Zero, repeated and changing dt, a handover redraw, and a long
+        // run at the 0.1 s cadence: every share and the hidden state
+        // match the unmemoized formula bit for bit.
+        for params in [LoadParams::driving(), LoadParams::static_urban()] {
+            let mut memo = LoadProcess::new(params, 21);
+            let mut inline = LoadProcess::new(params, 21);
+            let mut t = 100.0;
+            let mut schedule = vec![0.0, 0.0, 0.1, 0.1, 0.1, 0.25, 0.0, 0.1, 7.0, 0.1, 0.3];
+            schedule.extend(std::iter::repeat_n(0.1, 3_000));
+            for (i, dt) in schedule.into_iter().enumerate() {
+                t += dt;
+                let (a, b) = (memo.share_at(t), unmemoized_share_at(&mut inline, t));
+                assert_eq!(a.to_bits(), b.to_bits(), "step {i} at t={t}");
+                assert_eq!(memo.x.to_bits(), inline.x.to_bits(), "state at step {i}");
+                if i % 500 == 7 {
+                    memo.redraw();
+                    inline.redraw();
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 
 use wheels_geo::region::RegionKind;
 use wheels_radio::band::Technology;
-use wheels_radio::pathloss::PathLossModel;
+use wheels_radio::pathloss::{Log10Lb, PathLossModel};
 use wheels_radio::shadowing::ShadowBank;
 
 use crate::cell::{tech_index, CellDb, CellId};
@@ -89,26 +89,30 @@ impl ShadowStore {
     }
 
     /// Advance the fields for the cells at layer positions `positions`
-    /// (ids indexed by position) to odometer `od_m`; returns their values
-    /// in position order.
-    pub fn advance_span(
+    /// (ids indexed by position) to odometer `od_m`, handing each position
+    /// and its value to `visit` in position order.
+    #[inline]
+    pub fn visit_span(
         &mut self,
         tech: Technology,
         positions: std::ops::Range<usize>,
         ids: &[CellId],
         od_m: f64,
-    ) -> &[f64] {
+        visit: impl FnMut(usize, f64),
+    ) {
         let ue_seed = self.seed;
-        self.banks[tech_index(tech)].advance_span(positions, od_m, |pos| {
-            ue_seed ^ u64::from(ids[pos].0).wrapping_mul(0xFF51_AFD7_ED55_8CCD)
-        })
+        self.banks[tech_index(tech)].visit_span(
+            positions,
+            od_m,
+            |pos| field_seed(ue_seed, ids[pos]),
+            visit,
+        );
     }
 
     /// Shadowing in dB for the cell at layer position `pos` (with id
     /// `cell`, which seeds the field) at odometer `od_m`.
     pub fn shadow_at(&mut self, tech: Technology, pos: usize, cell: CellId, od_m: f64) -> f64 {
-        let seed = self.seed ^ u64::from(cell.0).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        self.banks[tech_index(tech)].advance_one(pos, od_m, seed)
+        self.banks[tech_index(tech)].advance_one(pos, od_m, field_seed(self.seed, cell))
     }
 
     /// The odometer the field at layer position `pos` of `tech` was last
@@ -147,6 +151,11 @@ impl ShadowStore {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// Seed of the shadowing field between one UE and one cell.
+fn field_seed(ue_seed: u64, cell: CellId) -> u64 {
+    ue_seed ^ u64::from(cell.0).wrapping_mul(0xFF51_AFD7_ED55_8CCD)
 }
 
 /// Evaluate the best candidate on `tech`'s layer at odometer `od_m`.
@@ -215,13 +224,14 @@ pub fn evaluate_layer_span(
         layer.lat_sq_m2(),
         layer.eirp_re_dbm(),
     );
-    // The shadowing advance is unconditional for every audible cell —
-    // pruned-from-scoring or not — or the per-field RNG streams shift.
-    let sh = shadows.advance_span(tech, range.start..range.end, ids, od_m);
+    let lb = Log10Lb::get();
     let mut best: Option<(CellId, f64)> = None;
     let mut second: Option<(CellId, f64)> = None;
-    for (j, i) in range.enumerate() {
-        let shv = sh[j];
+    // One pass: the bank advances each audible cell's field and hands its
+    // value straight to the scorer. The advance is unconditional for every
+    // audible cell — skipped from scoring or not — or the per-field RNG
+    // streams shift.
+    shadows.visit_span(tech, range, ids, od_m, |i, shv| {
         let along = od_m - ods[i];
         let d2 = along * along + lat_sq[i];
         if let Some((_, s)) = second {
@@ -229,9 +239,9 @@ pub fn evaluate_layer_span(
             // loss, so `ub` strictly exceeds the exact RSRP; a cell with
             // `ub <= second` can change neither best nor second (ties do
             // not displace the incumbent), and its RSRP is never output.
-            let ub = eirp[i] - pl.loss_lb_db(d2) + shv;
+            let ub = eirp[i] - pl.loss_lb_db(lb, d2) + shv;
             if ub <= s {
-                continue;
+                return;
             }
         }
         let rsrp = eirp[i] - pl.loss_db(d2.sqrt()) + shv;
@@ -247,7 +257,7 @@ pub fn evaluate_layer_span(
                 }
             }
         }
-    }
+    });
     let (cell, rsrp_dbm) = best.expect("nonempty cell list yields a best");
     if rsrp_dbm < min_rsrp_dbm(tech) {
         return None;
@@ -268,10 +278,10 @@ pub fn sinr_db(
     noise_eff_dbm: f64,
     rng: &mut SmallRng,
 ) -> f64 {
-    sinr_db_with_noise_lin(
-        cand,
-        tech,
+    sinr_db_with_interf(
+        cand.rsrp_dbm,
         10f64.powf(noise_eff_dbm / 10.0),
+        interference_lin(cand.second_rsrp_dbm, tech),
         draw_fade_db(rng),
     )
 }
@@ -281,27 +291,27 @@ pub fn draw_fade_db(rng: &mut SmallRng) -> f64 {
     rng.gen_range(-1.5..1.5)
 }
 
-/// [`sinr_db`] with the noise floor already converted to linear —
-/// `10^(noise_eff_dbm/10)` is constant per (operator, technology,
-/// direction), so the per-tick path precomputes it (see
-/// [`crate::config::link_noise_lin`]) — and the fading residual
-/// `fade_db` already drawn (see [`draw_fade_db`]).
-pub fn sinr_db_with_noise_lin(
-    cand: &LayerCandidate,
-    tech: Technology,
-    noise_lin: f64,
-    fade_db: f64,
-) -> f64 {
+/// Linear power of the dominant interferer at RSRP `second_rsrp_dbm`,
+/// discounted by `tech`'s activity factor: `10^((s − activity)/10)`, or
+/// 0 with no interferer. It depends on neither direction nor noise, so a
+/// step computes it once for its DL and UL SINR.
+pub fn interference_lin(second_rsrp_dbm: Option<f64>, tech: Technology) -> f64 {
     let activity_db = match tech {
         // Beamformed mmWave neighbors rarely point at you.
         Technology::Nr5gMmWave => 12.0,
         _ => 3.0,
     };
-    let interf_lin = cand
-        .second_rsrp_dbm
-        .map_or(0.0, |s| 10f64.powf((s - activity_db) / 10.0));
+    second_rsrp_dbm.map_or(0.0, |s| 10f64.powf((s - activity_db) / 10.0))
+}
+
+/// [`sinr_db`]'s arithmetic on precomputed powers: serving `rsrp_dbm`
+/// over the linear noise floor `noise_lin` — constant per (operator,
+/// technology, direction), see [`crate::config::link_noise_lin`] — plus
+/// the linear interference `interf_lin` (see [`interference_lin`]), with
+/// the fading residual `fade_db` already drawn (see [`draw_fade_db`]).
+pub fn sinr_db_with_interf(rsrp_dbm: f64, noise_lin: f64, interf_lin: f64, fade_db: f64) -> f64 {
     let denom_dbm = 10.0 * (noise_lin + interf_lin).log10();
-    cand.rsrp_dbm - denom_dbm + fade_db
+    rsrp_dbm - denom_dbm + fade_db
 }
 
 /// Deterministic helper to build a per-purpose RNG from a UE seed.
@@ -440,6 +450,38 @@ mod tests {
     }
 
     #[test]
+    fn shared_interference_matches_two_call_sinr() {
+        // The step computes the interference power once for both
+        // directions; each SINR must equal the per-direction call that
+        // derived it from the candidate itself, bit for bit.
+        let per_call = |rsrp: f64, second: Option<f64>, tech, noise_lin: f64, fade: f64| {
+            let activity_db = match tech {
+                Technology::Nr5gMmWave => 12.0,
+                _ => 3.0,
+            };
+            let interf_lin = second.map_or(0.0, |s: f64| 10f64.powf((s - activity_db) / 10.0));
+            let denom_dbm = 10.0 * (noise_lin + interf_lin).log10();
+            rsrp - denom_dbm + fade
+        };
+        let mut rng = sub_rng(6, 6);
+        for tech in Technology::ALL {
+            let (noise_dl, noise_ul) = (10f64.powf(-11.3), 10f64.powf(-10.7));
+            for _ in 0..500 {
+                let rsrp = rng.gen_range(-125.0..-60.0);
+                let second = rng.gen_bool(0.8).then(|| rng.gen_range(-130.0..-60.0));
+                let (fade_dl, fade_ul) = (draw_fade_db(&mut rng), draw_fade_db(&mut rng));
+                let interf = interference_lin(second, tech);
+                let dl = sinr_db_with_interf(rsrp, noise_dl, interf, fade_dl);
+                let ul = sinr_db_with_interf(rsrp, noise_ul, interf, fade_ul);
+                let want_dl = per_call(rsrp, second, tech, noise_dl, fade_dl);
+                let want_ul = per_call(rsrp, second, tech, noise_ul, fade_ul);
+                assert_eq!(dl.to_bits(), want_dl.to_bits(), "{tech:?} DL");
+                assert_eq!(ul.to_bits(), want_ul.to_bits(), "{tech:?} UL");
+            }
+        }
+    }
+
+    #[test]
     fn shadow_store_prunes_cells_left_behind() {
         let mut sh = ShadowStore::new(5);
         for i in 0..600 {
@@ -534,16 +576,10 @@ mod tests {
         // of `once`'s and the next advance would differ.
         let ids = db.layer(tech).ids();
         let ahead = od + 37.0;
-        let a: Vec<u64> = twice
-            .advance_span(tech, range.clone(), ids, ahead)
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let b: Vec<u64> = once
-            .advance_span(tech, range, ids, ahead)
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
+        let mut a = Vec::new();
+        twice.visit_span(tech, range.clone(), ids, ahead, |_, v| a.push(v.to_bits()));
+        let mut b = Vec::new();
+        once.visit_span(tech, range, ids, ahead, |_, v| b.push(v.to_bits()));
         assert_eq!(a, b);
     }
 

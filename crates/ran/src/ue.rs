@@ -33,8 +33,8 @@ use crate::load::{LoadParams, LoadProcess};
 use crate::operator::Operator;
 use crate::policy::{TrafficDemand, UpgradePolicy};
 use crate::selection::{
-    draw_fade_db, evaluate_layer_span, layer_clutter, sinr_db_with_noise_lin, sub_rng,
-    LayerCandidate, ShadowStore,
+    draw_fade_db, evaluate_layer_span, interference_lin, layer_clutter, sinr_db_with_interf,
+    sub_rng, LayerCandidate, ShadowStore,
 };
 use crate::tuning::OperatorTuning;
 use crate::Direction;
@@ -606,16 +606,12 @@ impl UeRadio {
 
         let cfg_dl = link_config_ref(self.op, tech, Direction::Downlink);
         let cfg_ul = link_config_ref(self.op, tech, Direction::Uplink);
-        let cand = LayerCandidate {
-            cell,
-            rsrp_dbm: rsrp,
-            second_rsrp_dbm: interferer,
-            second_cell: None,
-        };
         let noise_dl = link_noise_lin(self.op, tech, Direction::Downlink);
         let noise_ul = link_noise_lin(self.op, tech, Direction::Uplink);
-        let sinr_dl = sinr_db_with_noise_lin(&cand, tech, noise_dl, draws.fade_dl_db);
-        let sinr_ul = sinr_db_with_noise_lin(&cand, tech, noise_ul, draws.fade_ul_db) - 2.0;
+        // One interference power serves both directions.
+        let interf = interference_lin(interferer, tech);
+        let sinr_dl = sinr_db_with_interf(rsrp, noise_dl, interf, draws.fade_dl_db);
+        let sinr_ul = sinr_db_with_interf(rsrp, noise_ul, interf, draws.fade_ul_db) - 2.0;
 
         let bler = (bler_from_sinr(sinr_dl, drive.speed_mps) + draws.bler_jitter).clamp(0.0, 0.9);
 

@@ -53,7 +53,7 @@ fn main() {
     println!("-- AR (30 FPS camera offload, compressed frames) --");
     for (name, mk) in &scenarios {
         let mut link = mk();
-        let r = ArApp::default().run(0.0, true, link.as_mut());
+        let r = ArApp::default().run(0.0, 20.0, true, link.as_mut());
         println!(
             "  {name}: E2E {:>5.0} ms | {:>4.1} FPS offloaded | mAP {:>4.1}%",
             r.offload.e2e_median_ms, r.offload.offload_fps, r.map_accuracy
@@ -63,7 +63,7 @@ fn main() {
     println!("\n-- CAV (10 FPS LIDAR offload, compressed point clouds) --");
     for (name, mk) in &scenarios {
         let mut link = mk();
-        let r = CavApp::default().run(0.0, true, link.as_mut());
+        let r = CavApp::default().run(0.0, 20.0, true, link.as_mut());
         println!(
             "  {name}: E2E {:>5.0} ms | deadline(100ms) hit {:>3.0}%",
             r.offload.e2e_median_ms,
