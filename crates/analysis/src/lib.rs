@@ -6,13 +6,14 @@
 //!
 //! Each `figures::figNN_*` / `figures::tableN_*` module exposes a
 //! `compute(&db, ...)` returning a typed result plus a `render()` that
-//! prints the same rows/series the paper reports. The `repro` binary in
-//! `wheels-bench` drives them all and writes EXPERIMENTS.md.
+//! prints the same rows/series the paper reports. [`artifacts::ARTIFACTS`]
+//! lists every artifact once with its renderer; the `repro` binary in
+//! `wheels-bench` and [`report`] both render through it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod binning;
+pub mod artifacts;
 pub mod ecdf;
 pub mod figures;
 pub mod index;

@@ -80,11 +80,6 @@ pub fn map_from_passive(log: &PassiveLogger, total_m: f64, width: usize) -> Stri
         .collect()
 }
 
-/// Render the Fig. 1 comparison for the paper's three-operator panel.
-pub fn render_fig1_maps(db: &ConsolidatedDb, total_m: f64, width: usize) -> String {
-    render_fig1_maps_for(db, total_m, width, &Operator::ALL)
-}
-
 /// Render the Fig. 1 comparison for an explicit operator panel: for each
 /// operator, the passive map above the active (test-time) map.
 pub fn render_fig1_maps_for(
@@ -135,7 +130,7 @@ mod tests {
     #[test]
     fn maps_have_requested_width() {
         let db = network_db();
-        let m = render_fig1_maps(db, TOTAL, 72);
+        let m = render_fig1_maps_for(db, TOTAL, 72, &Operator::ALL);
         for line in m.lines().filter(|l| l.contains('|')) {
             let inner = line.split('|').nth(1).expect("map body");
             assert_eq!(inner.chars().count(), 72, "{line}");

@@ -1,168 +1,75 @@
-//! One-call full report: every table and figure rendered into a single
-//! markdown document (what `repro all` prints, with section headers).
-//!
-//! Sections are generated from a shared [`AnalysisIndex`] and can be
-//! fanned out across worker threads ([`generate_jobs`]). The fan-out uses
-//! the same atomic-counter work queue as `wheels-campaign`'s executor:
-//! each worker claims section slots with a `fetch_add`, writes the
-//! rendered body into that slot, and the assembler concatenates slots in
-//! definition order — so the report is byte-identical at any job count.
+//! One-call full report: every artifact of [`ARTIFACTS`] that has a
+//! section title, rendered into one markdown document. The sections fan
+//! out through `ordered_stream`, so the bytes never depend on the job
+//! count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::convert::Infallible;
 
 use wheels_geo::route::Route;
-use wheels_xcal::database::ConsolidatedDb;
+use wheels_xcal::export::ordered_stream;
 
-use crate::figures as figs;
+use crate::artifacts::{ArtifactCtx, ARTIFACTS};
 use crate::index::AnalysisIndex;
-use crate::map::render_fig1_maps_for;
-
-/// Section of the full report.
-#[derive(Debug, Clone)]
-pub struct Section {
-    /// Paper artifact id ("fig3", "table2", ...).
-    pub id: &'static str,
-    /// Section heading.
-    pub title: &'static str,
-    /// Rendered body.
-    pub body: String,
-}
-
-/// (id, title) of every report section, in presentation order.
-pub const SECTION_DEFS: [(&str, &str); 19] = [
-    ("fig1", "Fig. 1 — passive vs active coverage views"),
-    ("fig2", "Fig. 2 — technology coverage"),
-    ("fig3", "Fig. 3 — static vs driving performance"),
-    ("fig4", "Fig. 4 — per-technology performance"),
-    ("fig5", "Fig. 5 — throughput by timezone"),
-    ("fig6", "Fig. 6 — operator diversity"),
-    ("fig7", "Fig. 7 — throughput vs speed"),
-    ("fig8", "Fig. 8 — RTT vs speed"),
-    ("table2", "Table 2 — KPI correlations"),
-    ("fig9", "Fig. 9 — per-test statistics"),
-    ("fig10", "Fig. 10 — performance vs hs5G time"),
-    ("table3", "Table 3 — Ookla comparison"),
-    ("fig11", "Fig. 11 — handover statistics"),
-    ("fig12", "Fig. 12 — handover impact"),
-    ("fig13", "Fig. 13/18/19 — AR"),
-    ("fig14", "Fig. 14/20 — CAV"),
-    ("fig15", "Fig. 15/21 — 360° video"),
-    ("fig16", "Fig. 16/22 — cloud gaming"),
-    ("ext-mptcp", "Extension — MPTCP over three operators"),
-];
-
-/// Render one section body from the shared index.
-fn body(ix: &AnalysisIndex<'_>, route: &Route, id: &str) -> String {
-    match id {
-        "fig1" => format!(
-            "{}\n{}",
-            figs::fig01_coverage_views::compute(ix).render(),
-            render_fig1_maps_for(ix.db(), route.total_m(), 96, ix.ops())
-        ),
-        "fig2" => figs::fig02_coverage::compute(ix).render(),
-        "fig3" => figs::fig03_static_driving::compute(ix).render(),
-        "fig4" => figs::fig04_tech_perf::compute(ix).render(),
-        "fig5" => figs::fig05_timezones::compute(ix).render(),
-        "fig6" => figs::fig06_operator_diversity::compute(ix).render(),
-        "fig7" => figs::fig07_speed_tput::compute(ix).render(),
-        "fig8" => figs::fig08_speed_rtt::compute(ix).render(),
-        "table2" => figs::table2_correlations::compute(ix).render(),
-        "fig9" => figs::fig09_test_stats::compute(ix).render(),
-        "fig10" => figs::fig10_hs5g::compute(ix).render(),
-        "table3" => figs::table3_ookla::compute(ix).render(),
-        "fig11" => figs::fig11_handovers::compute(ix).render(),
-        "fig12" => figs::fig12_ho_impact::compute(ix).render(),
-        "fig13" => figs::fig13_ar::compute(ix).render(),
-        "fig14" => figs::fig14_cav::compute(ix).render(),
-        "fig15" => figs::fig15_video::compute(ix).render(),
-        "fig16" => figs::fig16_gaming::compute(ix).render(),
-        "ext-mptcp" => figs::ext_multipath::compute(ix).render(),
-        other => unreachable!("unknown section id {other}"),
-    }
-}
-
-/// Render every paper artifact (plus the coverage maps and the MPTCP
-/// extension) from a shared analysis index, fanned out over `jobs`
-/// worker threads. Output order (and bytes) is independent of `jobs`.
-pub fn sections_jobs(ix: &AnalysisIndex<'_>, route: &Route, jobs: usize) -> Vec<Section> {
-    let jobs = jobs.max(1).min(SECTION_DEFS.len());
-    let slots: Vec<Mutex<Option<String>>> =
-        SECTION_DEFS.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= SECTION_DEFS.len() {
-                    break;
-                }
-                let rendered = body(ix, route, SECTION_DEFS[i].0);
-                *slots[i].lock().expect("section slot poisoned") = Some(rendered);
-            });
-        }
-    });
-    SECTION_DEFS
-        .iter()
-        .zip(slots)
-        .map(|(&(id, title), slot)| Section {
-            id,
-            title,
-            body: slot
-                .into_inner()
-                .expect("section slot poisoned")
-                .expect("every slot filled"),
-        })
-        .collect()
-}
-
-/// Render every section sequentially from a shared analysis index.
-pub fn sections_from(ix: &AnalysisIndex<'_>, route: &Route) -> Vec<Section> {
-    sections_jobs(ix, route, 1)
-}
-
-/// Render every section from a raw database (builds a temporary index).
-pub fn sections(db: &ConsolidatedDb, route: &Route) -> Vec<Section> {
-    sections_from(&AnalysisIndex::build(db), route)
-}
-
-/// Assemble rendered sections into the final markdown document.
-fn assemble(secs: Vec<Section>) -> String {
-    let mut out = String::from("# Campaign report\n\n");
-    for s in secs {
-        out.push_str(&format!("## {}\n\n```\n{}\n```\n\n", s.title, s.body.trim_end()));
-    }
-    out
-}
 
 /// The full report as one markdown string, generated with `jobs` worker
 /// threads over a shared index. Byte-identical for every job count.
 pub fn generate_jobs(ix: &AnalysisIndex<'_>, route: &Route, jobs: usize) -> String {
-    assemble(sections_jobs(ix, route, jobs))
-}
-
-/// The full report as one markdown string (single-threaded).
-pub fn generate(db: &ConsolidatedDb, route: &Route) -> String {
-    assemble(sections(db, route))
+    let ctx = ArtifactCtx {
+        ix,
+        route,
+        // No section reads the fleet or the offload run length; a NaN
+        // would show in any text that printed it.
+        fleet: None,
+        app_offload_s: f64::NAN,
+        jobs,
+    };
+    let sections: Vec<_> = ARTIFACTS
+        .iter()
+        .filter_map(|a| Some((a.section?, a.render)))
+        .collect();
+    let mut out = String::from("# Campaign report\n\n");
+    let Ok(()) = ordered_stream(
+        sections.len(),
+        jobs,
+        |i| {
+            let (title, render) = sections[i];
+            format!("## {title}\n\n```\n{}\n```\n\n", render(&ctx).trim_end())
+        },
+        |section| {
+            out.push_str(&section);
+            Ok::<(), Infallible>(())
+        },
+    );
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::test_support::{network_db, network_ix};
+    use crate::figures::test_support::network_ix;
 
     #[test]
     fn report_contains_every_artifact() {
-        let db = network_db();
+        let ix = network_ix();
         let route = Route::cross_country();
-        let secs = sections(db, &route);
-        assert_eq!(secs.len(), 19);
-        for (s, (id, title)) in secs.iter().zip(SECTION_DEFS) {
-            assert!(!s.body.trim().is_empty(), "{} is empty", s.id);
-            assert_eq!(s.id, id);
-            assert_eq!(s.title, title);
+        let ctx = ArtifactCtx {
+            ix,
+            route: &route,
+            fleet: None,
+            app_offload_s: f64::NAN,
+            jobs: 1,
+        };
+        let report = generate_jobs(ix, &route, 1);
+        let mut sections = report.split("\n## ").skip(1);
+        for a in ARTIFACTS.iter().filter(|a| a.section.is_some()) {
+            let section = sections.next().expect("one section per titled entry");
+            let (title, body) = section.split_once("\n\n```\n").expect("fenced body");
+            assert_eq!(Some(title), a.section);
+            let body = body.trim_end().strip_suffix("\n```").expect("closed fence");
+            assert!(!body.trim().is_empty(), "{} is empty", a.id);
+            assert_eq!(body, (a.render)(&ctx).trim_end(), "{}", a.id);
         }
-        let report = generate(db, &route);
+        assert!(sections.next().is_none(), "a section with no entry");
         for title in ["Fig. 2", "Table 2", "Fig. 12", "MPTCP"] {
             assert!(report.contains(title), "missing {title}");
         }

@@ -40,6 +40,25 @@ pub fn map_for_latency_ms(e2e_ms: f64, fps: f64, compressed: bool) -> f64 {
     map_for_latency(e2e_ms / (1_000.0 / fps), compressed)
 }
 
+/// Render Table 5 as the paper prints it: one row per latency bin, both
+/// columns.
+pub fn render_table5() -> String {
+    let mut s = String::from(
+        "Table 5 — mAP vs E2E latency (frame times)\nbin   mAP w/o comp   mAP w/ comp\n",
+    );
+    let rows = MAP_NO_COMPRESSION.iter().zip(MAP_WITH_COMPRESSION.iter());
+    for (i, (without, with)) in rows.enumerate() {
+        s.push_str(&format!(
+            "{:>2}-{:<2}   {:>8.2}      {:>8.2}\n",
+            i,
+            i + 1,
+            without,
+            with
+        ));
+    }
+    s
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -64,16 +64,15 @@
 //! JSON, checkpoints) goes through an atomic temp-file + fsync + rename
 //! write — no crash can leave a torn output under a final name.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::collections::BTreeSet;
+use std::convert::Infallible;
 // lint:allow(D3): --timings instrumentation; wall-clock phase
 // durations are reported to stderr/JSON and never reach sim state
 use std::time::{Duration, Instant};
 
-use wheels_analysis::figures as figs;
+use wheels_analysis::artifacts::{Artifact, ArtifactCtx, Kind, ARTIFACTS};
 use wheels_analysis::AnalysisIndex;
-use wheels_bench::{emit, ReproScale, EXPERIMENTS, EXTENSIONS};
-use wheels_campaign::stats::Table1;
+use wheels_bench::{emit, ReproScale};
 use wheels_campaign::{
     atomic_write, atomic_write_with, Campaign, CampaignConfig, CampaignError, CheckpointOptions,
     FaultProfile, ProcessKill, ScenarioSpec,
@@ -123,50 +122,14 @@ fn load_scenario(arg: &str) -> ScenarioSpec {
 /// `repro --list`: every artifact id and registered scenario.
 fn list_text() -> String {
     let mut text = String::from("artifacts:\n");
-    for id in EXPERIMENTS {
-        text += &format!("  {id:<10} {}\n", artifact_blurb(id));
-    }
-    text += &format!(
-        "  {:<10} full markdown report (all artifacts + maps)\n",
-        "report"
-    );
-    for id in EXTENSIONS {
-        text += &format!("  {id:<10} {}\n", artifact_blurb(id));
+    for a in ARTIFACTS {
+        text += &format!("  {:<10} {}\n", a.id, a.blurb);
     }
     text += "scenarios (use with --scenario NAME):\n";
     for s in ScenarioSpec::registry() {
         text += &format!("  {:<14} {}\n", s.name, s.description);
     }
     text
-}
-
-fn artifact_blurb(id: &str) -> &'static str {
-    match id {
-        "table1" => "driving dataset statistics",
-        "fig1" => "passive vs active coverage views + route maps",
-        "fig2" => "technology coverage shares",
-        "fig3" => "static vs driving performance CDFs",
-        "fig4" => "per-technology performance",
-        "fig5" => "throughput by timezone",
-        "fig6" => "operator-pair throughput diversity",
-        "fig7" => "throughput vs vehicle speed",
-        "fig8" => "RTT vs vehicle speed",
-        "table2" => "KPI-throughput Pearson correlations",
-        "fig9" => "per-test mean/stddev statistics",
-        "fig10" => "performance vs time on high-speed 5G",
-        "table3" => "Ookla Q3 2022 comparison",
-        "fig11" => "handover rates and durations",
-        "fig12" => "throughput impact of handovers",
-        "table4" => "AR/CAV offload configuration",
-        "table5" => "mAP vs E2E latency table",
-        "fig13" => "AR offloading results",
-        "fig14" => "CAV offloading results",
-        "fig15" => "360° video streaming results",
-        "fig16" => "cloud gaming results",
-        "ext-mptcp" => "MPTCP multi-operator what-if (extension)",
-        "ext-fleet" => "probe panel vs subscriber-fleet ground truth (extension)",
-        _ => "",
-    }
 }
 
 const USAGE: &str = "usage: repro [--scale full|quarter|smoke] [--seed N] [--jobs N] \
@@ -179,11 +142,8 @@ const USAGE: &str = "usage: repro [--scale full|quarter|smoke] [--seed N] [--job
 
 /// The usage text, with every artifact id.
 fn usage() -> String {
-    format!(
-        "{USAGE}\nids: {} report {}",
-        EXPERIMENTS.join(" "),
-        EXTENSIONS.join(" ")
-    )
+    let ids: Vec<&str> = ARTIFACTS.iter().map(|a| a.id).collect();
+    format!("{USAGE}\nids: {}", ids.join(" "))
 }
 
 /// What the command line asks for.
@@ -204,7 +164,8 @@ struct Args {
     scenario: Option<String>,
     scenario_dump: bool,
     list: bool,
-    wanted: Vec<String>,
+    /// Each requested artifact once, in the order first named.
+    wanted: Vec<&'static Artifact>,
 }
 
 /// Parse the whole command line before anything runs; `Ok(None)` is
@@ -285,14 +246,18 @@ fn parse_args(args: &[String]) -> Result<Option<Args>, String> {
                 );
             }
             "--export" => a.export = Some(value()?.to_string()),
-            "all" => a.wanted.extend(EXPERIMENTS.iter().map(|s| s.to_string())),
-            id if id == "report" || EXPERIMENTS.contains(&id) || EXTENSIONS.contains(&id) => {
-                a.wanted.push(id.to_string());
-            }
+            "all" => a
+                .wanted
+                .extend(ARTIFACTS.iter().filter(|x| x.kind == Kind::Paper)),
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
-            id => return Err(format!("unknown experiment id {id:?}")),
+            id => match ARTIFACTS.iter().find(|x| x.id == id) {
+                Some(x) => a.wanted.push(x),
+                None => return Err(format!("unknown experiment id {id:?}")),
+            },
         }
     }
+    let mut named = BTreeSet::new();
+    a.wanted.retain(|x| named.insert(x.id));
     if (a.resume || a.kill_after.is_some()) && a.checkpoint_dir.is_none() {
         return Err("--resume and --kill-after need --checkpoint-dir DIR".to_string());
     }
@@ -317,7 +282,7 @@ fn main() {
         scenario,
         scenario_dump,
         list,
-        mut wanted,
+        wanted,
     } = match parse_args(&argv) {
         Ok(Some(args)) => args,
         Ok(None) => {
@@ -347,7 +312,6 @@ fn main() {
         eprintln!("no experiment ids\n{}", usage());
         std::process::exit(2);
     }
-    wanted.dedup();
 
     let cfg = CampaignConfig {
         fault_profile: flags.fault_profile,
@@ -456,37 +420,27 @@ fn main() {
     }
     let publish_elapsed = export_elapsed.saturating_sub(render_elapsed);
 
-    // Render the requested artifacts on `fig_jobs` workers with the same
-    // atomic-counter queue as the campaign executor, then print in request
-    // order — stdout bytes are identical at any --fig-jobs value.
+    // Render the requested artifacts on `fig_jobs` workers and print
+    // each once every artifact before it is out: stdout bytes are
+    // identical at any --fig-jobs value.
     let t3 = Instant::now(); // lint:allow(D3): phase timing, reported only
-    let slots: Vec<Mutex<Option<String>>> = wanted.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = fig_jobs.min(wanted.len()).max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let (Some(id), Some(slot)) = (wanted.get(i), slots.get(i)) else {
-                    break;
-                };
-                let text = render_one(id, &campaign, &ix, fleet.as_ref(), fig_jobs);
-                // lint:allow(D7): a poisoned slot means a sibling render worker already panicked; propagate
-                *slot.lock().expect("render slot poisoned") = Some(text);
-            });
-        }
-    });
+    let ctx = ArtifactCtx {
+        ix: &ix,
+        route: campaign.plan().route(),
+        fleet: fleet.as_ref(),
+        app_offload_s: campaign.schedule().app_offload_s,
+        jobs: fig_jobs,
+    };
+    let Ok(()) = wheels_xcal::export::ordered_stream(
+        wanted.len(),
+        fig_jobs,
+        |i| wanted.get(i).map_or_else(String::new, |a| (a.render)(&ctx)),
+        |text| {
+            emit(&format!("{text}\n"));
+            Ok::<(), Infallible>(())
+        },
+    );
     let figures_elapsed = t3.elapsed();
-
-    for slot in slots {
-        let text = slot
-            .into_inner()
-            // lint:allow(D7): a poisoned slot means a render worker panicked; propagate
-            .expect("render slot poisoned")
-            // lint:allow(D7): the worker queue covers every index exactly once before the scope joins
-            .expect("every artifact rendered");
-        emit(&format!("{text}\n"));
-    }
 
     if timings {
         eprintln!(
@@ -527,76 +481,4 @@ fn main() {
         write_or_die(&path, json.as_bytes());
         eprintln!("timings written to {path}");
     }
-}
-
-fn render_one(
-    id: &str,
-    campaign: &Campaign,
-    ix: &AnalysisIndex<'_>,
-    fleet: Option<&wheels_campaign::FleetSummary>,
-    fig_jobs: usize,
-) -> String {
-    let db = ix.db();
-    match id {
-        "table1" => format!(
-            "Table 1 — driving dataset statistics\n{}",
-            Table1::compute_for(db, campaign.plan().route(), campaign.ops()).render()
-        ),
-        "fig1" => format!(
-            "{}\n{}",
-            figs::fig01_coverage_views::compute(ix).render(),
-            wheels_analysis::map::render_fig1_maps_for(
-                db,
-                campaign.plan().route().total_m(),
-                96,
-                campaign.ops()
-            )
-        ),
-        "fig2" => figs::fig02_coverage::compute(ix).render(),
-        "fig3" => figs::fig03_static_driving::compute(ix).render(),
-        "fig4" => figs::fig04_tech_perf::compute(ix).render(),
-        "fig5" => figs::fig05_timezones::compute(ix).render(),
-        "fig6" => figs::fig06_operator_diversity::compute(ix).render(),
-        "fig7" => figs::fig07_speed_tput::compute(ix).render(),
-        "fig8" => figs::fig08_speed_rtt::compute(ix).render(),
-        "table2" => figs::table2_correlations::compute(ix).render(),
-        "fig9" => figs::fig09_test_stats::compute(ix).render(),
-        "fig10" => figs::fig10_hs5g::compute(ix).render(),
-        "table3" => figs::table3_ookla::compute(ix).render(),
-        "fig11" => figs::fig11_handovers::compute(ix).render(),
-        "fig12" => figs::fig12_ho_impact::compute(ix).render(),
-        "table4" => format!(
-            "Table 4 — AR/CAV configuration\n{}",
-            wheels_apps::config::render_table4(campaign.schedule().app_offload_s)
-        ),
-        "table5" => render_table5(),
-        "fig13" => figs::fig13_ar::compute(ix).render(),
-        "fig14" => figs::fig14_cav::compute(ix).render(),
-        "fig15" => figs::fig15_video::compute(ix).render(),
-        "fig16" => figs::fig16_gaming::compute(ix).render(),
-        "ext-mptcp" => figs::ext_multipath::compute(ix).render(),
-        "ext-fleet" => figs::ext_fleet::compute(ix, fleet).render(),
-        "report" => {
-            wheels_analysis::report::generate_jobs(ix, campaign.plan().route(), fig_jobs)
-        }
-        other => format!("unknown experiment id: {other}"),
-    }
-}
-
-fn render_table5() -> String {
-    use wheels_apps::map_table::{MAP_NO_COMPRESSION, MAP_WITH_COMPRESSION};
-    let mut s = String::from(
-        "Table 5 — mAP vs E2E latency (frame times)\nbin   mAP w/o comp   mAP w/ comp\n",
-    );
-    let rows = MAP_NO_COMPRESSION.iter().zip(MAP_WITH_COMPRESSION.iter());
-    for (i, (without, with)) in rows.enumerate() {
-        s.push_str(&format!(
-            "{:>2}-{:<2}   {:>8.2}      {:>8.2}\n",
-            i,
-            i + 1,
-            without,
-            with
-        ));
-    }
-    s
 }

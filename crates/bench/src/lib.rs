@@ -3,9 +3,8 @@
 //! The reproduction harness behind the `repro` binary:
 //! `cargo run --release -p wheels-bench --bin repro -- <id|all>` runs the
 //! campaign (full scale by default) and prints every table and figure of
-//! the paper. `repro all` emits the complete report used to fill
-//! EXPERIMENTS.md. Timings come from the `benchmark/` package, which
-//! drives this binary.
+//! the paper; the artifact ids are `wheels_analysis::artifacts::ARTIFACTS`.
+//! Timings come from the `benchmark/` package, which drives this binary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,26 +71,5 @@ impl ReproScale {
             }
         }
         cfg
-    }
-}
-
-/// The experiment ids the repro binary understands, in paper order.
-pub const EXPERIMENTS: &[&str] = &[
-    "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table2", "fig9",
-    "fig10", "table3", "fig11", "fig12", "table4", "table5", "fig13", "fig14", "fig15", "fig16",
-];
-
-/// Extension experiments beyond the paper's artifacts (run with
-/// `repro ext-mptcp`, not included in `all`).
-pub const EXTENSIONS: &[&str] = &["ext-mptcp", "ext-fleet"];
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn experiment_list_covers_every_artifact() {
-        // 16 figures + 5 tables = 21 artifacts.
-        assert_eq!(EXPERIMENTS.len(), 21);
     }
 }

@@ -81,6 +81,21 @@ fn help_prints_the_usage_and_runs_nothing() {
     assert!(stdout.contains("ext-fleet"), "{stdout}");
 }
 
+#[test]
+fn a_repeated_id_prints_once_where_first_named() {
+    for (ids, title) in [
+        (&["all", "all"][..], "Table 1 — driving dataset statistics"),
+        (&["fig2", "table5", "fig2"], "Fig. 2a — technology coverage"),
+        (&["fig2", "fig2"], "Fig. 2a — technology coverage"),
+    ] {
+        let out = repro(&[&["--scale", "smoke", "--seed", "3"], ids].concat());
+        assert_eq!(out.status.code(), Some(0), "{ids:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with(title), "{ids:?}:\n{stdout}");
+        assert_eq!(stdout.matches(title).count(), 1, "{ids:?}:\n{stdout}");
+    }
+}
+
 /// Run `bin args` with its stdout on a pipe whose read end is already
 /// closed, as `repro --list | head -0` leaves it.
 fn into_closed_pipe(bin: &str, args: &[&str]) -> Output {
