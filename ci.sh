@@ -28,6 +28,12 @@ cargo run -q --offline -p wheels-lint -- --json-out LINT_report.json \
 lint_t1=$(date +%s%N)
 echo "lint stage wall time: $(( (lint_t1 - lint_t0) / 1000000 )) ms"
 
+echo "== rustfmt: crates held to the formatter =="
+# A ratchet, one crate set at a time: the crates listed here are
+# rustfmt-clean and must stay so. Add a crate once `cargo fmt -p` has been
+# run over it in a change of its own.
+cargo fmt --check -p wheels-radio -p wheels-ran
+
 echo "== warnings: every target of both workspaces, -D warnings =="
 # Tests, examples and benches included, so an unused import or a dead
 # helper fails here instead of piling up. A type check only (no codegen),

@@ -11,9 +11,9 @@ pub const MAX_MCS: u8 = 27;
 /// Spectral efficiency per MCS index, bits/s/Hz per layer
 /// (TS 38.214 Table 5.1.3.1-2, Qm·R/1024).
 const EFFICIENCY: [f64; 28] = [
-    0.2344, 0.3770, 0.6016, 0.8770, 1.1758, 1.4766, 1.6953, 1.9141, 2.1602, 2.4063, 2.5703,
-    2.7305, 3.0293, 3.3223, 3.6094, 3.9023, 4.2129, 4.5234, 4.8164, 5.1152, 5.3320, 5.5547,
-    5.8906, 6.2266, 6.5703, 6.9141, 7.1602, 7.4063,
+    0.2344, 0.3770, 0.6016, 0.8770, 1.1758, 1.4766, 1.6953, 1.9141, 2.1602, 2.4063, 2.5703, 2.7305,
+    3.0293, 3.3223, 3.6094, 3.9023, 4.2129, 4.5234, 4.8164, 5.1152, 5.3320, 5.5547, 5.8906, 6.2266,
+    6.5703, 6.9141, 7.1602, 7.4063,
 ];
 
 /// Implementation gap from Shannon capacity, dB. Real link adaptation

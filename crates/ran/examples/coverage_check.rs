@@ -19,7 +19,11 @@ use wheels_ran::{Direction, Operator};
 
 fn main() {
     let plan = DrivePlan::cross_country(11);
-    let dbs = build_ops(plan.route(), 11, &Operator::ALL.map(|op| (op, OperatorTuning::NEUTRAL)));
+    let dbs = build_ops(
+        plan.route(),
+        11,
+        &Operator::ALL.map(|op| (op, OperatorTuning::NEUTRAL)),
+    );
     for (i, op) in Operator::ALL.iter().enumerate() {
         let db = Arc::new(dbs[i].clone());
         let mut ue = UeRadio::new(*op, db, UeParams::default(), 42 + i as u64);
@@ -29,10 +33,18 @@ fn main() {
         for day in plan.days() {
             let mut t = day.start_time_s as f64;
             while t < day.end_time_s as f64 {
-                let s = ue.step(t, &plan.state_at(t), TrafficDemand::Backlog(Direction::Downlink));
+                let s = ue.step(
+                    t,
+                    &plan.state_at(t),
+                    TrafficDemand::Backlog(Direction::Downlink),
+                );
                 let idx = Technology::ALL.iter().position(|&x| x == s.tech).unwrap();
                 let meters = (s.speed_mps * 2.0) as usize; // distance weight
-                if s.outage { counts[5] += meters; } else { counts[idx] += meters; }
+                if s.outage {
+                    counts[5] += meters;
+                } else {
+                    counts[idx] += meters;
+                }
                 dl_caps.push(s.cap_dl_mbps);
                 ul_caps.push(s.cap_ul_mbps);
                 t += 2.0;
@@ -41,16 +53,32 @@ fn main() {
         let n: usize = counts.iter().sum();
         print!("{:9}", op.label());
         for (j, tech) in Technology::ALL.iter().enumerate() {
-            print!(" {}={:5.1}%", tech.label(), 100.0 * counts[j] as f64 / n as f64);
+            print!(
+                " {}={:5.1}%",
+                tech.label(),
+                100.0 * counts[j] as f64 / n as f64
+            );
         }
-        println!(" outage={:4.1}%", 100.0*counts[5] as f64 / n as f64);
+        println!(" outage={:4.1}%", 100.0 * counts[5] as f64 / n as f64);
         dl_caps.sort_by(f64::total_cmp);
         ul_caps.sort_by(f64::total_cmp);
         let q = |v: &Vec<f64>, p: f64| v[(v.len() as f64 * p) as usize];
-        println!("   DL cap: p25={:6.1} med={:6.1} p75={:6.1} p95={:7.1} max={:7.1} | <5Mbps {:4.1}%",
-            q(&dl_caps,0.25), q(&dl_caps,0.5), q(&dl_caps,0.75), q(&dl_caps,0.95), dl_caps.last().unwrap(),
-            100.0*dl_caps.iter().filter(|&&c| c<5.0).count() as f64 / dl_caps.len() as f64);
-        println!("   UL cap: p25={:6.1} med={:6.1} p75={:6.1} p95={:7.1} max={:7.1}",
-            q(&ul_caps,0.25), q(&ul_caps,0.5), q(&ul_caps,0.75), q(&ul_caps,0.95), ul_caps.last().unwrap());
+        println!(
+            "   DL cap: p25={:6.1} med={:6.1} p75={:6.1} p95={:7.1} max={:7.1} | <5Mbps {:4.1}%",
+            q(&dl_caps, 0.25),
+            q(&dl_caps, 0.5),
+            q(&dl_caps, 0.75),
+            q(&dl_caps, 0.95),
+            dl_caps.last().unwrap(),
+            100.0 * dl_caps.iter().filter(|&&c| c < 5.0).count() as f64 / dl_caps.len() as f64
+        );
+        println!(
+            "   UL cap: p25={:6.1} med={:6.1} p75={:6.1} p95={:7.1} max={:7.1}",
+            q(&ul_caps, 0.25),
+            q(&ul_caps, 0.5),
+            q(&ul_caps, 0.75),
+            q(&ul_caps, 0.95),
+            ul_caps.last().unwrap()
+        );
     }
 }

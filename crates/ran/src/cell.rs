@@ -293,7 +293,10 @@ mod tests {
         let wide = db.cells_near(Technology::Lte, 5_000.0, 5_000.0);
         assert_eq!(wide.len(), 3);
         // Different layer is not mixed in.
-        assert_eq!(db.cells_near(Technology::Nr5gMid, 5_000.0, 2_000.0).len(), 1);
+        assert_eq!(
+            db.cells_near(Technology::Nr5gMid, 5_000.0, 2_000.0).len(),
+            1
+        );
     }
 
     #[test]

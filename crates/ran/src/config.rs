@@ -166,7 +166,11 @@ mod tests {
 
     #[test]
     fn verizon_mmwave_dl_peak_near_3_5_gbps() {
-        let p = peak_mbps(Operator::Verizon, Technology::Nr5gMmWave, Direction::Downlink);
+        let p = peak_mbps(
+            Operator::Verizon,
+            Technology::Nr5gMmWave,
+            Direction::Downlink,
+        );
         assert!((3_000.0..4_200.0).contains(&p), "{p}");
     }
 

@@ -385,11 +385,7 @@ fn build_cells_on(
 /// are keyed on the operator *slot* (not the list position), so a subset
 /// scenario sees exactly the deployment the full panel would. Cell-id
 /// ranges are disjoint across operators.
-pub fn build_ops(
-    route: &Route,
-    seed: u64,
-    ops: &[(Operator, OperatorTuning)],
-) -> Vec<CellDb> {
+pub fn build_ops(route: &Route, seed: u64, ops: &[(Operator, OperatorTuning)]) -> Vec<CellDb> {
     let tiles = tile_plan(route);
     ops.iter()
         .map(|(op, tuning)| {

@@ -29,8 +29,8 @@ use crate::Direction;
 /// local hour), shaped like the classic cellular busy-hour curve: a
 /// night trough, a morning ramp, and an evening peak.
 pub const DEFAULT_DIURNAL: [f64; 24] = [
-    0.25, 0.18, 0.14, 0.12, 0.12, 0.15, 0.25, 0.45, 0.65, 0.75, 0.80, 0.85, 0.90, 0.88, 0.85,
-    0.82, 0.85, 0.95, 1.00, 0.95, 0.85, 0.70, 0.50, 0.35,
+    0.25, 0.18, 0.14, 0.12, 0.12, 0.15, 0.25, 0.45, 0.65, 0.75, 0.80, 0.85, 0.90, 0.88, 0.85, 0.82,
+    0.85, 0.95, 1.00, 0.95, 0.85, 0.70, 0.50, 0.35,
 ];
 
 /// Busy-hour demand of an active video-dominated subscriber, Mbps.
@@ -169,9 +169,12 @@ impl FleetLoad {
         let mut tech_util_sum = [0.0f64; 5];
         let mut tech_cells = [0u64; 5];
         for (i, &(id, tech, _)) in entries.iter().enumerate() {
-            let base_util =
-                subs[i] as f64 * params.demand_per_sub_mbps / ref_cap[tech as usize];
-            slots[(id - min_id) as usize] = Some(CellSlot { tech, subs: subs[i], base_util });
+            let base_util = subs[i] as f64 * params.demand_per_sub_mbps / ref_cap[tech as usize];
+            slots[(id - min_id) as usize] = Some(CellSlot {
+                tech,
+                subs: subs[i],
+                base_util,
+            });
             tech_util_sum[tech as usize] += base_util;
             tech_cells[tech as usize] += 1;
         }
@@ -182,7 +185,14 @@ impl FleetLoad {
             }
         }
 
-        FleetLoad { op, population: params.population, min_id, slots, diurnal: params.diurnal, tech_base_util }
+        FleetLoad {
+            op,
+            population: params.population,
+            min_id,
+            slots,
+            diurnal: params.diurnal,
+            tech_base_util,
+        }
     }
 
     /// The operator this fleet is attached to.
@@ -258,8 +268,7 @@ impl FleetLoad {
                     tech: s.tech,
                     hour_of_day: hod as u8,
                     subs: s.subs,
-                    active_micro: (s.subs as f64 * d * span_hours * MICRO as f64).round()
-                        as u64,
+                    active_micro: (s.subs as f64 * d * span_hours * MICRO as f64).round() as u64,
                     util: s.base_util * d,
                     span_micro: (span_hours * MICRO as f64).round() as u64,
                 });
@@ -293,7 +302,10 @@ mod tests {
     }
 
     fn params(population: u64) -> FleetParams {
-        FleetParams { population, ..FleetParams::default() }
+        FleetParams {
+            population,
+            ..FleetParams::default()
+        }
     }
 
     #[test]

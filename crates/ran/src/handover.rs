@@ -159,12 +159,18 @@ mod tests {
     #[test]
     fn classify_matrix() {
         use Technology::*;
-        assert_eq!(HandoverKind::classify(Lte, LteA), HandoverKind::Horizontal4g);
+        assert_eq!(
+            HandoverKind::classify(Lte, LteA),
+            HandoverKind::Horizontal4g
+        );
         assert_eq!(
             HandoverKind::classify(Nr5gMid, Nr5gLow),
             HandoverKind::Horizontal5g
         );
-        assert_eq!(HandoverKind::classify(LteA, Nr5gMid), HandoverKind::Up4gTo5g);
+        assert_eq!(
+            HandoverKind::classify(LteA, Nr5gMid),
+            HandoverKind::Up4gTo5g
+        );
         assert_eq!(
             HandoverKind::classify(Nr5gMmWave, Lte),
             HandoverKind::Down5gTo4g
@@ -175,14 +181,20 @@ mod tests {
     fn interruption_medians_match_fig11b() {
         let mut rng = sub_rng(1, 1);
         for op in Operator::ALL {
-            let mut v: Vec<f64> = (0..20_000).map(|_| draw_interruption_ms(op, &mut rng)).collect();
+            let mut v: Vec<f64> = (0..20_000)
+                .map(|_| draw_interruption_ms(op, &mut rng))
+                .collect();
             v.sort_by(f64::total_cmp);
             let med = v[v.len() / 2];
             let p75 = v[(v.len() * 3) / 4];
             let target = median_interruption_ms(op);
             assert!((med - target).abs() < target * 0.08, "{op}: median {med}");
             // 75th ≈ median × 1.38 (paper: 53→73, 76→107, 58→74).
-            assert!((1.25..1.55).contains(&(p75 / med)), "{op}: p75/med {}", p75 / med);
+            assert!(
+                (1.25..1.55).contains(&(p75 / med)),
+                "{op}: p75/med {}",
+                p75 / med
+            );
         }
     }
 

@@ -42,9 +42,9 @@ pub use cell::{CellDb, CellId, CellSite};
 pub use config::LinkConfig;
 pub use fleet::{FleetLoad, FleetParams};
 pub use handover::{HandoverEvent, HandoverKind};
+pub use load::{LoadParams, LoadScale};
 pub use operator::Operator;
 pub use policy::{TrafficDemand, UpgradePolicy};
-pub use load::{LoadParams, LoadScale};
 pub use tuning::OperatorTuning;
 pub use ue::{LinkSnapshot, UeRadio};
 

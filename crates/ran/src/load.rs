@@ -236,8 +236,14 @@ mod tests {
             assert_eq!(scaled.median_share.to_bits(), base.median_share.to_bits());
             assert_eq!(scaled.sigma.to_bits(), base.sigma.to_bits());
             assert_eq!(scaled.tau_s.to_bits(), base.tau_s.to_bits());
-            assert_eq!(scaled.congestion_rate.to_bits(), base.congestion_rate.to_bits());
-            assert_eq!(scaled.congestion_factor.to_bits(), base.congestion_factor.to_bits());
+            assert_eq!(
+                scaled.congestion_rate.to_bits(),
+                base.congestion_rate.to_bits()
+            );
+            assert_eq!(
+                scaled.congestion_factor.to_bits(),
+                base.congestion_factor.to_bits()
+            );
         }
     }
 

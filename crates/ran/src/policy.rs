@@ -43,12 +43,7 @@ impl UpgradePolicy {
     ///
     /// LTE/LTE-A are anchors, not elevation targets: they return 1.0
     /// (always allowed).
-    pub fn promotion_prob(
-        &self,
-        op: Operator,
-        target: Technology,
-        demand: TrafficDemand,
-    ) -> f64 {
+    pub fn promotion_prob(&self, op: Operator, target: Technology, demand: TrafficDemand) -> f64 {
         use Operator::*;
         use Technology::*;
         match target {
@@ -139,7 +134,10 @@ mod tests {
     fn anchors_always_allowed() {
         let p = UpgradePolicy;
         for op in Operator::ALL {
-            assert_eq!(p.promotion_prob(op, Technology::Lte, TrafficDemand::Idle), 1.0);
+            assert_eq!(
+                p.promotion_prob(op, Technology::Lte, TrafficDemand::Idle),
+                1.0
+            );
             assert_eq!(
                 p.promotion_prob(op, Technology::LteA, TrafficDemand::Ping),
                 1.0
