@@ -141,6 +141,9 @@ pub fn parse(tokens: &[Token], n_lines: usize, whole_file_test: bool) -> FileMod
     let mut stack: Vec<ScopeFrame> = Vec::new();
     let mut pending: Option<Pending> = None;
     let mut pending_test_attr = false;
+    // Open `(`/`[` since the pending `fn`: a `;` inside them belongs to
+    // an array type in the signature (`x: [u8; 2]`), not an item's end.
+    let mut sig_nest = 0usize;
 
     let in_test = |stack: &[ScopeFrame]| -> bool {
         whole_file_test || stack.last().map(|f| f.test).unwrap_or(false)
@@ -152,6 +155,11 @@ pub fn parse(tokens: &[Token], n_lines: usize, whole_file_test: bool) -> FileMod
     let mut i = 0usize;
     while i < tokens.len() {
         let t = &tokens[i];
+        if t.is_punct('(') || t.is_punct('[') {
+            sig_nest += 1;
+        } else if t.is_punct(')') || t.is_punct(']') {
+            sig_nest = sig_nest.saturating_sub(1);
+        }
         match t.kind {
             TokenKind::Punct if t.is_punct('#') && next_is_punct(tokens, i + 1, '[') => {
                 let (end, is_test_attr) = scan_attribute(tokens, i + 1);
@@ -193,6 +201,7 @@ pub fn parse(tokens: &[Token], n_lines: usize, whole_file_test: bool) -> FileMod
                             test: pending_test_attr,
                             start_line: t.line,
                         });
+                        sig_nest = 0;
                     }
                 }
                 pending_test_attr = false;
@@ -268,7 +277,9 @@ pub fn parse(tokens: &[Token], n_lines: usize, whole_file_test: bool) -> FileMod
             }
             TokenKind::Punct if t.is_punct(';') => {
                 // `mod foo;`, trait method without a body, etc.
-                pending = None;
+                if sig_nest == 0 || !matches!(pending, Some(Pending::Fn { .. })) {
+                    pending = None;
+                }
             }
             _ => {}
         }
@@ -518,6 +529,15 @@ mod tests {
         let quals: Vec<&str> = m.functions.iter().map(|f| f.qual.as_str()).collect();
         assert_eq!(quals, ["ShadowBank::advance_span", "ShadowBank::iter"]);
         assert_eq!(m.functions[0].calls[0].name, "fill");
+    }
+
+    #[test]
+    fn array_types_in_a_signature_do_not_end_the_item() {
+        let src = "fn scan(prime: &mut [Option<usize>; 2]) -> [u8; 2] {\n    helper();\n}\ntrait T {\n    fn decl(x: [u8; 4]);\n}\nfn after() {}\n";
+        let m = model_of(src);
+        let quals: Vec<&str> = m.functions.iter().map(|f| f.qual.as_str()).collect();
+        assert_eq!(quals, ["scan", "after"]);
+        assert_eq!(m.functions[0].calls[0].name, "helper");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! whatever odometer positions the simulation visits (monotonically).
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 /// Cache for the AR(1) advance coefficients `ρ = exp(−Δ/D_corr)` and
 /// `k = sqrt(1 − ρ²)·σ`, keyed on the exact bit patterns of the inputs.
@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 /// Many shadowing fields advance by the same Δ in one simulation tick
 /// (every cell in the audible window is queried at the same odometer each
 /// step), so the `exp`/`sqrt` pair can be shared across fields with equal
-/// (Δ, D_corr, σ). Keying on bit patterns keeps [`ShadowBank::visit_span`]
+/// (Δ, D_corr, σ). Keying on bit patterns keeps [`ShadowBank::advance_span`]
 /// bit-identical to [`ShadowingField::at`]: a memo hit replays exactly the
 /// values a miss would compute, and the advance `ρ·S + sqrt(1−ρ²)·σ·Z`
 /// evaluates left-associatively, so hoisting `k` changes no rounding.
@@ -131,14 +131,14 @@ impl ShadowingField {
 ///
 /// The per-tick candidate scan advances every audible cell's field at the
 /// same odometer. The bank keeps generator state, last distance, and last
-/// value in dense position-indexed arrays so one [`ShadowBank::visit_span`]
+/// value in dense position-indexed arrays so one [`ShadowBank::advance_span`]
 /// call walks a contiguous window with no per-field lookup, sharing the AR
-/// coefficients through a [`RhoMemo`] and handing each value straight to
-/// the caller's scorer (no second walk over a returned buffer). Each field
-/// consumes its own stream
-/// in its own order, so every value is bit-identical to a standalone
-/// [`ShadowingField`] fed the same seed and distance sequence (a test pins
-/// this).
+/// coefficients through a [`RhoMemo`], and lends the window's values back
+/// as a slice of the bank's own storage (nothing is allocated). Each field
+/// consumes its own stream in its own order, so every value is
+/// bit-identical to a standalone [`ShadowingField`] fed the same seed and
+/// distance sequence (a test pins this), whatever order the caller later
+/// reads the values in.
 #[derive(Debug, Clone)]
 pub struct ShadowBank {
     sigma_db: f64,
@@ -177,30 +177,29 @@ impl ShadowBank {
         }
     }
 
-    /// Advance the fields at `positions` to odometer `d_m`, handing each
-    /// position and its value to `visit` in position order. `seed_of`
+    /// Advance the fields at `positions` to odometer `d_m` in position
+    /// order and return their values, `&val[positions]`. `seed_of`
     /// supplies the field seed for a position the first time it goes live
     /// (same derivation a standalone [`ShadowingField::new`] would
-    /// receive). Every position is advanced whether or not `visit` uses
-    /// its value, so each field's stream stays where a per-tick
-    /// [`ShadowingField::at`] would leave it.
+    /// receive). Every position is advanced, so each field's stream stays
+    /// where a per-tick [`ShadowingField::at`] would leave it.
     #[inline]
-    pub fn visit_span(
+    pub fn advance_span(
         &mut self,
         positions: std::ops::Range<usize>,
         d_m: f64,
         mut seed_of: impl FnMut(usize) -> u64,
-        mut visit: impl FnMut(usize, f64),
-    ) {
-        self.ensure_len(positions.end);
-        for pos in positions {
-            let v = self.advance_field(pos, d_m, &mut seed_of);
-            visit(pos, v);
+    ) -> &[f64] {
+        let (lo, hi) = (positions.start, positions.end);
+        self.ensure_len(hi);
+        for pos in lo..hi {
+            self.advance_field(pos, d_m, &mut seed_of);
         }
+        &self.val[lo..hi]
     }
 
     /// Advance the single field at `pos` to `d_m` and return its value:
-    /// the per-position step of [`Self::visit_span`].
+    /// the per-position step of [`Self::advance_span`].
     pub fn advance_one(&mut self, pos: usize, d_m: f64, seed: u64) -> f64 {
         self.ensure_len(pos + 1);
         self.advance_field(pos, d_m, |_| seed)
@@ -259,13 +258,22 @@ impl ShadowBank {
 }
 
 /// Approximate standard normal via sum of 12 uniforms (Irwin–Hall): the
-/// one kernel every shadowing field and load process draws through.
+/// one kernel every shadowing field, load process and fleet weight draws
+/// through.
+///
+/// Each uniform is `k·2⁻⁵³` with `k = next_u64() >> 11`, an integer below
+/// 2⁵³ that converts to `f64` exactly. The kernel sums the `k` and scales
+/// once at the end instead of scaling each draw. Multiplying by a power of
+/// two is exact in the normal range and commutes with round-to-nearest,
+/// so every partial sum is the scaled-down partial sum of the per-draw
+/// formulation, `Σ rng.gen::<f64>()` in the same draw order, and the
+/// result is the same double (a test pins this over 10⁶ draws).
 pub fn gauss(rng: &mut SmallRng) -> f64 {
     let mut s = 0.0;
     for _ in 0..12 {
-        s += rng.gen::<f64>();
+        s += (rng.next_u64() >> 11) as f64;
     }
-    s - 6.0
+    s * (1.0 / (1u64 << 53) as f64) - 6.0
 }
 
 #[cfg(test)]
@@ -320,22 +328,6 @@ mod tests {
         assert_ne!(f1.at(100.0), f2.at(100.0));
     }
 
-    /// The values one `visit_span` call hands out, in visiting order.
-    fn span_values(
-        bank: &mut ShadowBank,
-        positions: std::ops::Range<usize>,
-        d: f64,
-        seed_of: impl FnMut(usize) -> u64,
-    ) -> Vec<f64> {
-        let start = positions.start;
-        let mut got = Vec::new();
-        bank.visit_span(positions, d, seed_of, |pos, v| {
-            assert_eq!(pos, start + got.len(), "positions visited in order");
-            got.push(v);
-        });
-        got
-    }
-
     #[test]
     fn bank_bit_identical_to_standalone_fields() {
         // A bank advancing a drifting window of fields must reproduce each
@@ -352,14 +344,14 @@ mod tests {
             // Window slides forward one position every 20 steps.
             let lo = step / 20;
             let hi = (lo + 12).min(40);
-            let got = span_values(&mut bank, lo..hi, d, seed_of);
+            let got = bank.advance_span(lo..hi, d, seed_of).to_vec();
             for (j, pos) in (lo..hi).enumerate() {
                 let want = reference[pos].at(d);
                 assert_eq!(want.to_bits(), got[j].to_bits(), "pos {pos} step {step}");
             }
             // Occasionally re-query the same distance (repeat path).
             if step % 7 == 0 {
-                let again = span_values(&mut bank, lo..hi, d, seed_of);
+                let again = bank.advance_span(lo..hi, d, seed_of).to_vec();
                 assert_eq!(got, again);
             }
         }
@@ -372,7 +364,7 @@ mod tests {
             .map(|p| ShadowingField::new(6.0, 60.0, seed_of(p)))
             .collect();
         for d in [0.0, 2.5, 5.0, 7.5, 7.5, 8.0, 500.0, 502.5, 505.0] {
-            let got = span_values(&mut bank, 0..6, d, seed_of);
+            let got = bank.advance_span(0..6, d, seed_of).to_vec();
             for (pos, g) in got.iter().enumerate() {
                 let want = reference[pos].at(d);
                 assert_eq!(want.to_bits(), g.to_bits(), "pos {pos} d={d}");
@@ -381,10 +373,34 @@ mod tests {
     }
 
     #[test]
+    fn gauss_matches_per_draw_uniform_sum() {
+        // The one-scale kernel must return the bits of the per-draw
+        // formulation: twelve `gen::<f64>()` uniforms summed in draw
+        // order, minus 6. 10⁶ normals over 1000 seeds.
+        use rand::Rng;
+        let per_draw = |rng: &mut SmallRng| {
+            let mut s = 0.0;
+            for _ in 0..12 {
+                s += rng.gen::<f64>();
+            }
+            s - 6.0
+        };
+        for seed in 0..1_000u64 {
+            // lint:allow(D4): fixed test seeds, compared stream to stream
+            let mut kernel = SmallRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut reference = kernel.clone();
+            for draw in 0..1_000 {
+                let (got, want) = (gauss(&mut kernel), per_draw(&mut reference));
+                assert_eq!(got.to_bits(), want.to_bits(), "seed {seed} draw {draw}");
+            }
+        }
+    }
+
+    #[test]
     fn bank_retire_before_drops_stale_fields() {
         let mut bank = ShadowBank::new(6.0, 60.0);
-        bank.visit_span(0..10, 100.0, |p| p as u64, |_, _| {});
-        bank.visit_span(5..15, 900.0, |p| p as u64, |_, _| {});
+        bank.advance_span(0..10, 100.0, |p| p as u64);
+        bank.advance_span(5..15, 900.0, |p| p as u64);
         bank.retire_before(500.0);
         assert_eq!(bank.live_count(), 10, "positions 5..15 stay live");
         assert!(!bank.is_live(0) && bank.is_live(5) && bank.is_live(14));

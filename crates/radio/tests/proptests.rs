@@ -128,7 +128,7 @@ proptest! {
                                            (prop_oneof![Just(0.0), Just(2.5), 0.01f64..100.0],
                                             1usize..4),
                                            1..48)) {
-        // The bank's fused span advance must be bit-identical to standalone
+        // The bank's span advance must be bit-identical to standalone
         // per-field `at` calls over any distance schedule: zero Δ (the
         // repeat path), runs of one Δ (coefficient memo hits) and step
         // changes (misses), with every field of the span at one odometer.
@@ -142,10 +142,9 @@ proptest! {
         for (step, repeat) in steps {
             for _ in 0..repeat {
                 d += step;
-                let mut got = Vec::with_capacity(width);
-                bank.visit_span(0..width, d, seed_of, |pos, v| got.push((pos, v)));
+                let got = bank.advance_span(0..width, d, seed_of);
                 prop_assert_eq!(got.len(), width);
-                for ((pos, g), field) in got.into_iter().zip(reference.iter_mut()) {
+                for (pos, (g, field)) in got.iter().zip(reference.iter_mut()).enumerate() {
                     prop_assert_eq!(g.to_bits(), field.at(d).to_bits(),
                                     "pos {} diverged at tick {}", pos, tick);
                 }
