@@ -5,12 +5,12 @@
 //! faster. ci.sh's byte gates compare runs of one binary with each other
 //! (jobs 1 vs 4, crash vs resume), so they cannot see a change that moves
 //! every run alike; this test pins a digest of the smoke-scale export of
-//! the paper's world at two seeds, and of registry worlds that exercise
-//! paths the paper world leaves cold (metro-loop's frequent stops keep the
-//! UE parked for many ticks; rail-corridor's schedule departs from the
-//! paper's session lengths), so a behavior change across commits is
-//! caught at `cargo test` speed, pointing at the exact world and seed
-//! that moved. The streamed export (`write_json` at jobs 1 and 4, the
+//! the paper's world and of registry worlds that exercise paths the paper
+//! world leaves cold (metro-loop's frequent stops keep the UE parked for
+//! many ticks; rail-corridor's schedule departs from the paper's session
+//! lengths), each at seeds 11, 42 and 77, so a behavior change across
+//! commits is caught at `cargo test` speed, pointing at the exact world
+//! and seed that moved. The streamed export (`write_json` at jobs 1 and 4, the
 //! path `repro --export` runs) must match the same pinned digest. The
 //! checkpoint log of one smoke run is pinned the same way, and so are the
 //! `.drm` files of that run, so a change to either binary format is a
@@ -44,19 +44,19 @@ struct World {
 const PAPER: World = World {
     scenario: "paper",
     file: "smoke_digests.txt",
-    seeds: &[11, 42],
+    seeds: &[11, 42, 77],
 };
 
 const METRO_LOOP: World = World {
     scenario: "metro-loop",
     file: "smoke_digests_metro_loop.txt",
-    seeds: &[11],
+    seeds: &[11, 42, 77],
 };
 
 const RAIL_CORRIDOR: World = World {
     scenario: "rail-corridor",
     file: "smoke_digests_rail_corridor.txt",
-    seeds: &[11],
+    seeds: &[11, 42, 77],
 };
 
 /// Smoke-scale config, mirroring `ReproScale::Smoke` in `wheels-bench`
