@@ -217,7 +217,11 @@ pub fn tokenize(src: &str) -> LexedFile {
                         for ch in &chars[i..end] {
                             code.push(*ch);
                         }
-                        let kind = if is_float { TokenKind::Float } else { TokenKind::Int };
+                        let kind = if is_float {
+                            TokenKind::Float
+                        } else {
+                            TokenKind::Int
+                        };
                         push_tok(&mut out, kind, text, line_no, i);
                         i = end;
                     }
@@ -516,7 +520,11 @@ mod tests {
     #[test]
     fn char_literals_are_blanked() {
         let c = code_of("let q = '\"'; let e = '\\''; let n = '\\n'; done();");
-        assert!(c[0].contains("done();"), "char-literal quotes must not open strings: {}", c[0]);
+        assert!(
+            c[0].contains("done();"),
+            "char-literal quotes must not open strings: {}",
+            c[0]
+        );
         assert!(!c[0].contains('"'));
     }
 
@@ -583,9 +591,18 @@ mod tests {
     #[test]
     fn range_and_method_dots_are_not_float_parts() {
         let lex = tokenize("for i in 0..10 { let m = 1.max(2); }");
-        assert!(lex.tokens.iter().any(|t| t.kind == TokenKind::Int && t.text == "0"));
-        assert!(lex.tokens.iter().any(|t| t.kind == TokenKind::Int && t.text == "10"));
-        assert!(lex.tokens.iter().any(|t| t.kind == TokenKind::Int && t.text == "1"));
+        assert!(lex
+            .tokens
+            .iter()
+            .any(|t| t.kind == TokenKind::Int && t.text == "0"));
+        assert!(lex
+            .tokens
+            .iter()
+            .any(|t| t.kind == TokenKind::Int && t.text == "10"));
+        assert!(lex
+            .tokens
+            .iter()
+            .any(|t| t.kind == TokenKind::Int && t.text == "1"));
         assert!(lex.tokens.iter().any(|t| t.is_ident("max")));
     }
 

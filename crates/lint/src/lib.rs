@@ -212,9 +212,7 @@ pub fn path_is_test(path: &Path) -> bool {
 /// Normalize a path for matching and reporting: workspace-relative
 /// when `root` strips cleanly, always `/`-separated.
 fn rel_path(path: &Path, root: Option<&Path>) -> String {
-    let p = root
-        .and_then(|r| path.strip_prefix(r).ok())
-        .unwrap_or(path);
+    let p = root.and_then(|r| path.strip_prefix(r).ok()).unwrap_or(path);
     p.to_string_lossy().replace('\\', "/")
 }
 
@@ -299,9 +297,7 @@ fn lint_set(entries: Vec<FileEntry>, cfg: &LintConfig) -> Vec<Finding> {
             });
         }
     }
-    out.sort_by(|a, b| {
-        (&a.rel, a.line, a.rule, a.col).cmp(&(&b.rel, b.line, b.rule, b.col))
-    });
+    out.sort_by(|a, b| (&a.rel, a.line, a.rule, a.col).cmp(&(&b.rel, b.line, b.rule, b.col)));
     out
 }
 
@@ -456,7 +452,11 @@ pub fn lint_fixture(path: &Path) -> std::io::Result<Vec<Finding>> {
         d7_scope: &["fixtures/bad/d7", "fixtures/allowed/d7"],
         ..LintConfig::workspace()
     };
-    Ok(lint_source_with(path, &std::fs::read_to_string(path)?, &cfg))
+    Ok(lint_source_with(
+        path,
+        &std::fs::read_to_string(path)?,
+        &cfg,
+    ))
 }
 
 /// Run the self-check over a fixture corpus directory containing `bad/`
@@ -482,9 +482,7 @@ pub fn check_fixtures(dir: &Path) -> std::io::Result<Vec<FixtureResult>> {
                     Some(rule) => {
                         if unsuppressed.is_empty() {
                             Some(format!("expected {rule} to fire, got no findings"))
-                        } else if let Some(wrong) =
-                            unsuppressed.iter().find(|f| f.rule != rule)
-                        {
+                        } else if let Some(wrong) = unsuppressed.iter().find(|f| f.rule != rule) {
                             Some(format!(
                                 "expected only {rule}, got {} at line {}",
                                 wrong.rule, wrong.line

@@ -92,10 +92,10 @@ impl FileModel {
 
 /// Keywords that can never be call sites or type names.
 pub const KEYWORDS: &[&str] = &[
-    "as", "async", "await", "break", "const", "continue", "crate", "dyn", "else", "enum",
-    "extern", "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
-    "mut", "pub", "ref", "return", "self", "Self", "static", "struct", "super", "trait", "true",
-    "type", "unsafe", "use", "where", "while", "yield",
+    "as", "async", "await", "break", "const", "continue", "crate", "dyn", "else", "enum", "extern",
+    "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move", "mut", "pub",
+    "ref", "return", "self", "Self", "static", "struct", "super", "trait", "true", "type",
+    "unsafe", "use", "where", "while", "yield",
 ];
 
 /// Is `s` a Rust keyword (per the small set the rules care about)?
@@ -125,9 +125,19 @@ struct ScopeFrame {
 
 #[derive(Debug, Clone)]
 enum Pending {
-    Mod { test: bool },
-    Impl { ty: String, test: bool },
-    Fn { name: String, qual: String, test: bool, start_line: usize },
+    Mod {
+        test: bool,
+    },
+    Impl {
+        ty: String,
+        test: bool,
+    },
+    Fn {
+        name: String,
+        qual: String,
+        test: bool,
+        start_line: usize,
+    },
 }
 
 /// Parse the token stream of a file with `n_lines` physical lines.
@@ -177,7 +187,9 @@ pub fn parse(tokens: &[Token], n_lines: usize, whole_file_test: bool) -> FileMod
             }
             // `impl Trait` in a signature (`f: impl FnMut(..)`,
             // `-> impl Iterator`) is a type, not an impl block.
-            TokenKind::Ident if t.text == "impl" && !matches!(pending, Some(Pending::Fn { .. })) => {
+            TokenKind::Ident
+                if t.text == "impl" && !matches!(pending, Some(Pending::Fn { .. })) =>
+            {
                 let ty = impl_type_name(tokens, i + 1);
                 pending = Some(Pending::Impl {
                     ty,
@@ -459,7 +471,9 @@ fn collect_calls(tokens: &[Token], model: &mut FileModel) {
                         }
                         j += 1;
                     }
-                    after.map(|a| next_is_punct(tokens, a, '(')).unwrap_or(false)
+                    after
+                        .map(|a| next_is_punct(tokens, a, '('))
+                        .unwrap_or(false)
                 };
             if !direct && !turbofish {
                 continue;
@@ -512,13 +526,17 @@ mod tests {
 
     #[test]
     fn impl_methods_are_qualified() {
-        let m = model_of("impl ShadowBank {\n    fn advance_span(&mut self) {\n        self.fill();\n    }\n}\n");
+        let m = model_of(
+            "impl ShadowBank {\n    fn advance_span(&mut self) {\n        self.fill();\n    }\n}\n",
+        );
         assert_eq!(m.functions[0].qual, "ShadowBank::advance_span");
     }
 
     #[test]
     fn trait_impl_uses_self_type() {
-        let m = model_of("impl<'a> Iterator for Scan<'a> {\n    fn next(&mut self) -> Option<u8> { None }\n}\n");
+        let m = model_of(
+            "impl<'a> Iterator for Scan<'a> {\n    fn next(&mut self) -> Option<u8> { None }\n}\n",
+        );
         assert_eq!(m.functions[0].qual, "Scan::next");
     }
 

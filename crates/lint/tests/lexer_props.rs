@@ -30,7 +30,11 @@ fn assert_strip_idempotent(src: &str) {
     assert_eq!(first.len(), second.len(), "line count changed on re-strip");
     for (a, b) in first.iter().zip(&second) {
         assert_eq!(a.code, b.code, "code view not a fixed point");
-        assert!(b.comment.is_empty(), "re-strip invented a comment: {:?}", b.comment);
+        assert!(
+            b.comment.is_empty(),
+            "re-strip invented a comment: {:?}",
+            b.comment
+        );
     }
 }
 
@@ -38,9 +42,16 @@ fn assert_strip_idempotent(src: &str) {
 fn assert_lex_invariants(src: &str) {
     let lexed = tokenize(src);
     let n_lines = src.split('\n').count();
-    assert_eq!(lexed.lines.len(), n_lines, "strip view must keep the line count");
+    assert_eq!(
+        lexed.lines.len(),
+        n_lines,
+        "strip view must keep the line count"
+    );
     for tok in &lexed.tokens {
-        assert!(tok.line >= 1 && tok.line <= n_lines, "token line out of range");
+        assert!(
+            tok.line >= 1 && tok.line <= n_lines,
+            "token line out of range"
+        );
         assert!(tok.col >= 1, "token col must be 1-based");
         match tok.kind {
             // Literal content is never retained — rules must not see it.
@@ -108,9 +119,16 @@ fn raw_strings_with_hash_fences() {
     assert_strip_idempotent(src);
     let lexed = tokenize(src);
     // Both raw strings collapse to content-free Str tokens.
-    let strs = lexed.tokens.iter().filter(|t| t.kind == TokenKind::Str).count();
+    let strs = lexed
+        .tokens
+        .iter()
+        .filter(|t| t.kind == TokenKind::Str)
+        .count();
     assert_eq!(strs, 3, "three raw strings expected");
-    assert!(!lexed.lines[0].code.contains("two"), "raw string content leaked into code");
+    assert!(
+        !lexed.lines[0].code.contains("two"),
+        "raw string content leaked into code"
+    );
 }
 
 #[test]
@@ -125,7 +143,11 @@ fn nested_block_comment_holding_string_delimiters() {
         .filter(|t| t.kind == TokenKind::Ident)
         .map(|t| t.text.as_str())
         .collect();
-    assert_eq!(idents, ["before", "after"], "comment body must not tokenize");
+    assert_eq!(
+        idents,
+        ["before", "after"],
+        "comment body must not tokenize"
+    );
     assert!(lexed.lines[0].comment.contains("level2"));
 }
 
@@ -150,7 +172,10 @@ fn multiline_states_carry_across_lines() {
     assert_lex_invariants(src);
     assert_strip_idempotent(src);
     let lexed = tokenize(src);
-    assert!(!lexed.lines[1].code.contains("line"), "string body leaked on line 2");
+    assert!(
+        !lexed.lines[1].code.contains("line"),
+        "string body leaked on line 2"
+    );
     let idents: Vec<&str> = lexed
         .tokens
         .iter()
