@@ -80,12 +80,12 @@ impl LintConfig {
             // per phone-tick or once per span inside the campaign inner
             // loop, so a stray allocation multiplies by millions of
             // calls. Names match either bare (`evaluate_layer_span`) or
-            // qualified with the impl type (`ShadowBank::advance_span`).
+            // qualified with the impl type (`ShadowBank::catch_up`).
             hotpaths: &[
-                // radio: correlated-shadowing span advance and its
-                // single-field step
-                "ShadowBank::advance_span",
-                "ShadowBank::advance_one",
+                // radio: correlated-shadowing window moves and the
+                // catch-up that replays them before a read
+                "ShadowBank::defer",
+                "ShadowBank::catch_up",
                 // geo: hinted route / plan lookups (per tick and per tile)
                 "Route::point_at_hinted",
                 "Route::nearest_city_hinted",
@@ -101,7 +101,9 @@ impl LintConfig {
                 "UeRadio::draw_link",
                 "UeRadio::link",
                 "ServingRadio::step",
-                "ShadowStore::advance_span",
+                "UeRadio::candidate",
+                "ShadowStore::defer",
+                "ShadowStore::catch_up",
                 "evaluate_layer_span",
                 "score_span",
                 "FleetLoad::fold_span",
@@ -161,7 +163,7 @@ impl LintConfig {
         self.d7_scope.iter().any(|frag| norm_path.contains(frag))
     }
 
-    /// Is `qual` (e.g. `ShadowBank::advance_span`) a registered hot
+    /// Is `qual` (e.g. `ShadowBank::catch_up`) a registered hot
     /// path? Bare registry entries match any function with that name.
     pub fn is_hotpath(&self, qual: &str, bare: &str) -> bool {
         self.hotpaths.iter().any(|h| *h == qual || *h == bare)

@@ -32,7 +32,6 @@ pub use bler::bler_from_sinr;
 pub use capacity::{CapacityModel, LinkCapacity};
 pub use mcs::{gapped_shannon_bound, mcs_from_bound, mcs_from_sinr, spectral_efficiency, MAX_MCS};
 pub use pathloss::PathLossModel;
-pub use shadowing::ShadowingField;
 
 /// Convert a dB value to a linear power ratio.
 #[inline]

@@ -2,13 +2,62 @@
 
 use proptest::prelude::*;
 
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use wheels_radio::band::{Band, Technology};
 use wheels_radio::bler::bler_from_sinr;
 use wheels_radio::capacity::CapacityModel;
 use wheels_radio::mcs::{mcs_from_sinr, spectral_efficiency, MAX_MCS};
 use wheels_radio::pathloss::PathLossModel;
-use wheels_radio::shadowing::{ShadowBank, ShadowingField};
+
+use wheels_radio::shadowing::{gauss, ShadowBank};
 use wheels_radio::{db_to_linear, linear_to_db};
+
+/// The eager reference for one shadowing field: advanced at every
+/// distance it is given, straight from the AR(1) formula with no
+/// coefficient memo. A [`ShadowBank`] must return its bits for every
+/// value it lends out.
+struct ShadowingField {
+    sigma_db: f64,
+    corr_dist_m: f64,
+    rng: SmallRng,
+    last: Option<(f64, f64)>,
+}
+
+impl ShadowingField {
+    fn new(sigma_db: f64, corr_dist_m: f64, seed: u64) -> Self {
+        ShadowingField {
+            sigma_db,
+            corr_dist_m,
+            // lint:allow(D4): the bank's field-seed derivation, restated
+            rng: SmallRng::seed_from_u64(seed.wrapping_mul(0xA24B_AED4_963E_E407)),
+            last: None,
+        }
+    }
+
+    /// The field at distance `d_m` (non-decreasing across calls).
+    fn at(&mut self, d_m: f64) -> f64 {
+        let v = match self.last {
+            None => gauss(&mut self.rng) * self.sigma_db,
+            Some((last_d, v)) if d_m <= last_d => return v,
+            Some((last_d, v)) => {
+                let rho = (-(d_m - last_d) / self.corr_dist_m).exp();
+                rho * v + (1.0 - rho * rho).sqrt() * self.sigma_db * gauss(&mut self.rng)
+            }
+        };
+        self.last = Some((d_m, v));
+        v
+    }
+}
+
+/// One field of a one-position bank, read at each distance it is given.
+fn bank_field(sigma_db: f64, corr_dist_m: f64, seed: u64) -> impl FnMut(f64) -> f64 {
+    let mut bank = ShadowBank::new(sigma_db, corr_dist_m);
+    move |d_m| {
+        bank.defer(0..1, d_m);
+        bank.catch_up(|_| seed)[0]
+    }
+}
 
 proptest! {
     #[test]
@@ -70,13 +119,13 @@ proptest! {
     #[test]
     fn shadowing_deterministic_and_bounded(seed in 0u64..1_000, sigma in 0.5f64..10.0,
                                            steps in prop::collection::vec(0.1f64..500.0, 1..50)) {
-        let mut f1 = ShadowingField::new(sigma, 80.0, seed);
-        let mut f2 = ShadowingField::new(sigma, 80.0, seed);
+        let mut f1 = bank_field(sigma, 80.0, seed);
+        let mut f2 = bank_field(sigma, 80.0, seed);
         let mut d = 0.0;
         for step in steps {
             d += step;
-            let a = f1.at(d);
-            let b = f2.at(d);
+            let a = f1(d);
+            let b = f2(d);
             prop_assert_eq!(a, b);
             // Irwin-Hall(12) is bounded by ±6σ.
             prop_assert!(a.abs() <= 6.0 * sigma + 1e-9);
@@ -107,12 +156,12 @@ proptest! {
         // new value strays from the decayed old one — is therefore bounded
         // by 6·sqrt(1−ρ²)·σ at every step, which is the testable face of
         // "autocorrelation ρ per Δ".
-        let mut f = ShadowingField::new(sigma, corr, seed);
+        let mut f = bank_field(sigma, corr, seed);
         let mut d = 0.0;
-        let mut prev = f.at(d);
+        let mut prev = f(d);
         for step in steps {
             d += step;
-            let cur = f.at(d);
+            let cur = f(d);
             let rho = (-step / corr).exp();
             let bound = 6.0 * (1.0 - rho * rho).sqrt() * sigma;
             prop_assert!((cur - rho * prev).abs() <= bound + 1e-9,
@@ -122,38 +171,59 @@ proptest! {
     }
 
     #[test]
-    fn shadowing_span_matches_per_tick(seed in 0u64..1_000, sigma in 0.5f64..10.0,
-                                       start in 0.0f64..10_000.0, width in 1usize..8,
-                                       steps in prop::collection::vec(
-                                           (prop_oneof![Just(0.0), Just(2.5), 0.01f64..100.0],
-                                            1usize..4),
-                                           1..48)) {
-        // The bank's span advance must be bit-identical to standalone
-        // per-field `at` calls over any distance schedule: zero Δ (the
-        // repeat path), runs of one Δ (coefficient memo hits) and step
-        // changes (misses), with every field of the span at one odometer.
-        let seed_of = |pos: usize| seed ^ pos as u64;
-        let mut bank = ShadowBank::new(sigma, 80.0);
-        let mut reference: Vec<ShadowingField> = (0..width)
-            .map(|p| ShadowingField::new(sigma, 80.0, seed_of(p)))
-            .collect();
-        let mut d = start;
-        let mut tick = 0usize;
-        for (step, repeat) in steps {
-            for _ in 0..repeat {
-                d += step;
-                let got = bank.advance_span(0..width, d, seed_of);
-                prop_assert_eq!(got.len(), width);
-                for (pos, (g, field)) in got.iter().zip(reference.iter_mut()).enumerate() {
-                    prop_assert_eq!(g.to_bits(), field.at(d).to_bits(),
-                                    "pos {} diverged at tick {}", pos, tick);
+    fn deferred_bank_matches_eager_fields(
+        seed in 0u64..1_000,
+        sigma in 0.5f64..10.0,
+        corr in prop_oneof![Just(25.0), Just(60.0), 20.0f64..200.0],
+        start in 0.0f64..10_000.0,
+        ticks in prop::collection::vec(
+            (prop_oneof![Just(0.0), Just(2.5), 0.01f64..100.0], 0usize..3, 0usize..4,
+             0u8..5, any::<bool>()),
+            1..160),
+    ) {
+        // A window slides forward over 48 positions while the eager
+        // reference advances every field in it on every tick. The bank
+        // only records the moves, and is read at random ticks: the whole
+        // window, one position of it, or nothing, so fields often leave
+        // the window unread. Zero steps repeat an odometer (the repeat
+        // path); runs of 2.5 m hit the coefficient memo; a rescan defers
+        // a tick's move twice, as a region change at an unchanged
+        // odometer does. Every value the bank lends out must carry the
+        // eager field's bits.
+        const N: usize = 48;
+        let seed_of = |pos: usize| seed ^ (pos as u64).wrapping_mul(0x9E37_79B9);
+        let mut bank = ShadowBank::new(sigma, corr);
+        let mut eager: Vec<ShadowingField> =
+            (0..N).map(|p| ShadowingField::new(sigma, corr, seed_of(p))).collect();
+        let (mut d, mut lo, mut hi) = (start, 0usize, 0usize);
+        for (tick, (step, dlo, dhi, read, rescan)) in ticks.into_iter().enumerate() {
+            d += step;
+            hi = (hi + dhi).min(N);
+            lo = (lo + dlo).min(hi);
+            for field in &mut eager[lo..hi] {
+                field.at(d);
+            }
+            bank.defer(lo..hi, d);
+            if rescan {
+                bank.defer(lo..hi, d);
+            }
+            prop_assert_eq!(bank.window(), lo..hi);
+            match read {
+                0 if hi > lo => {
+                    let pos = lo + tick % (hi - lo);
+                    let got = bank.catch_up(seed_of)[pos - lo];
+                    prop_assert_eq!(got.to_bits(), eager[pos].at(d).to_bits(),
+                                    "pos {} at tick {}", pos, tick);
                 }
-                // The single-field path a serving-cell lookup takes is
-                // the same step: a repeat at `d` replays the span's value.
-                let probe = tick % width;
-                prop_assert_eq!(bank.advance_one(probe, d, seed_of(probe)).to_bits(),
-                                reference[probe].at(d).to_bits());
-                tick += 1;
+                1 | 2 => {
+                    let got = bank.catch_up(seed_of);
+                    prop_assert_eq!(got.len(), hi - lo);
+                    for (pos, g) in (lo..hi).zip(got) {
+                        prop_assert_eq!(g.to_bits(), eager[pos].at(d).to_bits(),
+                                        "pos {} at tick {}", pos, tick);
+                    }
+                }
+                _ => {}
             }
         }
     }

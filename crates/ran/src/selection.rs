@@ -68,13 +68,13 @@ pub fn shadow_params(tech: Technology) -> (f64, f64) {
 /// deterministic shadowing realization per cell, evaluated monotonically in
 /// odometer distance as the vehicle advances. Storage is one
 /// position-indexed [`ShadowBank`] per technology layer (the caller passes
-/// the cell's position in its layer's sorted array), so the per-tick scan
-/// advances the whole audible window in one batched call.
+/// the cell's position in its layer's sorted array). Each tick records
+/// every layer's audible window ([`ShadowStore::defer`]), and a layer's
+/// fields advance only when it is read ([`ShadowStore::catch_up`]).
 #[derive(Debug)]
 pub struct ShadowStore {
     seed: u64,
     banks: [ShadowBank; 5],
-    steps_since_prune: u32,
 }
 
 impl ShadowStore {
@@ -86,67 +86,39 @@ impl ShadowStore {
                 let (sigma, corr) = shadow_params(t);
                 ShadowBank::new(sigma, corr)
             }),
-            steps_since_prune: 0,
         }
     }
 
-    /// Advance the fields for the cells at layer positions `positions`
-    /// (ids indexed by position) to odometer `od_m` and return their
-    /// values, one per position.
+    /// Record that `tech`'s audible window is the layer positions
+    /// `positions` at odometer `od_m`. Draws nothing.
     #[inline]
-    pub fn advance_span(
-        &mut self,
-        tech: Technology,
-        positions: Range<usize>,
-        ids: &[CellId],
-        od_m: f64,
-    ) -> &[f64] {
-        let ue_seed = self.seed;
-        self.banks[tech_index(tech)]
-            .advance_span(positions, od_m, |pos| field_seed(ue_seed, ids[pos]))
+    pub fn defer(&mut self, tech: Technology, positions: Range<usize>, od_m: f64) {
+        self.banks[tech_index(tech)].defer(positions, od_m);
     }
 
-    /// Shadowing in dB for the cell at layer position `pos` (with id
-    /// `cell`, which seeds the field) at odometer `od_m`.
-    pub fn shadow_at(&mut self, tech: Technology, pos: usize, cell: CellId, od_m: f64) -> f64 {
-        self.banks[tech_index(tech)].advance_one(pos, od_m, field_seed(self.seed, cell))
+    /// Advance `tech`'s fields through every window deferred since its
+    /// last read (ids indexed by layer position seed them) and return the
+    /// current window's first position and values, one per position.
+    #[inline]
+    pub fn catch_up(&mut self, tech: Technology, ids: &[CellId]) -> (usize, &[f64]) {
+        let ue_seed = self.seed;
+        let bank = &mut self.banks[tech_index(tech)];
+        let lo = bank.window().start;
+        (lo, bank.catch_up(|pos| field_seed(ue_seed, ids[pos])))
+    }
+
+    /// Shadowing in dB for the cell at layer position `pos` of `tech`,
+    /// which must lie in the layer's current window, caught up first.
+    pub fn shadow_at(&mut self, tech: Technology, pos: usize, ids: &[CellId]) -> f64 {
+        let (lo, shadow_db) = self.catch_up(tech, ids);
+        shadow_db[pos - lo]
     }
 
     /// The odometer the field at layer position `pos` of `tech` was last
-    /// advanced to, if it is live.
+    /// advanced to, if it was ever drawn.
     #[cfg(test)]
     pub(crate) fn last_advanced_m(&self, tech: Technology, pos: usize) -> Option<f64> {
         self.banks[tech_index(tech)].last_advanced_m(pos)
-    }
-
-    /// Drop fields for cells left far behind; call occasionally.
-    ///
-    /// Every cell within radio range of the vehicle is re-queried on every
-    /// step, so a field's `last_od_m` tracks the vehicle as long as its cell
-    /// is reachable; once a cell falls out of its layer's query window the
-    /// (non-decreasing) odometer guarantees it can never re-enter. Dropping
-    /// fields last touched more than `keep_window_m` behind `od_m` is thus
-    /// byte-identical to never pruning, provided `keep_window_m` exceeds
-    /// every layer's query window (max `nominal_range_m() * 2.0` = 14 km).
-    pub fn maybe_prune(&mut self, od_m: f64, keep_window_m: f64) {
-        self.steps_since_prune += 1;
-        if self.steps_since_prune < 2_000 {
-            return;
-        }
-        self.steps_since_prune = 0;
-        for bank in &mut self.banks {
-            bank.retire_before(od_m - keep_window_m);
-        }
-    }
-
-    /// Number of live shadowing fields (diagnostics).
-    pub fn len(&self) -> usize {
-        self.banks.iter().map(ShadowBank::live_count).sum()
-    }
-
-    /// Whether the store holds no fields yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -176,36 +148,35 @@ type Top2 = [Option<Scored>; 2];
 
 /// Evaluate the best candidate on `tech`'s layer at odometer `od_m`.
 ///
-/// `range` is the audible window: it must equal what
-/// [`CellDb::window_range`] returns for `tech`'s window
-/// (`nominal_range_m() * 1.6`) at `od_m`. Per-UE steppers track it
-/// incrementally with a [`crate::cell::WindowCursor`]. `pl` is the
-/// layer's path-loss model at the current clutter. `prime` holds the
-/// layer positions of the previous scan's best and runner-up; they are
-/// scored first, and the scan leaves this scan's pair there.
+/// The audible window is the one last deferred for `tech` in `shadows`
+/// ([`ShadowStore::defer`]): it must be what [`CellDb::window_range`]
+/// returns for `tech`'s window (`nominal_range_m() * 1.6`) at `od_m`.
+/// Per-UE steppers track it incrementally with a
+/// [`crate::cell::WindowCursor`]. `pl` is the layer's path-loss model at
+/// the current clutter. `prime` holds the layer positions of the last
+/// scan's best and runner-up; they are scored first, and the scan leaves
+/// this scan's pair there.
 ///
 /// Returns `None` if no cell is in range or the best is below the layer's
 /// availability threshold.
 ///
-/// Two passes over the window. Pass 1 advances every audible cell's
-/// shadowing field to `od_m`: unconditionally, or the per-field RNG
-/// streams would shift. Pass 2 scores the cells against the shadowing
-/// values, the primed pair first (see [`score_span`]).
+/// Two passes over the window. Pass 1 catches the layer's shadowing
+/// fields up to `od_m` through every window deferred since the layer was
+/// last read ([`ShadowStore::catch_up`]). Pass 2 scores the cells against
+/// the shadowing values, the primed pair first (see [`score_span`]).
 pub fn evaluate_layer_span(
     db: &CellDb,
     tech: Technology,
-    range: Range<usize>,
     od_m: f64,
     pl: &PathLossModel,
     shadows: &mut ShadowStore,
     prime: &mut [Option<usize>; 2],
 ) -> Option<LayerCandidate> {
-    if range.is_empty() {
+    let layer = db.layer(tech);
+    let (lo, shadow_db) = shadows.catch_up(tech, layer.ids());
+    if shadow_db.is_empty() {
         return None;
     }
-    let layer = db.layer(tech);
-    let lo = range.start;
-    let shadow_db = shadows.advance_span(tech, range, layer.ids(), od_m);
     let top = score_span(layer, lo, od_m, pl, shadow_db, *prime);
     *prime = top.map(|c| c.map(|(pos, _)| pos));
     candidate(tech, layer.ids(), top)
@@ -365,8 +336,12 @@ mod tests {
         sh: &mut ShadowStore,
     ) -> Option<LayerCandidate> {
         let pl = PathLossModel::new(tech.band(), layer_clutter(tech, region, 1.0));
-        let range = db.window_range(tech, od_m, tech.nominal_range_m() * 1.6);
-        evaluate_layer_span(db, tech, range, od_m, &pl, sh, &mut [None; 2])
+        sh.defer(
+            tech,
+            db.window_range(tech, od_m, tech.nominal_range_m() * 1.6),
+            od_m,
+        );
+        evaluate_layer_span(db, tech, od_m, &pl, sh, &mut [None; 2])
     }
 
     /// SINR of a candidate over an effective noise floor, with the fading
@@ -525,58 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn shadow_store_prunes_cells_left_behind() {
-        let mut sh = ShadowStore::new(5);
-        for i in 0..600 {
-            let _ = sh.shadow_at(Technology::Lte, i as usize, CellId(i), i as f64 * 100.0);
-        }
-        for _ in 0..2_001 {
-            sh.maybe_prune(1_000_000.0, 10_000.0);
-        }
-        assert!(sh.is_empty(), "all cells lie ~940+ km behind the window");
-    }
-
-    #[test]
-    fn shadow_store_prune_keeps_window() {
-        let mut sh = ShadowStore::new(5);
-        for i in 0..600 {
-            let _ = sh.shadow_at(Technology::Lte, i as usize, CellId(i), i as f64 * 100.0);
-        }
-        // Vehicle at 59.9 km; a 10 km window keeps cells touched at ≥ 49.9 km
-        // (inclusive): positions 499..=599.
-        for _ in 0..2_001 {
-            sh.maybe_prune(59_900.0, 10_000.0);
-        }
-        assert_eq!(sh.len(), 101);
-    }
-
-    #[test]
-    fn shadow_store_prune_is_transparent() {
-        // A pruned store must return exactly the values an unpruned store
-        // does: fields are only dropped once their cell can no longer be
-        // queried, and re-derivation never happens for live cells.
-        let run = |keep_window_m: f64| {
-            let mut sh = ShadowStore::new(9);
-            let mut vals = Vec::new();
-            for step in 0..30_000u32 {
-                // 60 km of travel; query the cells "in range": one per
-                // km, ±6 km around us.
-                let od = step as f64 * 2.0;
-                let center = (od / 1_000.0) as i64;
-                for c in (center - 6).max(0)..=center + 6 {
-                    vals.push(sh.shadow_at(Technology::Lte, c as usize, CellId(c as u32), od));
-                }
-                sh.maybe_prune(od, keep_window_m);
-            }
-            (vals, sh.len())
-        };
-        let (pruned, live) = run(20_000.0);
-        let (unpruned, all) = run(f64::INFINITY);
-        assert_eq!(pruned, unpruned);
-        assert!(live < all, "prune never dropped anything ({live} vs {all})");
-    }
-
-    #[test]
     fn rescan_at_unchanged_odometer_is_identical_and_draws_nothing() {
         // The premise of `UeRadio::step`'s scan reuse while the UE stands
         // still: a second scan at the same odometer returns the same
@@ -597,37 +520,18 @@ mod tests {
         for sh in [&mut twice, &mut once] {
             // Live fields partway along their streams, as on a drive.
             let earlier = od - 55.0;
-            let r = db.window_range(tech, earlier, window);
-            evaluate_layer_span(&db, tech, r, earlier, &pl, sh, &mut [None; 2]);
+            sh.defer(tech, db.window_range(tech, earlier, window), earlier);
+            evaluate_layer_span(&db, tech, earlier, &pl, sh, &mut [None; 2]);
         }
         let (mut prime_twice, mut prime_once) = ([None; 2], [None; 2]);
-        let first = evaluate_layer_span(
-            &db,
-            tech,
-            range.clone(),
-            od,
-            &pl,
-            &mut twice,
-            &mut prime_twice,
-        );
-        let second = evaluate_layer_span(
-            &db,
-            tech,
-            range.clone(),
-            od,
-            &pl,
-            &mut twice,
-            &mut prime_twice,
-        );
-        let single = evaluate_layer_span(
-            &db,
-            tech,
-            range.clone(),
-            od,
-            &pl,
-            &mut once,
-            &mut prime_once,
-        );
+        twice.defer(tech, range.clone(), od);
+        let first = evaluate_layer_span(&db, tech, od, &pl, &mut twice, &mut prime_twice);
+        // A rescan defers the same move again, as a region change at an
+        // unchanged odometer does.
+        twice.defer(tech, range.clone(), od);
+        let second = evaluate_layer_span(&db, tech, od, &pl, &mut twice, &mut prime_twice);
+        once.defer(tech, range.clone(), od);
+        let single = evaluate_layer_span(&db, tech, od, &pl, &mut once, &mut prime_once);
         assert!(first.is_some());
         assert_eq!(cand_bits(first), cand_bits(second));
         assert_eq!(cand_bits(first), cand_bits(single));
@@ -635,22 +539,32 @@ mod tests {
         // of `once`'s and the next advance would differ.
         let ids = db.layer(tech).ids();
         let ahead = od + 37.0;
-        let a = twice.advance_span(tech, range.clone(), ids, ahead).to_vec();
-        let b = once.advance_span(tech, range, ids, ahead).to_vec();
-        assert_eq!(a, b);
+        let advance = |sh: &mut ShadowStore| {
+            sh.defer(tech, range.clone(), ahead);
+            sh.catch_up(tech, ids).1.to_vec()
+        };
+        assert_eq!(advance(&mut twice), advance(&mut once));
     }
 
     #[test]
     fn shadow_at_deterministic_for_same_cell_identity() {
         // The field realization depends on (UE seed, cell id) and the query
         // distances — never on the layer position used to address it.
+        let ids_of = |pos: usize| {
+            let mut ids = vec![CellId(0); 12];
+            ids[pos] = CellId(1234);
+            ids
+        };
+        let (ids_a, ids_b) = (ids_of(3), ids_of(9));
         let mut a = ShadowStore::new(77);
         let mut b = ShadowStore::new(77);
         let mut d = 0.0;
         for _ in 0..200 {
             d += 5.0;
-            let va = a.shadow_at(Technology::Nr5gMid, 3, CellId(1234), d);
-            let vb = b.shadow_at(Technology::Nr5gMid, 9, CellId(1234), d);
+            a.defer(Technology::Nr5gMid, 3..4, d);
+            b.defer(Technology::Nr5gMid, 9..10, d);
+            let va = a.shadow_at(Technology::Nr5gMid, 3, &ids_a);
+            let vb = b.shadow_at(Technology::Nr5gMid, 9, &ids_b);
             assert_eq!(va.to_bits(), vb.to_bits());
         }
     }
@@ -835,21 +749,15 @@ mod tests {
                 let pl =
                     PathLossModel::new(tech.band(), layer_clutter(tech, RegionKind::Urban, 1.0));
                 let range = db.window_range(tech, od, tech.nominal_range_m() * 1.6);
-                let got = evaluate_layer_span(
-                    &db,
-                    tech,
-                    range.clone(),
-                    od,
-                    &pl,
-                    &mut primed,
-                    &mut primes[i],
-                );
+                primed.defer(tech, range.clone(), od);
+                let got = evaluate_layer_span(&db, tech, od, &pl, &mut primed, &mut primes[i]);
                 if range.is_empty() {
                     assert!(got.is_none());
                     continue;
                 }
                 let layer = db.layer(tech);
-                let shadow_db = twin.advance_span(tech, range.clone(), layer.ids(), od);
+                twin.defer(tech, range.clone(), od);
+                let (_, shadow_db) = twin.catch_up(tech, layer.ids());
                 let want = in_order_scan(layer, range, od, &pl, shadow_db);
                 assert_eq!(
                     primes[i],
