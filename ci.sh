@@ -32,7 +32,12 @@ echo "== rustfmt: crates held to the formatter =="
 # A ratchet, one crate set at a time: the crates listed here are
 # rustfmt-clean and must stay so. Add a crate once `cargo fmt -p` has been
 # run over it in a change of its own.
-cargo fmt --check -p wheels-radio -p wheels-ran
+cargo fmt --check -p wheels-radio -p wheels-ran -p wheels-lint
+
+echo "== clippy: crates held to clippy, -D warnings =="
+# A ratchet like the one above: the crates listed here are clippy-clean
+# on every target. --no-deps keeps the vendored path dependencies out.
+cargo clippy --offline -p wheels-radio -p wheels-ran --all-targets --no-deps -- -D warnings
 
 echo "== warnings: every target of both workspaces, -D warnings =="
 # Tests, examples and benches included, so an unused import or a dead

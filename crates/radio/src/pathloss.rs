@@ -100,11 +100,12 @@ impl PathLossModel {
     /// exact evaluation for cells that provably cannot reach the top two.
     ///
     /// Returns `f64::NEG_INFINITY` (a vacuous bound) when `d² < 4`, where
-    /// the exponent decomposition would need the sub-1 m clamp handled.
+    /// the exponent decomposition would need the sub-1 m clamp handled,
+    /// and when `d²` is NaN.
     ///
     /// `lb` is [`Log10Lb::get`], passed in so a scan reads it once.
     pub fn loss_lb_db(&self, lb: &Log10Lb, d2_m2: f64) -> f64 {
-        if !(d2_m2 >= 4.0) {
+        if d2_m2.is_nan() || d2_m2 < 4.0 {
             return f64::NEG_INFINITY;
         }
         let bits = d2_m2.to_bits();
@@ -176,6 +177,7 @@ mod tests {
         let m = PathLossModel::new(Band::new(1_900.0), 0.5);
         assert_eq!(m.loss_lb_db(Log10Lb::get(), 3.9), f64::NEG_INFINITY);
         assert_eq!(m.loss_lb_db(Log10Lb::get(), 0.0), f64::NEG_INFINITY);
+        assert_eq!(m.loss_lb_db(Log10Lb::get(), f64::NAN), f64::NEG_INFINITY);
     }
 
     #[test]
