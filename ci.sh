@@ -32,7 +32,8 @@ echo "== rustfmt: crates held to the formatter =="
 # A ratchet, one crate set at a time: the crates listed here are
 # rustfmt-clean and must stay so. Add a crate once `cargo fmt -p` has been
 # run over it in a change of its own.
-cargo fmt --check -p wheels-radio -p wheels-ran -p wheels-lint
+cargo fmt --check -p wheels-radio -p wheels-ran -p wheels-lint -p wheels-fleet \
+  -p wheels-geo -p wheels-xcal -p wheels-netsim
 
 echo "== clippy: crates held to clippy, -D warnings =="
 # A ratchet like the one above: the crates listed here are clippy-clean

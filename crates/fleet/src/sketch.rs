@@ -130,7 +130,9 @@ pub struct LoadHistogram {
 
 impl Default for LoadHistogram {
     fn default() -> Self {
-        LoadHistogram { bins: vec![0; LOAD_BINS] }
+        LoadHistogram {
+            bins: vec![0; LOAD_BINS],
+        }
     }
 }
 
@@ -341,8 +343,9 @@ mod tests {
 
     #[test]
     fn observe_then_merge_equals_observe_all() {
-        let all: Vec<CellHourObs> =
-            (0..40).map(|i| obs(i % 7, (i % 24) as u8, i as f64 / 13.0)).collect();
+        let all: Vec<CellHourObs> = (0..40)
+            .map(|i| obs(i % 7, (i % 24) as u8, i as f64 / 13.0))
+            .collect();
         let mut whole = FleetUnitSketch::empty();
         for o in &all {
             whole.observe(o);

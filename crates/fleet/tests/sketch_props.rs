@@ -22,9 +22,17 @@ fn arb_obs() -> impl Strategy<Value = CellHourObs> {
         0.0f64..1.5,
         1u64..=MICRO,
     )
-        .prop_map(|(cell, tech, hour_of_day, subs, active_micro, util, span_micro)| {
-            CellHourObs { cell, tech, hour_of_day, subs, active_micro, util, span_micro }
-        })
+        .prop_map(
+            |(cell, tech, hour_of_day, subs, active_micro, util, span_micro)| CellHourObs {
+                cell,
+                tech,
+                hour_of_day,
+                subs,
+                active_micro,
+                util,
+                span_micro,
+            },
+        )
 }
 
 fn fold(observations: &[CellHourObs]) -> FleetUnitSketch {

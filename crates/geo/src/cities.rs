@@ -45,13 +45,43 @@ impl City {
 
 macro_rules! city {
     ($name:expr, $state:expr, $lat:expr, $lon:expr, $scale:expr, major, edge) => {
-        City { name: $name, state: $state, center: LatLon { lat: $lat, lon: $lon }, scale: $scale, major: true, edge_server: true }
+        City {
+            name: $name,
+            state: $state,
+            center: LatLon {
+                lat: $lat,
+                lon: $lon,
+            },
+            scale: $scale,
+            major: true,
+            edge_server: true,
+        }
     };
     ($name:expr, $state:expr, $lat:expr, $lon:expr, $scale:expr, major) => {
-        City { name: $name, state: $state, center: LatLon { lat: $lat, lon: $lon }, scale: $scale, major: true, edge_server: false }
+        City {
+            name: $name,
+            state: $state,
+            center: LatLon {
+                lat: $lat,
+                lon: $lon,
+            },
+            scale: $scale,
+            major: true,
+            edge_server: false,
+        }
     };
     ($name:expr, $state:expr, $lat:expr, $lon:expr, $scale:expr) => {
-        City { name: $name, state: $state, center: LatLon { lat: $lat, lon: $lon }, scale: $scale, major: false, edge_server: false }
+        City {
+            name: $name,
+            state: $state,
+            center: LatLon {
+                lat: $lat,
+                lon: $lon,
+            },
+            scale: $scale,
+            major: false,
+            edge_server: false,
+        }
     };
 }
 

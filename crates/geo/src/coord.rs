@@ -70,8 +70,8 @@ impl LatLon {
         let brg = bearing_deg.to_radians();
         let dr = distance_m / EARTH_RADIUS_M;
         let lat2 = (lat1.sin() * dr.cos() + lat1.cos() * dr.sin() * brg.cos()).asin();
-        let lon2 = lon1
-            + (brg.sin() * dr.sin() * lat1.cos()).atan2(dr.cos() - lat1.sin() * lat2.sin());
+        let lon2 =
+            lon1 + (brg.sin() * dr.sin() * lat1.cos()).atan2(dr.cos() - lat1.sin() * lat2.sin());
         LatLon {
             lat: lat2.to_degrees(),
             lon: ((lon2.to_degrees() + 540.0) % 360.0) - 180.0,

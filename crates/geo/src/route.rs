@@ -258,7 +258,10 @@ impl Route {
         let mut od = 0.0;
         while od < self.total_m {
             let r = self.region_at(od);
-            let i = RegionKind::ALL.iter().position(|&k| k == r).expect("known region");
+            let i = RegionKind::ALL
+                .iter()
+                .position(|&k| k == r)
+                .expect("known region");
             counts[i] += 1;
             n += 1;
             od += step_m;

@@ -46,11 +46,7 @@ impl BulkTransferTest {
     /// Run the test starting at absolute time `t0_s` with the default CUBIC
     /// controller. `link` maps absolute time to `(capacity_mbps,
     /// base_rtt_s)`.
-    pub fn run(
-        &self,
-        t0_s: f64,
-        link: impl FnMut(f64) -> (f64, f64),
-    ) -> Vec<ThroughputSample> {
+    pub fn run(&self, t0_s: f64, link: impl FnMut(f64) -> (f64, f64)) -> Vec<ThroughputSample> {
         self.run_with(t0_s, Box::new(Cubic::new()), link)
     }
 
@@ -120,7 +116,13 @@ mod tests {
     #[test]
     fn capacity_drop_shows_in_samples() {
         let t = BulkTransferTest::default();
-        let samples = t.run(0.0, |time| if time < 15.0 { (100.0, 0.05) } else { (5.0, 0.05) });
+        let samples = t.run(0.0, |time| {
+            if time < 15.0 {
+                (100.0, 0.05)
+            } else {
+                (5.0, 0.05)
+            }
+        });
         let early = samples[10].mbps;
         let late = samples[55].mbps;
         assert!(early > 50.0, "{early}");

@@ -312,7 +312,12 @@ mod tests {
                 seen.insert(f.label());
             }
         }
-        for label in ["probe-crash", "server-outage", "modem-detach", "timeout-overrun"] {
+        for label in [
+            "probe-crash",
+            "server-outage",
+            "modem-detach",
+            "timeout-overrun",
+        ] {
             assert!(seen.contains(label), "harsh profile never drew {label}");
         }
     }
@@ -334,7 +339,10 @@ mod tests {
                 Some(Fault::ProbeCrash { survive_frac }) => {
                     assert!((0.25..0.95).contains(&survive_frac));
                 }
-                Some(Fault::ModemDetach { start_frac, len_frac }) => {
+                Some(Fault::ModemDetach {
+                    start_frac,
+                    len_frac,
+                }) => {
                     assert!((0.05..0.75).contains(&start_frac));
                     assert!((0.05..0.30).contains(&len_frac));
                 }

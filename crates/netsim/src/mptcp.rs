@@ -53,7 +53,9 @@ impl MultipathFlow {
     pub fn new(paths: usize, mode: MptcpMode) -> Self {
         assert!(paths > 0, "a multipath flow needs at least one path");
         MultipathFlow {
-            subflows: (0..paths).map(|_| FluidTcp::new(Box::new(Cubic::new()))).collect(),
+            subflows: (0..paths)
+                .map(|_| FluidTcp::new(Box::new(Cubic::new())))
+                .collect(),
             mode,
             rate_est: vec![0.0; paths],
             active: 0,
@@ -102,8 +104,8 @@ impl MultipathFlow {
                             0.9 * self.rate_est[i] + 0.1 * (out.delivered_bytes / dt_s);
                     } else {
                         // Thin probes observe capacity without moving data.
-                        self.rate_est[i] = 0.95 * self.rate_est[i]
-                            + 0.05 * crate::mbps_to_bps(caps_mbps[i]);
+                        self.rate_est[i] =
+                            0.95 * self.rate_est[i] + 0.05 * crate::mbps_to_bps(caps_mbps[i]);
                     }
                 }
                 best = self
@@ -124,14 +126,21 @@ impl MultipathFlow {
         }
         MptcpTick {
             delivered_bytes: delivered,
-            min_rtt_s: if min_rtt.is_finite() { min_rtt } else { rtts_s[0] },
+            min_rtt_s: if min_rtt.is_finite() {
+                min_rtt
+            } else {
+                rtts_s[0]
+            },
             best_path: best,
         }
     }
 
     /// Total bytes delivered across all subflows.
     pub fn total_delivered_bytes(&self) -> f64 {
-        self.subflows.iter().map(|f| f.total_delivered_bytes()).sum()
+        self.subflows
+            .iter()
+            .map(|f| f.total_delivered_bytes())
+            .sum()
     }
 }
 

@@ -114,7 +114,7 @@ impl RttModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{CLOUD_OHIO, ServerKind};
+    use crate::server::{ServerKind, CLOUD_OHIO};
     use rand::SeedableRng;
 
     fn rng() -> SmallRng {
@@ -166,7 +166,10 @@ mod tests {
         assert_eq!(edge.kind, ServerKind::Edge);
         let edge_ms = median(&edge, 5, 2_000, 18.0, 2.0);
         let cloud_ms = median(&CLOUD_OHIO, 5, 2_000, 18.0, 2.0);
-        assert!(edge_ms < cloud_ms, "edge {edge_ms} ms vs cloud {cloud_ms} ms");
+        assert!(
+            edge_ms < cloud_ms,
+            "edge {edge_ms} ms vs cloud {cloud_ms} ms"
+        );
     }
 
     #[test]

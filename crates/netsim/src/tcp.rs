@@ -201,7 +201,11 @@ mod tests {
             let dt = 0.02;
             let mut t: f64 = 0.0;
             while t < 60.0 {
-                let cap = if ((t / 5.0) as u64).is_multiple_of(2) { 600.0 } else { 150.0 };
+                let cap = if ((t / 5.0) as u64).is_multiple_of(2) {
+                    600.0
+                } else {
+                    150.0
+                };
                 flow.tick(t, dt, cap, 0.08);
                 t += dt;
             }

@@ -8,10 +8,10 @@
 use serde::Serialize;
 
 use wheels_geo::timezone::Timezone;
+use wheels_netsim::server::ServerKind;
 use wheels_ran::handover::HandoverEvent;
 use wheels_ran::operator::Operator;
 use wheels_ran::Direction;
-use wheels_netsim::server::ServerKind;
 
 use crate::handover_logger::PassiveLogger;
 use crate::kpi::KpiSample;
@@ -323,10 +323,25 @@ mod tests {
             ],
             passive: vec![],
         };
-        assert_eq!(db.by_op_kind(Operator::Verizon, TestKind::ThroughputDl).count(), 2);
-        assert_eq!(db.driving(Operator::Verizon, TestKind::ThroughputDl).count(), 1);
-        assert_eq!(db.static_runs(Operator::Verizon, TestKind::ThroughputDl).count(), 1);
-        assert_eq!(db.tput_kpi(Operator::Verizon, Direction::Downlink).count(), 2);
+        assert_eq!(
+            db.by_op_kind(Operator::Verizon, TestKind::ThroughputDl)
+                .count(),
+            2
+        );
+        assert_eq!(
+            db.driving(Operator::Verizon, TestKind::ThroughputDl)
+                .count(),
+            1
+        );
+        assert_eq!(
+            db.static_runs(Operator::Verizon, TestKind::ThroughputDl)
+                .count(),
+            1
+        );
+        assert_eq!(
+            db.tput_kpi(Operator::Verizon, Direction::Downlink).count(),
+            2
+        );
     }
 
     #[test]

@@ -105,9 +105,9 @@ impl XcalLogger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wheels_radio::band::Technology;
     use wheels_ran::cell::CellId;
     use wheels_ran::handover::HandoverKind;
-    use wheels_radio::band::Technology;
 
     #[test]
     fn filename_uses_local_time_contents_use_edt() {

@@ -173,7 +173,14 @@ mod tests {
         let apps: Vec<AppLog> = starts
             .iter()
             .zip(tzs)
-            .map(|(&s, tz)| AppLog::stamped("nuttcp", Operator::Verizon, s + 1.0, AppStampFormat::Local(tz)))
+            .map(|(&s, tz)| {
+                AppLog::stamped(
+                    "nuttcp",
+                    Operator::Verizon,
+                    s + 1.0,
+                    AppStampFormat::Local(tz),
+                )
+            })
             .collect();
         let m = match_logs(&apps, &xcal);
         assert_eq!(m, vec![Some(0), Some(1), Some(2), Some(3)]);
@@ -182,7 +189,12 @@ mod tests {
     #[test]
     fn utc_stamped_apps_also_match() {
         let xcal = vec![xcal_at(50_000.0, Timezone::Mountain)];
-        let apps = vec![AppLog::stamped("puffer", Operator::Verizon, 50_002.0, AppStampFormat::Utc)];
+        let apps = vec![AppLog::stamped(
+            "puffer",
+            Operator::Verizon,
+            50_002.0,
+            AppStampFormat::Utc,
+        )];
         assert_eq!(match_logs(&apps, &xcal), vec![Some(0)]);
     }
 
@@ -191,7 +203,12 @@ mod tests {
         // A Pacific-zone test: filename is 3 h off EDT, so the naive
         // matcher misses the pairing entirely.
         let xcal = vec![xcal_at(40_000.0, Timezone::Pacific)];
-        let apps = vec![AppLog::stamped("nuttcp", Operator::Verizon, 40_000.0, AppStampFormat::Utc)];
+        let apps = vec![AppLog::stamped(
+            "nuttcp",
+            Operator::Verizon,
+            40_000.0,
+            AppStampFormat::Utc,
+        )];
         assert_eq!(match_logs(&apps, &xcal), vec![Some(0)]);
         assert_eq!(match_logs_naive(&apps, &xcal), vec![None]);
     }
@@ -201,14 +218,24 @@ mod tests {
         // In the Eastern zone local == EDT, so the naive matcher happens to
         // work — which is exactly why such bugs survive testing at home.
         let xcal = vec![xcal_at(300_000.0, Timezone::Eastern)];
-        let apps = vec![AppLog::stamped("nuttcp", Operator::Verizon, 300_000.0, AppStampFormat::Utc)];
+        let apps = vec![AppLog::stamped(
+            "nuttcp",
+            Operator::Verizon,
+            300_000.0,
+            AppStampFormat::Utc,
+        )];
         assert_eq!(match_logs_naive(&apps, &xcal), vec![Some(0)]);
     }
 
     #[test]
     fn no_match_beyond_tolerance() {
         let xcal = vec![xcal_at(10_000.0, Timezone::Eastern)];
-        let apps = vec![AppLog::stamped("nuttcp", Operator::Verizon, 10_000.0 + 120.0, AppStampFormat::Utc)];
+        let apps = vec![AppLog::stamped(
+            "nuttcp",
+            Operator::Verizon,
+            10_000.0 + 120.0,
+            AppStampFormat::Utc,
+        )];
         assert_eq!(match_logs(&apps, &xcal), vec![None]);
     }
 
@@ -218,7 +245,12 @@ mod tests {
             xcal_at(1_000.0, Timezone::Eastern),
             xcal_at(1_020.0, Timezone::Eastern),
         ];
-        let apps = vec![AppLog::stamped("nuttcp", Operator::Verizon, 1_018.0, AppStampFormat::Utc)];
+        let apps = vec![AppLog::stamped(
+            "nuttcp",
+            Operator::Verizon,
+            1_018.0,
+            AppStampFormat::Utc,
+        )];
         assert_eq!(match_logs(&apps, &xcal), vec![Some(1)]);
     }
 }
