@@ -38,7 +38,8 @@ cargo fmt --check -p wheels-radio -p wheels-ran -p wheels-lint -p wheels-fleet \
 echo "== clippy: crates held to clippy, -D warnings =="
 # A ratchet like the one above: the crates listed here are clippy-clean
 # on every target. --no-deps keeps the vendored path dependencies out.
-cargo clippy --offline -p wheels-radio -p wheels-ran --all-targets --no-deps -- -D warnings
+cargo clippy --offline -p wheels-radio -p wheels-ran -p wheels-xcal -p wheels-netsim \
+  -p wheels-geo -p wheels-fleet -p wheels-apps --all-targets --no-deps -- -D warnings
 
 echo "== warnings: every target of both workspaces, -D warnings =="
 # Tests, examples and benches included, so an unused import or a dead

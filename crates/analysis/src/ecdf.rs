@@ -19,7 +19,7 @@ impl Ecdf {
     /// Build from a column that is already sorted ascending (e.g. a
     /// pre-sorted [`crate::index::AnalysisIndex`] metric column) — no
     /// re-sort, no copy.
-    pub fn from_sorted(sorted: Vec<f64>) -> Self {
+    pub(crate) fn from_sorted(sorted: Vec<f64>) -> Self {
         debug_assert!(
             sorted.windows(2).all(|w| w[0] <= w[1]) && sorted.iter().all(|v| v.is_finite()),
             "from_sorted needs finite ascending samples"
@@ -77,19 +77,6 @@ impl Ecdf {
         ]
     }
 
-    /// Evenly spaced (value, cumulative-fraction) points for plotting.
-    pub fn points(&self, n: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || n == 0 {
-            return Vec::new();
-        }
-        (0..=n)
-            .map(|i| {
-                let p = i as f64 / n as f64 * 100.0;
-                (self.percentile(p), p / 100.0)
-            })
-            .collect()
-    }
-
     /// The sorted samples.
     pub fn samples(&self) -> &[f64] {
         &self.sorted
@@ -123,21 +110,10 @@ mod tests {
     }
 
     #[test]
-    fn points_are_monotone() {
-        let e = Ecdf::new([5.0, 1.0, 3.0, 2.0, 4.0]);
-        let pts = e.points(10);
-        for w in pts.windows(2) {
-            assert!(w[1].0 >= w[0].0);
-            assert!(w[1].1 >= w[0].1);
-        }
-    }
-
-    #[test]
     fn empty_is_safe() {
         let e = Ecdf::new([]);
         assert!(e.is_empty());
         assert_eq!(e.median(), 0.0);
-        assert!(e.points(5).is_empty());
     }
 
     #[test]

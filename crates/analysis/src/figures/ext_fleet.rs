@@ -106,7 +106,7 @@ pub fn compute(ix: &AnalysisIndex<'_>, fleet: Option<&FleetSummary>) -> ProbeVsF
 
 impl ProbeVsFleet {
     /// Operators ranked best-first by probe median DL throughput.
-    pub fn probe_ranking(&self) -> Vec<Operator> {
+    pub(crate) fn probe_ranking(&self) -> Vec<Operator> {
         let mut v: Vec<&OpFleetRow> = self.rows.iter().collect();
         v.sort_by(|a, b| b.probe_dl_median_mbps.total_cmp(&a.probe_dl_median_mbps));
         v.into_iter().map(|r| r.op).collect()
@@ -114,7 +114,7 @@ impl ProbeVsFleet {
 
     /// Operators ranked best-first by fleet ground truth: lowest median
     /// cell load carries its subscribers with the most headroom.
-    pub fn fleet_ranking(&self) -> Vec<Operator> {
+    pub(crate) fn fleet_ranking(&self) -> Vec<Operator> {
         let mut v: Vec<&OpFleetRow> = self.rows.iter().collect();
         v.sort_by(|a, b| a.load_quantiles[1].total_cmp(&b.load_quantiles[1]));
         v.into_iter().map(|r| r.op).collect()
@@ -122,7 +122,7 @@ impl ProbeVsFleet {
 
     /// Fraction of operator pairs the probe ranking orders the same way
     /// as the fleet ranking (1.0 = identical order).
-    pub fn ranking_coverage(&self) -> f64 {
+    pub(crate) fn ranking_coverage(&self) -> f64 {
         let probe = self.probe_ranking();
         let fleet = self.fleet_ranking();
         let n = probe.len();

@@ -74,7 +74,8 @@ impl CoverageFig {
     }
 
     /// Shares for one operator and direction.
-    pub fn direction_for(&self, op: Operator, dir: Direction) -> &Shares {
+    #[cfg(test)]
+    fn direction_for(&self, op: Operator, dir: Direction) -> &Shares {
         &self
             .by_direction
             .iter()
@@ -84,7 +85,8 @@ impl CoverageFig {
     }
 
     /// Shares for one operator and speed bin.
-    pub fn speed_for(&self, op: Operator, bin: SpeedBin) -> &Shares {
+    #[cfg(test)]
+    fn speed_for(&self, op: Operator, bin: SpeedBin) -> &Shares {
         &self
             .by_speed
             .iter()

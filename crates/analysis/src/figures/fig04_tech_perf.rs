@@ -64,7 +64,8 @@ impl TechPerf {
     }
 
     /// Pool a direction's samples across server kinds for (op, tech).
-    pub fn pooled(
+    #[cfg(test)]
+    fn pooled(
         list: &[(Operator, Technology, ServerKind, Arc<Ecdf>)],
         op: Operator,
         tech: Technology,

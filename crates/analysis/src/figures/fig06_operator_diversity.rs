@@ -53,7 +53,7 @@ pub const PAIRS: [(Operator, Operator); 3] = [
 /// Cyclically adjacent operator pairs of a panel: each operator against
 /// the next, wrapping around. For the paper panel this reproduces
 /// [`PAIRS`]; a two-operator panel yields the single pair.
-pub fn panel_pairs(ops: &[Operator]) -> Vec<(Operator, Operator)> {
+pub(crate) fn panel_pairs(ops: &[Operator]) -> Vec<(Operator, Operator)> {
     match ops.len() {
         0 | 1 => Vec::new(),
         2 => vec![(ops[0], ops[1])],

@@ -61,7 +61,8 @@ impl SpeedTput {
     }
 
     /// All samples of one (op, dir, bin) pooled over techs.
-    pub fn pooled_bin(&self, op: Operator, dir: Direction, bin: SpeedBin) -> Ecdf {
+    #[cfg(test)]
+    fn pooled_bin(&self, op: Operator, dir: Direction, bin: SpeedBin) -> Ecdf {
         Ecdf::new(
             self.cells
                 .iter()

@@ -48,7 +48,8 @@ impl SpeedRtt {
     }
 
     /// RTTs pooled over technologies for one (op, bin).
-    pub fn pooled_bin(&self, op: Operator, bin: SpeedBin) -> Ecdf {
+    #[cfg(test)]
+    fn pooled_bin(&self, op: Operator, bin: SpeedBin) -> Ecdf {
         Ecdf::new(
             self.cells
                 .iter()

@@ -62,7 +62,7 @@ impl Hs5gScatter {
     }
 
     /// Median metric for tests mostly on hs5G vs mostly off it.
-    pub fn split_medians(points: &[(f64, f64)]) -> (f64, f64) {
+    pub(crate) fn split_medians(points: &[(f64, f64)]) -> (f64, f64) {
         let hi: Vec<f64> = points.iter().filter(|p| p.0 > 0.7).map(|p| p.1).collect();
         let lo: Vec<f64> = points.iter().filter(|p| p.0 < 0.3).map(|p| p.1).collect();
         (crate::stats::median(&hi), crate::stats::median(&lo))

@@ -110,7 +110,8 @@ impl HoImpact {
     }
 
     /// ΔT₂ for one (op, dir, kind).
-    pub fn t2_kind_for(&self, op: Operator, dir: Direction, kind: HandoverKind) -> &Ecdf {
+    #[cfg(test)]
+    fn t2_kind_for(&self, op: Operator, dir: Direction, kind: HandoverKind) -> &Ecdf {
         &self
             .delta_t2_by_kind
             .iter()

@@ -62,7 +62,7 @@ pub fn share_hs5g(shares: &[(Technology, f64); 5]) -> f64 {
 
 /// Pair each RTT sample of a test with its covering 500 ms KPI window.
 /// RTT tests ping every 200 ms, so window index = floor(i·0.2 / 0.5).
-pub fn rtt_with_context(record: &wheels_xcal::TestRecord) -> Vec<(f64, KpiSample)> {
+pub(crate) fn rtt_with_context(record: &wheels_xcal::TestRecord) -> Vec<(f64, KpiSample)> {
     record
         .rtt_ms
         .iter()

@@ -137,7 +137,7 @@ pub struct EcdfQuery {
 
 impl EcdfQuery {
     /// An unfiltered query over one metric column.
-    pub fn metric(op: Operator, metric: QueryMetric) -> Self {
+    pub(crate) fn metric(op: Operator, metric: QueryMetric) -> Self {
         EcdfQuery {
             op,
             metric,
@@ -575,18 +575,13 @@ impl<'a> AnalysisIndex<'a> {
     }
 
     /// Canonical throughput ECDF of one `(op, direction, static?)` cell.
-    pub fn tput_ecdf(&self, op: Operator, dir: Direction, is_static: bool) -> Arc<Ecdf> {
+    pub(crate) fn tput_ecdf(&self, op: Operator, dir: Direction, is_static: bool) -> Arc<Ecdf> {
         Arc::clone(&self.canon[&Slice::Tput { op, dir, is_static }])
     }
 
     /// Canonical RTT ECDF of one `(op, static?)` cell.
-    pub fn rtt_ecdf(&self, op: Operator, is_static: bool) -> Arc<Ecdf> {
+    pub(crate) fn rtt_ecdf(&self, op: Operator, is_static: bool) -> Arc<Ecdf> {
         Arc::clone(&self.canon[&Slice::Rtt { op, is_static }])
-    }
-
-    /// Any canonical pre-sorted slice (RSRP/SINR/speed included).
-    pub fn slice(&self, s: Slice) -> Arc<Ecdf> {
-        Arc::clone(&self.canon[&s])
     }
 
     /// Pre-aggregated coverage shares for one operator.
@@ -596,31 +591,26 @@ impl<'a> AnalysisIndex<'a> {
 
     /// Table 2 row: Pearson r of throughput vs [RSRP, MCS, CA, BLER,
     /// speed, handovers] for one `(op, direction)`.
-    pub fn kpi_correlations(&self, op: Operator, dir: Direction) -> [f64; KPI_COLUMNS] {
+    pub(crate) fn kpi_correlations(&self, op: Operator, dir: Direction) -> [f64; KPI_COLUMNS] {
         self.corr[&(op, dir)]
     }
 
     /// Concurrent driving throughput tests keyed by `(op, rounded start
     /// second)` for one direction (Fig. 6 pairing). Iteration order is
     /// the key order, so consumers may fold over it deterministically.
-    pub fn concurrent_map(&self, dir: Direction) -> &BTreeMap<(Operator, i64), u32> {
+    pub(crate) fn concurrent_map(&self, dir: Direction) -> &BTreeMap<(Operator, i64), u32> {
         &self.pairs[dir_idx(dir)]
     }
 
     /// Concurrent all-operator test groups for one direction, record
     /// indices in [`AnalysisIndex::ops`] order.
-    pub fn concurrent_triples(&self, dir: Direction) -> &[Vec<u32>] {
+    pub(crate) fn concurrent_triples(&self, dir: Direction) -> &[Vec<u32>] {
         &self.triples[dir_idx(dir)]
-    }
-
-    /// Number of memoized heterogeneous queries so far.
-    pub fn cached_queries(&self) -> usize {
-        self.cache.lock().expect("query cache poisoned").len()
     }
 
     /// Memoized ECDF over one filtered metric column. The first call for
     /// a key scans the column once and caches; later calls are a map hit.
-    pub fn query(&self, q: EcdfQuery) -> Arc<Ecdf> {
+    pub(crate) fn query(&self, q: EcdfQuery) -> Arc<Ecdf> {
         if let Some(hit) = self.cache.lock().expect("query cache poisoned").get(&q) {
             return Arc::clone(hit);
         }
@@ -740,12 +730,10 @@ mod tests {
     #[test]
     fn query_is_memoized() {
         let ix = AnalysisIndex::build(network_db());
-        let before = ix.cached_queries();
         let q = EcdfQuery::metric(Operator::Verizon, QueryMetric::Rtt).bin(SpeedBin::High);
         let a = ix.query(q);
         let b = ix.query(q);
         assert!(Arc::ptr_eq(&a, &b), "second lookup must hit the cache");
-        assert_eq!(ix.cached_queries(), before + 1);
     }
 
     #[test]

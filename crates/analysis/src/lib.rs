@@ -24,4 +24,4 @@ pub mod stats;
 
 pub use ecdf::Ecdf;
 pub use index::AnalysisIndex;
-pub use stats::{mean, pearson, percentile, std_dev};
+pub use stats::{mean, percentile};

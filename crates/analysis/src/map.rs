@@ -20,7 +20,7 @@ use wheels_xcal::handover_logger::PassiveLogger;
 use wheels_xcal::kpi::KpiSample;
 
 /// Character used for a technology.
-pub fn tech_char(t: Technology) -> char {
+pub(crate) fn tech_char(t: Technology) -> char {
     match t {
         Technology::Lte => '.',
         Technology::LteA => '-',
@@ -40,7 +40,7 @@ fn dominant(meters: &[f64; 5]) -> Option<Technology> {
 }
 
 /// Build a coverage map of `width` characters from KPI samples.
-pub fn map_from_kpi<'a>(
+pub(crate) fn map_from_kpi<'a>(
     samples: impl Iterator<Item = &'a KpiSample>,
     total_m: f64,
     width: usize,
@@ -62,7 +62,7 @@ pub fn map_from_kpi<'a>(
 }
 
 /// Build a coverage map from a passive handover-logger trace.
-pub fn map_from_passive(log: &PassiveLogger, total_m: f64, width: usize) -> String {
+pub(crate) fn map_from_passive(log: &PassiveLogger, total_m: f64, width: usize) -> String {
     assert!(width > 0 && total_m > 0.0);
     let mut bins = vec![[0.0f64; 5]; width];
     for w in log.samples().windows(2) {
@@ -82,7 +82,7 @@ pub fn map_from_passive(log: &PassiveLogger, total_m: f64, width: usize) -> Stri
 
 /// Render the Fig. 1 comparison for an explicit operator panel: for each
 /// operator, the passive map above the active (test-time) map.
-pub fn render_fig1_maps_for(
+pub(crate) fn render_fig1_maps_for(
     db: &ConsolidatedDb,
     total_m: f64,
     width: usize,

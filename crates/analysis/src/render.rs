@@ -3,7 +3,7 @@
 use crate::ecdf::Ecdf;
 
 /// Render a row of an ECDF summary: label + p10/p25/p50/p75/p90/max.
-pub fn cdf_row(label: &str, e: &Ecdf) -> String {
+pub(crate) fn cdf_row(label: &str, e: &Ecdf) -> String {
     if e.is_empty() {
         return format!("{label:<28} (no samples)");
     }
@@ -21,17 +21,17 @@ pub fn cdf_row(label: &str, e: &Ecdf) -> String {
 }
 
 /// Header matching [`cdf_row`] columns.
-pub fn cdf_header(title: &str) -> String {
+pub(crate) fn cdf_header(title: &str) -> String {
     format!("{title}\n{}", "-".repeat(title.len().min(100)))
 }
 
 /// Render a percentage with one decimal.
-pub fn pct(f: f64) -> String {
+pub(crate) fn pct(f: f64) -> String {
     format!("{:.1}%", f * 100.0)
 }
 
 /// A fixed-width stacked-bar-style line for coverage shares.
-pub fn share_bar(label: &str, shares: &[(&str, f64)]) -> String {
+pub(crate) fn share_bar(label: &str, shares: &[(&str, f64)]) -> String {
     let mut s = format!("{label:<12}");
     for (name, frac) in shares {
         s.push_str(&format!(" {name}={:>5.1}%", frac * 100.0));

@@ -9,7 +9,7 @@ pub fn mean(v: &[f64]) -> f64 {
 }
 
 /// Population standard deviation (0 for fewer than 2 samples).
-pub fn std_dev(v: &[f64]) -> f64 {
+pub(crate) fn std_dev(v: &[f64]) -> f64 {
     if v.len() < 2 {
         return 0.0;
     }
@@ -29,7 +29,7 @@ pub fn percentile(v: &[f64], p: f64) -> f64 {
 }
 
 /// `p`-th percentile of an already sorted slice.
-pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
@@ -48,7 +48,7 @@ pub fn median(v: &[f64]) -> f64 {
 
 /// Pearson's correlation coefficient between paired samples.
 /// Returns 0 when either side has no variance or fewer than 2 pairs.
-pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
+pub(crate) fn pearson(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "pearson needs paired samples");
     let n = x.len();
     if n < 2 {

@@ -35,7 +35,7 @@ pub struct OffloadConfig {
 
 impl OffloadConfig {
     /// Frame period, ms.
-    pub fn frame_period_ms(&self) -> f64 {
+    pub(crate) fn frame_period_ms(&self) -> f64 {
         1_000.0 / self.fps
     }
 

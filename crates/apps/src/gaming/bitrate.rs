@@ -30,7 +30,7 @@ impl Default for BitrateAdapter {
 impl BitrateAdapter {
     /// One adaptation step: observe channel capacity and whether the send
     /// queue is backed up; returns the new target bitrate (Mbps).
-    pub fn update(&mut self, cap_mbps: f64, queue_backed_up: bool) -> f64 {
+    pub(crate) fn update(&mut self, cap_mbps: f64, queue_backed_up: bool) -> f64 {
         self.est_mbps = 0.8 * self.est_mbps + 0.2 * cap_mbps;
         if queue_backed_up {
             // Multiplicative decrease below the estimate.
@@ -41,11 +41,6 @@ impl BitrateAdapter {
         }
         self.bitrate_mbps = self.bitrate_mbps.clamp(MIN_BITRATE_MBPS, MAX_BITRATE_MBPS);
         self.bitrate_mbps
-    }
-
-    /// Current capacity estimate, Mbps.
-    pub fn estimate_mbps(&self) -> f64 {
-        self.est_mbps
     }
 }
 

@@ -36,7 +36,7 @@ pub fn map_for_latency(frame_times: f64, compressed: bool) -> f64 {
 }
 
 /// mAP (%) for an E2E latency in ms at a given source frame rate.
-pub fn map_for_latency_ms(e2e_ms: f64, fps: f64, compressed: bool) -> f64 {
+pub(crate) fn map_for_latency_ms(e2e_ms: f64, fps: f64, compressed: bool) -> f64 {
     map_for_latency(e2e_ms / (1_000.0 / fps), compressed)
 }
 

@@ -36,7 +36,7 @@ impl Bba {
     /// Memoryless rate map: the highest rung not exceeding the ramp.
     /// Useful for analysis; playback should use [`Bba::pick`] (with the
     /// previous rate) to get BBA-0's switching hysteresis.
-    pub fn pick_memoryless(&self, buffer_s: f64, ladder: &[f64]) -> f64 {
+    pub(crate) fn pick_memoryless(&self, buffer_s: f64, ladder: &[f64]) -> f64 {
         assert!(!ladder.is_empty(), "bitrate ladder must not be empty");
         // lint:allow(D7): the empty-ladder panic is this API's documented contract, asserted one line above
         let (rmin, rmax) = (ladder[0], *ladder.last().expect("nonempty"));

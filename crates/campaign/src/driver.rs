@@ -73,7 +73,7 @@ impl<'a> LinkDriver<'a> {
 
     /// Driver for a static test against `server` at a fixed odometer
     /// position.
-    pub fn static_at(
+    pub(crate) fn static_at(
         ue: &'a mut UeRadio,
         plan: &'a DrivePlan,
         server: Server,
@@ -105,7 +105,7 @@ impl<'a> LinkDriver<'a> {
     /// back; threading one scratch buffer through them replaces a
     /// grow-from-empty `Vec` per test with a single long-lived
     /// allocation.
-    pub fn reusing(mut self, mut scratch: Vec<LinkSnapshot>) -> Self {
+    pub(crate) fn reusing(mut self, mut scratch: Vec<LinkSnapshot>) -> Self {
         scratch.clear();
         self.snapshots = scratch;
         self
@@ -137,7 +137,7 @@ impl<'a> LinkDriver<'a> {
     }
 
     /// Wired round trip (ms) from the vehicle at absolute time `t_s` to
-    /// the test's server: [`RttModel::wired_ms`] at [`DrivePlan::pos_at`],
+    /// the test's server: [`RttModel::wired_ms`] at [`DrivePlan::pos_at_hinted`],
     /// bit for bit. A static test's value was derived once, at
     /// construction. Unlike [`Self::at`] this is exact at every call, not
     /// cached per cadence step: flows ticking faster than the RAN cadence
@@ -166,7 +166,7 @@ impl<'a> LinkDriver<'a> {
 /// ([`LinkDriver::wired_ms`]) + radio access. Stochastic spikes live in
 /// [`RttModel`] and apply to ping tests; TCP's queueing delay is produced
 /// by the flow's own buffer.
-pub fn tcp_base_rtt_s(snap: &LinkSnapshot, wired_ms: f64) -> f64 {
+pub(crate) fn tcp_base_rtt_s(snap: &LinkSnapshot, wired_ms: f64) -> f64 {
     (wired_ms + radio_rtt_ms(snap.tech)) / 1_000.0
 }
 
@@ -211,7 +211,7 @@ impl AppLink for AppLinkAdapter<'_, '_> {
 }
 
 /// Demand presented to the network by each test kind.
-pub fn demand_for(kind: wheels_xcal::TestKind) -> TrafficDemand {
+pub(crate) fn demand_for(kind: wheels_xcal::TestKind) -> TrafficDemand {
     use wheels_xcal::TestKind::*;
     match kind {
         ThroughputDl | AppVideo | AppGaming => TrafficDemand::Backlog(Direction::Downlink),
@@ -294,7 +294,7 @@ mod tests {
         let mut moving = LinkDriver::driving(&mut ue, &plan, CLOUD_OHIO, demand, 0.1);
         for i in 0..500 {
             let t = t0 + i as f64 * 0.02;
-            let want = RttModel::wired_ms(plan.pos_at(t), &CLOUD_OHIO);
+            let want = RttModel::wired_ms(plan.state_at(t).pos, &CLOUD_OHIO);
             let got = moving.wired_ms(t);
             assert_eq!(got.to_bits(), want.to_bits(), "driving tick {i}");
         }

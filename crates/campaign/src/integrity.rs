@@ -130,7 +130,7 @@ impl UnitReport {
 
     /// True if any data went missing (whole records, KPI samples, or
     /// passive samples).
-    pub fn lost_anything(&self) -> bool {
+    pub(crate) fn lost_anything(&self) -> bool {
         self.records_lost > 0 || self.kpi_samples_lost > 0 || self.passive_samples_lost > 0
     }
 }
@@ -206,17 +206,17 @@ impl Serialize for IntegrityReport {
 
 impl IntegrityReport {
     /// Units that completed clean.
-    pub fn ok_count(&self) -> usize {
+    pub(crate) fn ok_count(&self) -> usize {
         self.count(UnitStatus::Ok)
     }
 
     /// Units that completed with data loss.
-    pub fn degraded_count(&self) -> usize {
+    pub(crate) fn degraded_count(&self) -> usize {
         self.count(UnitStatus::Degraded)
     }
 
     /// Units that produced nothing.
-    pub fn lost_count(&self) -> usize {
+    pub(crate) fn lost_count(&self) -> usize {
         self.count(UnitStatus::Lost)
     }
 
@@ -231,7 +231,7 @@ impl IntegrityReport {
     }
 
     /// Total retries the supervisor spent.
-    pub fn total_retries(&self) -> u32 {
+    pub(crate) fn total_retries(&self) -> u32 {
         self.units.iter().map(|u| u.attempts.saturating_sub(1)).sum()
     }
 

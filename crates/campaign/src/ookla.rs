@@ -5,12 +5,7 @@
 //! per-test means (the same statistic as Fig. 9). §5.6 explains why the
 //! two differ: SpeedTest users are mostly static, the app picks nearby
 //! servers, and it opens multiple TCP connections to measure peak
-//! bandwidth. [`simulate_speedtest_style`] reproduces that methodology
-//! inside our simulation as a check that those three factors do push the
-//! numbers in Ookla's direction.
-
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+//! bandwidth.
 
 use wheels_ran::operator::Operator;
 
@@ -43,35 +38,6 @@ pub struct Table3Row {
     pub speedtest_rtt_ms: f64,
 }
 
-/// A crude SpeedTest-style measurement over a sample of link capacities:
-/// static user (no mobility penalty), nearby server (low RTT), multiple
-/// parallel connections (captures peak rather than single-flow goodput).
-///
-/// Given the per-test single-flow means from the driving campaign, apply
-/// the three methodology deltas and return the adjusted median: the
-/// direction and rough magnitude of the Ookla gap.
-pub fn simulate_speedtest_style(driving_means_mbps: &[f64], seed: u64) -> f64 {
-    // lint:allow(D4): methodology-check helper; callers pass a seed
-    // already derived from the campaign seed
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut adjusted: Vec<f64> = driving_means_mbps
-        .iter()
-        .map(|&m| {
-            // Static vs driving: remove the mobility penalty (deep fades,
-            // handovers, suburbs) — calibrated against our own static
-            // baselines being several times the driving medians.
-            let static_gain = rng.gen_range(1.6..3.0);
-            // Multi-connection peak vs single CUBIC flow.
-            let multi_conn = rng.gen_range(1.1..1.5);
-            m * static_gain * multi_conn
-        })
-        .collect();
-    adjusted.sort_by(f64::total_cmp);
-    // Total: `len / 2 < len` for any nonempty slice, and the empty case
-    // falls through to the 0.0 default.
-    adjusted.get(adjusted.len() / 2).copied().unwrap_or(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,17 +47,5 @@ mod tests {
         assert_eq!(ookla_q3_2022(Operator::Verizon).0, 58.64);
         assert_eq!(ookla_q3_2022(Operator::TMobile).0, 116.14);
         assert_eq!(ookla_q3_2022(Operator::Att).2, 61.0);
-    }
-
-    #[test]
-    fn speedtest_style_inflates_dl() {
-        let driving = vec![20.0, 30.0, 40.0, 25.0, 35.0];
-        let st = simulate_speedtest_style(&driving, 1);
-        assert!(st > 40.0, "{st}");
-    }
-
-    #[test]
-    fn empty_input_is_zero() {
-        assert_eq!(simulate_speedtest_style(&[], 1), 0.0);
     }
 }

@@ -34,8 +34,6 @@ use wheels_ran::Direction;
 use wheels_xcal::database::{AppMetrics, ConsolidatedDb, TestKind, TestRecord};
 use wheels_xcal::handover_logger::{PassiveLogger, PassiveSample};
 use wheels_xcal::kpi::KpiSample;
-use wheels_xcal::logger::{XcalLog, XcalLogger};
-use wheels_xcal::sync::{AppLog, AppStampFormat};
 
 use wheels_netsim::rng;
 
@@ -240,15 +238,6 @@ impl std::fmt::Display for CampaignError {
 }
 
 impl std::error::Error for CampaignError {}
-
-/// Optional side products of a run (for log-sync verification).
-#[derive(Debug, Default)]
-pub struct CampaignLogs {
-    /// XCAL logs, one per test.
-    pub xcal: Vec<XcalLog>,
-    /// App-side logs, one per test, in the same order.
-    pub app: Vec<AppLog>,
-}
 
 /// One operator's share of the world, [`Campaign::ops`] order.
 pub(crate) struct OpSlot {
@@ -511,37 +500,6 @@ impl Campaign {
             seed: self.cfg.seed,
             scale_bits: self.cfg.scale.to_bits(),
         }
-    }
-
-    /// Reconstruct what the two logging sides (XCAL and the apps) would
-    /// have produced for each record of `db`, in final (merged) record
-    /// order — for log-sync verification (costs extra memory; use at
-    /// reduced scale).
-    pub fn build_logs(&self, db: &ConsolidatedDb) -> CampaignLogs {
-        let mut logs = CampaignLogs::default();
-        for record in &db.records {
-            let mut xl = XcalLogger::start(record.op, record.kind.label(), record.start_s);
-            for k in &record.kpi {
-                xl.log_sample(*k);
-            }
-            for h in &record.handovers {
-                xl.log_handover(h);
-            }
-            logs.xcal.push(xl.finish(record.timezone));
-            // Apps alternate stamp formats, like the paper's mixed tooling.
-            let fmt = if record.id.is_multiple_of(2) {
-                AppStampFormat::Utc
-            } else {
-                AppStampFormat::Local(record.timezone)
-            };
-            logs.app.push(AppLog::stamped(
-                record.kind.label(),
-                record.op,
-                record.start_s,
-                fmt,
-            ));
-        }
-        logs
     }
 
     /// Run one work unit's payload to a shard. Deterministic in
@@ -1091,19 +1049,5 @@ mod tests {
             .filter(|r| r.kind == TestKind::ThroughputDl)
             .collect();
         assert!(dl.iter().all(|r| r.frac_hs5g >= 0.6));
-    }
-
-    #[test]
-    fn logs_match_via_correct_sync() {
-        let mut cfg = CampaignConfig::quick(9);
-        cfg.scale = 0.005;
-        let campaign = Campaign::from_spec(&drive_only(), cfg);
-        let db = run_db(&campaign);
-        let logs = campaign.build_logs(&db);
-        assert_eq!(logs.xcal.len(), db.records.len());
-        let matches = wheels_xcal::sync::match_logs(&logs.app, &logs.xcal);
-        for (i, m) in matches.iter().enumerate() {
-            assert_eq!(*m, Some(i), "app log {i} mismatched");
-        }
     }
 }

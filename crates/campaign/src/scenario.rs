@@ -132,21 +132,9 @@ pub struct SubscriberSpec {
 }
 
 impl SubscriberSpec {
-    /// A population with the default demand mix and diurnal profile.
-    pub fn with_population(population: u64) -> Self {
-        SubscriberSpec {
-            population,
-            mix_video: 0.55,
-            mix_web: 0.35,
-            mix_background: 0.10,
-            diurnal: None,
-            attach_sigma: None,
-        }
-    }
-
     /// Compile into the RAN's fleet parameters (population is the panel
     /// total here; the campaign apportions it per operator).
-    pub fn fleet_params(&self) -> FleetParams {
+    pub(crate) fn fleet_params(&self) -> FleetParams {
         let mix = (self.mix_video + self.mix_web + self.mix_background).max(1e-9);
         let mut p = FleetParams {
             population: self.population,
@@ -232,7 +220,7 @@ pub struct ScheduleSpec {
 
 impl ScheduleSpec {
     /// Length of one `kind` session, seconds.
-    pub fn session_s(&self, kind: TestKind) -> f64 {
+    pub(crate) fn session_s(&self, kind: TestKind) -> f64 {
         match kind {
             TestKind::ThroughputDl | TestKind::ThroughputUl => self.tput_s,
             TestKind::Rtt => self.rtt_s,
@@ -413,7 +401,7 @@ impl ScenarioSpec {
 
     /// A sustained-high-speed rail corridor: two operators on a sparse
     /// mid-band deployment, no city stop-and-go, one long driving day.
-    pub fn rail_corridor() -> Self {
+    pub(crate) fn rail_corridor() -> Self {
         let city = |name: &str, state: &str, lat: f64, lon: f64, scale: f64, major, edge| CitySpec {
             name: name.to_string(),
             state: state.to_string(),
@@ -523,7 +511,7 @@ impl ScenarioSpec {
 
     /// A dense urban loop: three operators with aggressive mmWave
     /// build-out, low vehicle speeds, frequent stops, edge everywhere.
-    pub fn metro_loop() -> Self {
+    pub(crate) fn metro_loop() -> Self {
         let city = |name: &str, state: &str, lat: f64, lon: f64, scale: f64, edge| CitySpec {
             name: name.to_string(),
             state: state.to_string(),

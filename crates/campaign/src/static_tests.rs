@@ -16,7 +16,7 @@ pub const CITY_SEARCH_M: f64 = 8_000.0;
 /// Find the static test site for one operator in one city: the nearest
 /// mmWave cell, falling back to midband; `None` if the operator has no
 /// high-speed 5G there (the combo is skipped, as in the paper).
-pub fn find_static_site(db: &CellDb, city_od_m: f64) -> Option<(f64, Technology)> {
+pub(crate) fn find_static_site(db: &CellDb, city_od_m: f64) -> Option<(f64, Technology)> {
     for tech in [Technology::Nr5gMmWave, Technology::Nr5gMid] {
         let best = db
             .cells_near(tech, city_od_m, CITY_SEARCH_M)
@@ -35,7 +35,7 @@ pub fn find_static_site(db: &CellDb, city_od_m: f64) -> Option<(f64, Technology)
 
 /// All static sites for one operator across the major cities of `route`:
 /// `(city name, site odometer, technology)`.
-pub fn static_sites(db: &CellDb, route: &Route) -> Vec<(&'static str, f64, Technology)> {
+pub(crate) fn static_sites(db: &CellDb, route: &Route) -> Vec<(&'static str, f64, Technology)> {
     route
         .cities()
         .iter()

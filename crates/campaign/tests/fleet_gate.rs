@@ -101,7 +101,14 @@ fn world_hash_folds_the_fleet_axis() {
 
     // The scenario subscribers axis is part of the hashed spec JSON.
     let mut fleet_spec = ScenarioSpec::paper();
-    fleet_spec.subscribers = Some(SubscriberSpec::with_population(10_000));
+    fleet_spec.subscribers = Some(SubscriberSpec {
+        population: 10_000,
+        mix_video: 0.55,
+        mix_web: 0.35,
+        mix_background: 0.10,
+        diurnal: None,
+        attach_sigma: None,
+    });
     assert_ne!(h0, world_hash(&fleet_spec, &cfg));
 
     // Why a genuine pre-fleet log is necessarily foreign: the hashed

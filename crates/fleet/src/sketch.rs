@@ -62,14 +62,6 @@ impl TechHourAcc {
         self.util_milli_hours += other.util_milli_hours;
         self.cell_hours_micro += other.cell_hours_micro;
     }
-
-    /// Mean utilization over the observed cell-hours (render-time only).
-    pub fn mean_util(&self) -> f64 {
-        if self.cell_hours_micro == 0 {
-            return 0.0;
-        }
-        (self.util_milli_hours as f64 / 1e3) / (self.cell_hours_micro as f64 / MICRO as f64)
-    }
 }
 
 /// Per-cell accumulator: who lives on the cell and how loaded it was.

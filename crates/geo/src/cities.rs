@@ -172,14 +172,6 @@ pub fn edge_cities() -> impl Iterator<Item = (CityId, &'static City)> {
         .map(|(i, c)| (CityId(i), c))
 }
 
-/// Number of distinct states crossed (paper Table 1: 14).
-pub fn states_crossed() -> usize {
-    let mut states: Vec<&str> = ROUTE_CITIES.iter().map(|c| c.state).collect();
-    states.sort_unstable();
-    states.dedup();
-    states.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,7 +212,10 @@ mod tests {
         // counts 14 (they clipped a corner of AZ on I-15 through the Virgin
         // River Gorge). Our waypoint list yields 13 named states; Table 1's
         // "14" includes Arizona, which has no waypoint town. Accept 13.
-        assert_eq!(states_crossed(), 13);
+        let mut states: Vec<&str> = ROUTE_CITIES.iter().map(|c| c.state).collect();
+        states.sort_unstable();
+        states.dedup();
+        assert_eq!(states.len(), 13);
     }
 
     #[test]

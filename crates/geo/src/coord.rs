@@ -55,26 +55,11 @@ impl LatLon {
     /// For the segment lengths on this route (tens of km) the error versus a
     /// true great-circle interpolation is far below cell-placement noise, so
     /// the simple form is used — simplicity over cleverness.
-    pub fn lerp(&self, other: &LatLon, t: f64) -> LatLon {
+    pub(crate) fn lerp(&self, other: &LatLon, t: f64) -> LatLon {
         let t = t.clamp(0.0, 1.0);
         LatLon {
             lat: self.lat + (other.lat - self.lat) * t,
             lon: self.lon + (other.lon - self.lon) * t,
-        }
-    }
-
-    /// Destination point at `distance_m` along `bearing_deg` from `self`.
-    pub fn destination(&self, bearing_deg: f64, distance_m: f64) -> LatLon {
-        let lat1 = self.lat.to_radians();
-        let lon1 = self.lon.to_radians();
-        let brg = bearing_deg.to_radians();
-        let dr = distance_m / EARTH_RADIUS_M;
-        let lat2 = (lat1.sin() * dr.cos() + lat1.cos() * dr.sin() * brg.cos()).asin();
-        let lon2 =
-            lon1 + (brg.sin() * dr.sin() * lat1.cos()).atan2(dr.cos() - lat1.sin() * lat2.sin());
-        LatLon {
-            lat: lat2.to_degrees(),
-            lon: ((lon2.to_degrees() + 540.0) % 360.0) - 180.0,
         }
     }
 }
@@ -130,14 +115,6 @@ mod tests {
         let b = boston();
         let p = a.lerp(&b, 2.0);
         assert!((p.lat - b.lat).abs() < 1e-12);
-    }
-
-    #[test]
-    fn destination_roundtrip() {
-        let a = la();
-        let b = a.destination(45.0, 10_000.0);
-        let d = a.haversine_m(&b);
-        assert!((d - 10_000.0).abs() < 1.0, "{d}");
     }
 
     #[test]

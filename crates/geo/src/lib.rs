@@ -21,7 +21,6 @@
 //!   given driven distance, region/timezone lookup along the way).
 //! * [`trip`] — the 8-day drive plan: a deterministic speed process that maps
 //!   simulation time to odometer distance, speed, and position.
-//! * [`trace`] — GPS sample streams as logged by the measurement apps.
 //!
 //! Everything here is deterministic: the only randomness is a caller-provided
 //! seed used by the speed process.
@@ -34,7 +33,6 @@ pub mod coord;
 pub mod region;
 pub mod route;
 pub mod timezone;
-pub mod trace;
 pub mod trip;
 
 pub use cities::{City, CityId};
@@ -42,7 +40,6 @@ pub use coord::LatLon;
 pub use region::RegionKind;
 pub use route::{Route, RouteHint, RoutePoint};
 pub use timezone::Timezone;
-pub use trace::{GpsSample, GpsTrace};
 pub use trip::{DayPlan, DrivePlan, DriveState, SpeedProfile};
 
 /// Meters per mile; the paper reports speeds in mph and distances in miles
@@ -83,11 +80,6 @@ impl SpeedBin {
         } else {
             SpeedBin::High
         }
-    }
-
-    /// Classify a speed in meters/second.
-    pub fn from_mps(mps: f64) -> Self {
-        Self::from_mph(mps_to_mph(mps))
     }
 
     /// All bins, in display order.

@@ -34,7 +34,7 @@ impl RegionKind {
 
     /// Typical free-flow speed in mph for the region, used as the mean of the
     /// speed process (before stops/noise).
-    pub fn freeflow_mph(self) -> f64 {
+    pub(crate) fn freeflow_mph(self) -> f64 {
         match self {
             RegionKind::UrbanCore => 12.0,
             RegionKind::Urban => 28.0,

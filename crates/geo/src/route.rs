@@ -187,13 +187,9 @@ impl Route {
 
     /// Nearest city (by odometer, which matches "distance along the drive")
     /// and the odometer gap to its closest approach, in meters, scaled by
-    /// the city's urban-radius factor for region classification.
-    pub fn nearest_city(&self, od_m: f64) -> (CityId, f64) {
-        self.nearest_city_hinted(od_m, &mut RouteHint::default())
-    }
-
-    /// [`Self::nearest_city`] starting its search from `hint`, which is
-    /// re-seated to this query's insertion point.
+    /// the city's urban-radius factor for region classification. The
+    /// search starts from `hint`, which is re-seated to this query's
+    /// insertion point.
     pub fn nearest_city_hinted(&self, od_m: f64, hint: &mut RouteHint) -> (CityId, f64) {
         // `city_odometer_m` is non-decreasing, so the nearest city is one
         // of the two flanking the insertion point. On an exact midpoint
@@ -409,7 +405,7 @@ mod tests {
         let mut od = -10_000.0;
         while od < r.total_m() + 20_000.0 {
             let (li, ld) = linear(od);
-            let (bi, bd) = r.nearest_city(od);
+            let (bi, bd) = r.nearest_city_hinted(od, &mut RouteHint::default());
             assert_eq!(li, bi, "city id at od {od}");
             assert_eq!(ld.to_bits(), bd.to_bits(), "distance at od {od}");
             od += 997.0;
@@ -417,7 +413,10 @@ mod tests {
         // Exact midpoint ties must pick the earlier city (first-wins).
         let mid = (r.city_odometer_m[0] + r.city_odometer_m[1]) / 2.0;
         if (mid - r.city_odometer_m[0]) == (r.city_odometer_m[1] - mid) {
-            assert_eq!(r.nearest_city(mid).0, CityId(0));
+            assert_eq!(
+                r.nearest_city_hinted(mid, &mut RouteHint::default()).0,
+                CityId(0)
+            );
         }
     }
 }

@@ -36,7 +36,7 @@ impl Timezone {
     ];
 
     /// UTC offset in hours during the trip (August 2022, DST in effect).
-    pub fn utc_offset_hours(self) -> i32 {
+    pub(crate) fn utc_offset_hours(self) -> i32 {
         match self {
             Timezone::Pacific => -7,
             Timezone::Mountain => -6,
@@ -75,16 +75,6 @@ impl Timezone {
             Timezone::Mountain => "Mountain",
             Timezone::Central => "Central",
             Timezone::Eastern => "Eastern",
-        }
-    }
-
-    /// IANA-style abbreviation in effect during the trip.
-    pub fn abbreviation(self) -> &'static str {
-        match self {
-            Timezone::Pacific => "PDT",
-            Timezone::Mountain => "MDT",
-            Timezone::Central => "CDT",
-            Timezone::Eastern => "EDT",
         }
     }
 }

@@ -243,7 +243,7 @@ impl DrivePlan {
 
     /// Day index / odometer / speed / driving flag at plan-time `t` (already
     /// clamped non-negative). Shared hot-path core of [`Self::state_at`] and
-    /// [`Self::pos_at`].
+    /// [`Self::pos_at_hinted`].
     fn locate(&self, t: f64) -> (usize, f64, f64, bool) {
         // Find the day whose window contains t, or the nearest earlier day:
         // the last day with start_time_s <= t (day starts are increasing).
@@ -293,24 +293,14 @@ impl DrivePlan {
         }
     }
 
-    /// Position only at plan-time `t_s`: skips the region / timezone lookups
-    /// of [`Self::state_at`]. For per-tick app-layer samplers that only need
-    /// geometry; the returned position is bit-identical to
-    /// `state_at(t_s).pos`.
-    pub fn pos_at(&self, t_s: f64) -> LatLon {
-        self.pos_at_hinted(t_s, &mut RouteHint::default())
-    }
-
-    /// [`Self::pos_at`] with a route search hint.
+    /// Position only at plan-time `t_s`, with a route search hint: skips
+    /// the region / timezone lookups of [`Self::state_at`]. For per-tick
+    /// samplers that only need geometry; the returned position is
+    /// bit-identical to `state_at(t_s).pos`.
     pub fn pos_at_hinted(&self, t_s: f64, hint: &mut RouteHint) -> LatLon {
         let t = t_s.max(0.0);
         let (_, odometer, _, _) = self.locate(t);
         self.route.point_at_hinted(odometer, hint).pos
-    }
-
-    /// Odometer distance covered in the plan-time window `[t0, t1]`, meters.
-    pub fn distance_in_window_m(&self, t0: f64, t1: f64) -> f64 {
-        (self.state_at(t1).odometer_m - self.state_at(t0).odometer_m).max(0.0)
     }
 
     /// First plan-time at which the vehicle reaches odometer `od_m`
@@ -456,7 +446,7 @@ mod tests {
         let mut t = -10.0;
         while t < p.end_time_s() as f64 + 7_200.0 {
             let s = p.state_at(t);
-            let pos = p.pos_at(t);
+            let pos = p.pos_at_hinted(t, &mut RouteHint::default());
             assert_eq!(s.pos.lat.to_bits(), pos.lat.to_bits(), "lat at t={t}");
             assert_eq!(s.pos.lon.to_bits(), pos.lon.to_bits(), "lon at t={t}");
             t += 1_237.5;
@@ -479,15 +469,5 @@ mod tests {
         let early = p.state_at(0.0);
         assert_eq!(early.day, 0);
         assert!(!early.driving);
-    }
-
-    #[test]
-    fn distance_in_window_accumulates() {
-        let p = plan();
-        let t0 = p.days()[0].start_time_s as f64;
-        let d1 = p.distance_in_window_m(t0, t0 + 600.0);
-        let d2 = p.distance_in_window_m(t0, t0 + 1_200.0);
-        assert!(d2 >= d1);
-        assert!(d1 > 0.0);
     }
 }

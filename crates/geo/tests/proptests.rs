@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use wheels_geo::coord::LatLon;
+use wheels_geo::coord::{LatLon, EARTH_RADIUS_M};
 use wheels_geo::region::RegionKind;
 use wheels_geo::route::Route;
 use wheels_geo::timezone::Timezone;
@@ -14,6 +14,22 @@ fn cached_plan(seed: u64) -> &'static DrivePlan {
     use std::sync::OnceLock;
     static PLANS: OnceLock<Vec<DrivePlan>> = OnceLock::new();
     &PLANS.get_or_init(|| (0..4).map(DrivePlan::cross_country).collect())[seed as usize % 4]
+}
+
+/// Destination point at `distance_m` along `bearing_deg` from `from`: the
+/// direct geodesic problem on the sphere, an independent check on
+/// [`LatLon::haversine_m`].
+fn destination(from: LatLon, bearing_deg: f64, distance_m: f64) -> LatLon {
+    let lat1 = from.lat.to_radians();
+    let lon1 = from.lon.to_radians();
+    let brg = bearing_deg.to_radians();
+    let dr = distance_m / EARTH_RADIUS_M;
+    let lat2 = (lat1.sin() * dr.cos() + lat1.cos() * dr.sin() * brg.cos()).asin();
+    let lon2 = lon1 + (brg.sin() * dr.sin() * lat1.cos()).atan2(dr.cos() - lat1.sin() * lat2.sin());
+    LatLon::new(
+        lat2.to_degrees(),
+        ((lon2.to_degrees() + 540.0) % 360.0) - 180.0,
+    )
 }
 
 proptest! {
@@ -30,7 +46,7 @@ proptest! {
     fn destination_distance_consistent(lat in -70.0f64..70.0, lon in -170.0f64..170.0,
                                        brg in 0.0f64..360.0, d in 1.0f64..500_000.0) {
         let a = LatLon::new(lat, lon);
-        let b = a.destination(brg, d);
+        let b = destination(a, brg, d);
         let back = a.haversine_m(&b);
         prop_assert!((back - d).abs() < d * 0.01 + 1.0, "{back} vs {d}");
     }

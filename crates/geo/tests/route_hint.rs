@@ -132,7 +132,7 @@ proptest! {
                 "point_at({})", od
             );
             let (hi, hd) = route.nearest_city_hinted(od, &mut hint);
-            let (pi, pd) = route.nearest_city(od);
+            let (pi, pd) = route.nearest_city_hinted(od, &mut RouteHint::default());
             prop_assert_eq!((hi, hd.to_bits()), (pi, pd.to_bits()), "nearest_city({})", od);
             prop_assert_eq!(route.region_at_hinted(od, &mut hint), route.region_at(od));
             prop_assert_eq!(route.timezone_at_hinted(od, &mut hint), route.timezone_at(od));
@@ -151,7 +151,7 @@ proptest! {
                 state_bits(&plan.state_at(t)),
                 "state_at({})", t
             );
-            let (h, p) = (plan.pos_at_hinted(t, &mut hint), plan.pos_at(t));
+            let (h, p) = (plan.pos_at_hinted(t, &mut hint), plan.state_at(t).pos);
             prop_assert_eq!(
                 (h.lat.to_bits(), h.lon.to_bits()),
                 (p.lat.to_bits(), p.lon.to_bits()),
@@ -189,7 +189,7 @@ fn every_special_point_in_every_order_matches() {
                     "point_at({od})"
                 );
                 let (hi, hd) = route.nearest_city_hinted(od, &mut hint);
-                let (pi, pd) = route.nearest_city(od);
+                let (pi, pd) = route.nearest_city_hinted(od, &mut RouteHint::default());
                 assert_eq!((hi, hd.to_bits()), (pi, pd.to_bits()), "nearest_city({od})");
             }
         }

@@ -98,12 +98,6 @@ enum State {
     Char,
 }
 
-/// Strip `src` into per-line code/comment parts (the legacy view; same
-/// output as `tokenize(src).lines`).
-pub fn strip(src: &str) -> Vec<Line> {
-    tokenize(src).lines
-}
-
 /// Lex `src` into tokens and per-line code/comment parts.
 pub fn tokenize(src: &str) -> LexedFile {
     let mut out = LexedFile::default();
@@ -437,7 +431,7 @@ mod tests {
     use super::*;
 
     fn code_of(src: &str) -> Vec<String> {
-        strip(src).into_iter().map(|l| l.code).collect()
+        tokenize(src).lines.into_iter().map(|l| l.code).collect()
     }
 
     fn idents(src: &str) -> Vec<String> {
@@ -451,7 +445,7 @@ mod tests {
 
     #[test]
     fn line_comment_moves_to_comment_part() {
-        let lines = strip("let x = 1; // lint:allow(D2): reason\nlet y = 2;");
+        let lines = tokenize("let x = 1; // lint:allow(D2): reason\nlet y = 2;").lines;
         assert!(lines[0].code.contains("let x = 1;"));
         assert!(!lines[0].code.contains("lint:allow"));
         assert!(lines[0].comment.contains("lint:allow(D2): reason"));
@@ -505,7 +499,7 @@ mod tests {
 
     #[test]
     fn block_comment_text_is_captured() {
-        let lines = strip("x(); /* lint:allow(D4): keyed */ y();");
+        let lines = tokenize("x(); /* lint:allow(D4): keyed */ y();").lines;
         assert!(lines[0].comment.contains("lint:allow(D4): keyed"));
         assert!(lines[0].code.contains("y();"));
     }
@@ -531,7 +525,7 @@ mod tests {
     #[test]
     fn code_length_is_preserved() {
         let src = "let s = \"abc\"; // tail";
-        let lines = strip(src);
+        let lines = tokenize(src).lines;
         assert_eq!(lines[0].code.chars().count(), src.chars().count());
     }
 

@@ -301,16 +301,11 @@ fn lint_set(entries: Vec<FileEntry>, cfg: &LintConfig) -> Vec<Finding> {
     out
 }
 
-/// Lint one file's source text under the workspace policy. `path`
-/// decides test-only status and the built-in allowlist; it is stored
-/// verbatim in the findings. (Cross-file D9 checks that need the
-/// declaring module are skipped naturally — it is not in the set.)
-pub fn lint_source(path: &Path, src: &str) -> Vec<Finding> {
-    lint_source_with(path, src, &LintConfig::workspace())
-}
-
-/// [`lint_source`] with an explicit configuration.
-pub fn lint_source_with(path: &Path, src: &str, cfg: &LintConfig) -> Vec<Finding> {
+/// Lint one file's source text under `cfg`. `path` decides test-only
+/// status and the built-in allowlist; it is stored verbatim in the
+/// findings. (Cross-file D9 checks that need the declaring module are
+/// skipped naturally — it is not in the set.)
+pub(crate) fn lint_source_with(path: &Path, src: &str, cfg: &LintConfig) -> Vec<Finding> {
     lint_set(
         vec![FileEntry {
             path: path.to_path_buf(),
@@ -521,6 +516,11 @@ fn collect_rs_files_unfiltered(root: &Path, out: &mut Vec<PathBuf>) -> std::io::
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`lint_source_with`] under the workspace policy.
+    fn lint_source(path: &Path, src: &str) -> Vec<Finding> {
+        lint_source_with(path, src, &LintConfig::workspace())
+    }
 
     #[test]
     fn same_line_allow_suppresses() {

@@ -82,7 +82,7 @@ impl FileModel {
     }
 
     /// The innermost function containing 1-based `line`, if any.
-    pub fn enclosing_fn(&self, line: usize) -> Option<&FunctionInfo> {
+    pub(crate) fn enclosing_fn(&self, line: usize) -> Option<&FunctionInfo> {
         self.functions
             .iter()
             .filter(|f| f.start_line <= line && line <= f.end_line)
@@ -99,7 +99,7 @@ pub const KEYWORDS: &[&str] = &[
 ];
 
 /// Is `s` a Rust keyword (per the small set the rules care about)?
-pub fn is_keyword(s: &str) -> bool {
+pub(crate) fn is_keyword(s: &str) -> bool {
     KEYWORDS.contains(&s)
 }
 

@@ -151,7 +151,7 @@ impl LintConfig {
     }
 
     /// Pinned arity for `domain`, if any.
-    pub fn pinned_arity(&self, domain: &str) -> Option<usize> {
+    pub(crate) fn pinned_arity(&self, domain: &str) -> Option<usize> {
         self.rng_arity
             .iter()
             .find(|(d, _)| *d == domain)
@@ -159,13 +159,13 @@ impl LintConfig {
     }
 
     /// Does D7 apply to this (normalized, `/`-separated) path?
-    pub fn d7_applies(&self, norm_path: &str) -> bool {
+    pub(crate) fn d7_applies(&self, norm_path: &str) -> bool {
         self.d7_scope.iter().any(|frag| norm_path.contains(frag))
     }
 
     /// Is `qual` (e.g. `ShadowBank::catch_up`) a registered hot
     /// path? Bare registry entries match any function with that name.
-    pub fn is_hotpath(&self, qual: &str, bare: &str) -> bool {
+    pub(crate) fn is_hotpath(&self, qual: &str, bare: &str) -> bool {
         self.hotpaths.iter().any(|h| *h == qual || *h == bare)
     }
 }

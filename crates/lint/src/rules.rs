@@ -429,7 +429,7 @@ struct RngUse {
 /// Run the cross-file rules over the whole analyzed set. Returns
 /// `(file_index, finding)` pairs so the caller can apply that file's
 /// suppressions.
-pub fn finalize(files: &[AnalyzedFile], cfg: &LintConfig) -> Vec<(usize, RawFinding)> {
+pub(crate) fn finalize(files: &[AnalyzedFile], cfg: &LintConfig) -> Vec<(usize, RawFinding)> {
     let mut out = Vec::new();
     run_d8(files, cfg, &mut out);
     run_d9(files, cfg, &mut out);

@@ -16,17 +16,17 @@
 //! block comments containing string delimiters, unterminated literals.
 
 use proptest::prelude::*;
-use wheels_lint::lexer::{strip, tokenize, TokenKind};
+use wheels_lint::lexer::{tokenize, TokenKind};
 
 /// Re-strip the joined code view and require a fixed point.
 fn assert_strip_idempotent(src: &str) {
-    let first = strip(src);
+    let first = tokenize(src).lines;
     let joined = first
         .iter()
         .map(|l| l.code.as_str())
         .collect::<Vec<_>>()
         .join("\n");
-    let second = strip(&joined);
+    let second = tokenize(&joined).lines;
     assert_eq!(first.len(), second.len(), "line count changed on re-strip");
     for (a, b) in first.iter().zip(&second) {
         assert_eq!(a.code, b.code, "code view not a fixed point");

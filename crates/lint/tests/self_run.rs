@@ -4,8 +4,12 @@
 //! iteration, or a fresh panic site in the campaign tree fails the
 //! ordinary test suite too, with the offending file:line in the
 //! assertion message. The registry liveness test keeps the policy
-//! honest: an entry that names nothing in the tree guards nothing.
+//! honest: an entry that names nothing in the tree guards nothing. The
+//! caller gate keeps the public surface honest the same way: a `pub`
+//! item that no non-test code names is dead weight that tests alone
+//! keep alive.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use wheels_lint::lexer::{tokenize, TokenKind};
@@ -130,4 +134,150 @@ fn every_registry_entry_names_something_in_the_tree() {
             "{rule} allowlist entry `{module}` is not a file"
         );
     }
+}
+
+/// `pub` items that no non-test code names, each with the reason it stays.
+/// An entry must keep naming a live `pub` item that lacks a caller.
+const NO_CALLER_EXCEPTIONS: &[(&str, &str)] = &[
+    (
+        "shannon_mbps",
+        "reference: capacity tests hold the MCS-table capacity under the Shannon bound",
+    ),
+    (
+        "linear_to_db",
+        "reference: the inverse that tests round-trip `db_to_linear` through",
+    ),
+    (
+        "to_json",
+        "reference: the one-shot serializer the streamed `write_json` bytes are held to",
+    ),
+    (
+        "from_outcome",
+        "reference: the owned checkpoint the clone-free log encoder is compared against",
+    ),
+    (
+        "match_logs",
+        "paper model (§B): the correct log matcher, driven by tests/log_sync.rs",
+    ),
+    (
+        "match_logs_naive",
+        "paper model (§B): the filename-stamp pitfall tests/log_sync.rs shows failing west of EDT",
+    ),
+    (
+        "stamped",
+        "paper model (§B): the app-side log tests/log_sync.rs pairs with XCAL logs",
+    ),
+    (
+        "last_advanced_m",
+        "probe: `ran::selection`'s unit tests read the shadowing bank's lazy cursor",
+    ),
+    (
+        "build_cells",
+        "fixture: unit tests in wheels-ran and wheels-campaign build one operator's cells; \
+         production builds the panel through `build_ops`",
+    ),
+    (
+        "record_spans",
+        "probe: tests cut checkpoint logs at record boundaries, which `LogScan::read` \
+         (digest-checking) cannot frame on a damaged log",
+    ),
+    (
+        "gap_for",
+        "query: the passive-vs-active 5G share of Fig. 1 that tests/paper_findings.rs checks",
+    ),
+    (
+        "CSV_HEADER",
+        "named only inside `write_tput_csv`'s format string, which the lexer does not read",
+    ),
+];
+
+/// Item keywords whose `pub` definitions the caller gate collects.
+const ITEM_KEYWORDS: &[&str] = &["fn", "const", "static", "struct", "enum", "trait", "type"];
+
+/// The name a `pub` item definition starting at `tokens[i]` declares, or
+/// `None` when `tokens[i]` does not start one. `pub(crate)` and the like
+/// are not public; `const fn`, `unsafe fn` and `async fn` are fns.
+fn pub_item_name(tokens: &[wheels_lint::lexer::Token], i: usize) -> Option<usize> {
+    if !tokens[i].is_ident("pub") {
+        return None;
+    }
+    let mut j = i + 1;
+    while tokens
+        .get(j)
+        .is_some_and(|t| ["const", "unsafe", "async"].iter().any(|q| t.is_ident(q)))
+        && tokens
+            .get(j + 1)
+            .is_some_and(|t| ["fn", "unsafe", "async"].iter().any(|k| t.is_ident(k)))
+    {
+        j += 1;
+    }
+    let keyword = tokens.get(j)?;
+    let name = tokens.get(j + 1)?;
+    (ITEM_KEYWORDS.iter().any(|k| keyword.is_ident(k)) && name.kind == TokenKind::Ident)
+        .then_some(j + 1)
+}
+
+#[test]
+fn every_pub_item_has_a_non_test_caller() {
+    let root = workspace_root();
+    let fixtures = root.join("crates/lint/fixtures");
+    let mut files = Vec::new();
+    for p in sweep_paths(&root) {
+        collect_rs_files(&p, &mut files).expect("workspace readable");
+    }
+    files.retain(|p| !p.starts_with(&fixtures));
+
+    // Every `pub` item defined on a non-test line, and how often each
+    // identifier appears on non-test lines outside `use` declarations
+    // and item names (a re-export or a definition calls nothing).
+    let mut items: Vec<(String, usize, String)> = Vec::new();
+    let mut named: BTreeMap<String, usize> = BTreeMap::new();
+    for path in &files {
+        let src = std::fs::read_to_string(path).expect("source readable");
+        let rel = path.strip_prefix(&root).unwrap_or(path).to_string_lossy();
+        let file = rules::analyze(&rel, &src, path_is_test(path));
+        let tokens = &file.tokens;
+        let mut in_use = false;
+        let mut skip = None;
+        for (i, t) in tokens.iter().enumerate() {
+            if file.model.is_test_line(t.line) {
+                continue;
+            }
+            if let Some(name_at) = pub_item_name(tokens, i) {
+                items.push((rel.to_string(), t.line, tokens[name_at].text.clone()));
+                skip = Some(name_at);
+            }
+            if t.is_ident("use") {
+                in_use = true;
+            } else if in_use && t.is_punct(';') {
+                in_use = false;
+            } else if t.kind == TokenKind::Ident && !in_use && skip != Some(i) {
+                *named.entry(t.text.clone()).or_default() += 1;
+            }
+        }
+    }
+
+    let uncalled: Vec<&(String, usize, String)> = items
+        .iter()
+        .filter(|(_, _, name)| !named.contains_key(name))
+        .collect();
+    for (name, reason) in NO_CALLER_EXCEPTIONS {
+        assert!(!reason.is_empty(), "exception `{name}` carries no reason");
+        assert!(
+            uncalled.iter().any(|(_, _, n)| n == name),
+            "exception `{name}` names no `pub` item that lacks a caller"
+        );
+    }
+    let failing: Vec<String> = uncalled
+        .iter()
+        .filter(|(_, _, name)| !NO_CALLER_EXCEPTIONS.iter().any(|(n, _)| n == name))
+        .map(|(file, line, name)| format!("{file}:{line} {name}"))
+        .collect();
+    assert!(
+        failing.is_empty(),
+        "{} pub items have no non-test caller (delete them, narrow them, \
+         or add a reasoned exception):\n{}",
+        failing.len(),
+        failing.join("\n")
+    );
 }

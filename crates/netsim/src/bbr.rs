@@ -53,7 +53,7 @@ impl Bbr {
     }
 
     /// Current bottleneck-bandwidth estimate, bytes/s.
-    pub fn btl_bw_bps(&self) -> f64 {
+    pub(crate) fn btl_bw_bps(&self) -> f64 {
         self.bw_samples
             .iter()
             .map(|s| s.1)
@@ -62,7 +62,7 @@ impl Bbr {
     }
 
     /// Current min-RTT estimate, seconds.
-    pub fn rtt_min_s(&self) -> f64 {
+    pub(crate) fn rtt_min_s(&self) -> f64 {
         self.rtt_samples
             .iter()
             .map(|s| s.1)

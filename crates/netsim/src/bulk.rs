@@ -52,7 +52,7 @@ impl BulkTransferTest {
 
     /// Run with an explicit congestion controller (for the CUBIC-vs-Reno
     /// ablation).
-    pub fn run_with(
+    pub(crate) fn run_with(
         &self,
         t0_s: f64,
         cc: Box<dyn CongestionControl + Send>,
@@ -82,7 +82,8 @@ impl BulkTransferTest {
     }
 
     /// Mean throughput over a full run, Mbps.
-    pub fn mean_mbps(samples: &[ThroughputSample]) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_mbps(samples: &[ThroughputSample]) -> f64 {
         if samples.is_empty() {
             return 0.0;
         }

@@ -96,11 +96,6 @@ impl<T> EventQueue<T> {
         self.heap.pop().map(|e| (e.time_s, e.payload))
     }
 
-    /// Time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time_s)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -146,10 +141,9 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
+    fn schedule_counts_pending_events() {
         let mut q = EventQueue::new();
         q.schedule(7.0, ());
-        assert_eq!(q.peek_time(), Some(7.0));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
     }

@@ -114,15 +114,6 @@ pub enum Fault {
 }
 
 impl Fault {
-    /// True if the fault kills the attempt outright (no shard produced),
-    /// false if the attempt completes with degraded output.
-    pub fn aborts_attempt(&self) -> bool {
-        matches!(
-            self,
-            Fault::ServerOutage { .. } | Fault::TimeoutOverrun { .. }
-        )
-    }
-
     /// Short kebab-case label for reports.
     pub fn label(&self) -> &'static str {
         match self {
@@ -363,7 +354,7 @@ mod tests {
         let b0 = plan.backoff_s(UNIT, 0);
         let b1 = plan.backoff_s(UNIT, 1);
         let b2 = plan.backoff_s(UNIT, 2);
-        assert!(b0 >= 5.0 && b0 < 7.5 + 1e-9);
+        assert!((5.0..7.5 + 1e-9).contains(&b0));
         assert!(b1 > b0 / 2.0 && b2 > b1 / 2.0, "roughly exponential");
         // Capped exponent: huge attempt counts don't overflow.
         assert!(plan.backoff_s(UNIT, 1000).is_finite());

@@ -158,8 +158,8 @@ mod tests {
         // §5.2's Wavelength result: from Boston the selector picks the
         // in-city edge, whose median sits below the Ohio cloud's. Seeded
         // and exact: 20.1 vs 36.7 ms.
-        let edge = crate::server::ServerSelector::new().select(
-            wheels_ran::operator::Operator::Verizon,
+        let edge = crate::server::ServerSelector::new().select_for(
+            wheels_ran::operator::Operator::Verizon.has_edge_servers(),
             ue,
             wheels_geo::timezone::Timezone::Eastern,
         );

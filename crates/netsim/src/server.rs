@@ -12,7 +12,6 @@
 use wheels_geo::cities::edge_cities;
 use wheels_geo::coord::LatLon;
 use wheels_geo::timezone::Timezone;
-use wheels_ran::operator::Operator;
 
 /// Cloud datacenter vs in-network edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
@@ -121,7 +120,7 @@ impl ServerSelector {
     }
 
     /// The cloud server used from a given timezone.
-    pub fn cloud_for(&self, tz: Timezone) -> Server {
+    pub(crate) fn cloud_for(&self, tz: Timezone) -> Server {
         let zi = Timezone::ALL
             .iter()
             .position(|&z| z == tz)
@@ -129,15 +128,11 @@ impl ServerSelector {
         self.clouds[self.cloud_by_tz[zi]]
     }
 
-    /// Select the server for a test by `op` at position `pos` in timezone
-    /// `tz`: the in-city Wavelength edge for Verizon near one of the five
-    /// edge cities, otherwise the timezone's cloud server.
-    pub fn select(&self, op: Operator, pos: LatLon, tz: Timezone) -> Server {
-        self.select_for(op.has_edge_servers(), pos, tz)
-    }
-
-    /// [`ServerSelector::select`] with the edge entitlement passed
-    /// explicitly (scenario specs may override the per-operator default).
+    /// Select the server for a test at position `pos` in timezone `tz`:
+    /// the in-city Wavelength edge for an operator with edge servers near
+    /// one of the five edge cities, otherwise the timezone's cloud server.
+    /// `has_edge` is the operator's entitlement (scenario specs may
+    /// override the per-operator default).
     pub fn select_for(&self, has_edge: bool, pos: LatLon, tz: Timezone) -> Server {
         if has_edge {
             if let Some((center, name)) = self
@@ -165,6 +160,7 @@ impl Default for ServerSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wheels_ran::operator::Operator;
 
     fn la() -> LatLon {
         LatLon::new(34.0522, -118.2437)
@@ -181,7 +177,11 @@ mod tests {
     #[test]
     fn verizon_in_la_gets_edge() {
         let s = ServerSelector::new();
-        let srv = s.select(Operator::Verizon, la(), Timezone::Pacific);
+        let srv = s.select_for(
+            Operator::Verizon.has_edge_servers(),
+            la(),
+            Timezone::Pacific,
+        );
         assert_eq!(srv.kind, ServerKind::Edge);
         assert_eq!(srv.name, "Los Angeles");
     }
@@ -189,7 +189,11 @@ mod tests {
     #[test]
     fn tmobile_in_la_gets_cloud() {
         let s = ServerSelector::new();
-        let srv = s.select(Operator::TMobile, la(), Timezone::Pacific);
+        let srv = s.select_for(
+            Operator::TMobile.has_edge_servers(),
+            la(),
+            Timezone::Pacific,
+        );
         assert_eq!(srv.kind, ServerKind::Cloud);
         assert_eq!(srv.name, "EC2 California");
     }
@@ -197,7 +201,11 @@ mod tests {
     #[test]
     fn verizon_in_nebraska_gets_cloud_ohio() {
         let s = ServerSelector::new();
-        let srv = s.select(Operator::Verizon, rural_nebraska(), Timezone::Central);
+        let srv = s.select_for(
+            Operator::Verizon.has_edge_servers(),
+            rural_nebraska(),
+            Timezone::Central,
+        );
         assert_eq!(srv.kind, ServerKind::Cloud);
         assert_eq!(srv.name, "EC2 Ohio");
     }

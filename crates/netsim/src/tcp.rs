@@ -140,16 +140,6 @@ impl FluidTcp {
     pub fn queue_bytes(&self) -> f64 {
         self.queue_bytes
     }
-
-    /// Smoothed RTT estimate, seconds.
-    pub fn srtt_s(&self) -> f64 {
-        self.srtt_s
-    }
-
-    /// Name of the congestion controller in use.
-    pub fn cc_name(&self) -> &'static str {
-        self.cc.name()
-    }
 }
 
 impl std::fmt::Debug for FluidTcp {

@@ -101,7 +101,7 @@ impl Band {
     }
 
     /// Is this a mmWave band (≥ 24 GHz)?
-    pub fn is_mmwave(self) -> bool {
+    pub(crate) fn is_mmwave(self) -> bool {
         self.center_mhz >= 24_000.0
     }
 

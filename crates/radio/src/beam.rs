@@ -41,16 +41,12 @@ impl BeamProfile {
         }
     }
 
-    /// Beamwidth in degrees (sector split evenly among beams).
-    pub fn beamwidth_deg(&self) -> f64 {
-        120.0 / self.beams_per_sector as f64
-    }
-
     /// Effective beam gain towards a UE whose angular offset from the best
     /// beam's boresight is `offset_frac` of a half-beamwidth (0 = centered,
     /// 1 = at the crossover to the next beam). Parabolic main-lobe rolloff
     /// with 3 dB at the crossover, the standard approximation.
-    pub fn gain_dbi(&self, offset_frac: f64) -> f64 {
+    #[cfg(test)]
+    fn gain_dbi(&self, offset_frac: f64) -> f64 {
         let x = offset_frac.clamp(0.0, 1.0);
         self.boresight_gain_dbi - 3.0 * x * x
     }
@@ -74,7 +70,8 @@ mod tests {
 
     #[test]
     fn narrow_beams_are_narrower() {
-        assert!(BeamProfile::narrow().beamwidth_deg() < BeamProfile::wide().beamwidth_deg());
+        // The sector splits evenly among the beams.
+        assert!(BeamProfile::narrow().beams_per_sector > BeamProfile::wide().beams_per_sector);
     }
 
     #[test]

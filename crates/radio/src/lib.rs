@@ -30,7 +30,7 @@ pub use band::{Band, Technology};
 pub use beam::BeamProfile;
 pub use bler::bler_from_sinr;
 pub use capacity::{CapacityModel, LinkCapacity};
-pub use mcs::{gapped_shannon_bound, mcs_from_bound, mcs_from_sinr, spectral_efficiency, MAX_MCS};
+pub use mcs::{spectral_efficiency, MAX_MCS};
 pub use pathloss::PathLossModel;
 
 /// Convert a dB value to a linear power ratio.

@@ -10,7 +10,7 @@ pub const MAX_MCS: u8 = 27;
 
 /// Spectral efficiency per MCS index, bits/s/Hz per layer
 /// (TS 38.214 Table 5.1.3.1-2, Qm·R/1024).
-const EFFICIENCY: [f64; 28] = [
+const EFFICIENCY: [f64; MAX_MCS as usize + 1] = [
     0.2344, 0.3770, 0.6016, 0.8770, 1.1758, 1.4766, 1.6953, 1.9141, 2.1602, 2.4063, 2.5703, 2.7305,
     3.0293, 3.3223, 3.6094, 3.9023, 4.2129, 4.5234, 4.8164, 5.1152, 5.3320, 5.5547, 5.8906, 6.2266,
     6.5703, 6.9141, 7.1602, 7.4063,
@@ -20,27 +20,19 @@ const EFFICIENCY: [f64; 28] = [
 /// operates ~3 dB from the bound.
 const SHANNON_GAP_DB: f64 = 3.0;
 
-/// Select an MCS index for a wideband SINR estimate (dB).
-///
-/// Picks the largest MCS whose spectral efficiency fits under the Shannon
-/// bound at `sinr − 3 dB` — i.e. ideal link adaptation with a 3 dB
-/// implementation gap. This guarantees the resulting capacity never exceeds
-/// physics, which linear dB-per-step maps violate at low SINR.
-pub fn mcs_from_sinr(sinr_db: f64) -> u8 {
-    mcs_from_bound(gapped_shannon_bound(sinr_db))
-}
-
 /// The gapped Shannon bound at `sinr_db`, bits/s/Hz: the spectral
 /// efficiency ceiling both MCS selection and capacity clamp against.
-/// Exposed so callers needing both can compute the transcendentals once.
-pub fn gapped_shannon_bound(sinr_db: f64) -> f64 {
+/// Real link adaptation operates ~3 dB from the bound; picking the MCS
+/// under it guarantees the resulting capacity never exceeds physics,
+/// which linear dB-per-step maps violate at low SINR.
+pub(crate) fn gapped_shannon_bound(sinr_db: f64) -> f64 {
     let snr_lin = 10f64.powf((sinr_db - SHANNON_GAP_DB) / 10.0);
     (1.0 + snr_lin).log2()
 }
 
 /// Largest MCS whose spectral efficiency fits under a precomputed gapped
 /// Shannon bound (see [`gapped_shannon_bound`]).
-pub fn mcs_from_bound(bound: f64) -> u8 {
+pub(crate) fn mcs_from_bound(bound: f64) -> u8 {
     // EFFICIENCY is strictly increasing, so the last entry `<= bound` sits
     // just before the partition point.
     match EFFICIENCY.partition_point(|&e| e <= bound) {
@@ -53,7 +45,7 @@ pub fn mcs_from_bound(bound: f64) -> u8 {
 ///
 /// # Panics
 /// Panics if `mcs > MAX_MCS` — MCS indices are produced by
-/// [`mcs_from_sinr`], so an out-of-range index is a programming error.
+/// [`mcs_from_bound`], so an out-of-range index is a programming error.
 pub fn spectral_efficiency(mcs: u8) -> f64 {
     EFFICIENCY[mcs as usize]
 }
@@ -61,6 +53,11 @@ pub fn spectral_efficiency(mcs: u8) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The MCS link adaptation picks at `sinr_db`.
+    fn mcs_from_sinr(sinr_db: f64) -> u8 {
+        mcs_from_bound(gapped_shannon_bound(sinr_db))
+    }
 
     #[test]
     fn efficiency_monotone() {

@@ -39,8 +39,6 @@ impl Log10Lb {
 /// A log-distance path-loss model for one band in one clutter environment.
 #[derive(Debug, Clone, Copy)]
 pub struct PathLossModel {
-    /// Path-loss exponent.
-    exponent: f64,
     /// Additional fixed clutter loss, dB.
     clutter_db: f64,
     /// FSPL at the 1 m reference, dB — cached so the per-cell hot path
@@ -70,7 +68,6 @@ impl PathLossModel {
             3.0 * clutter
         };
         PathLossModel {
-            exponent,
             clutter_db,
             fspl_1m_db: band.fspl_1m_db(),
             exp10: 10.0 * exponent,
@@ -82,11 +79,6 @@ impl PathLossModel {
     pub fn loss_db(&self, d_m: f64) -> f64 {
         let d = d_m.max(1.0);
         self.fspl_1m_db + self.exp10 * d.log10() + self.clutter_db
-    }
-
-    /// The path-loss exponent in use.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
     }
 
     /// Sound lower bound on `loss_db(d)` for `d = sqrt(d2_m2)`, computed

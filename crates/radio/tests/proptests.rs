@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use wheels_radio::band::{Band, Technology};
 use wheels_radio::bler::bler_from_sinr;
 use wheels_radio::capacity::CapacityModel;
-use wheels_radio::mcs::{mcs_from_sinr, spectral_efficiency, MAX_MCS};
+use wheels_radio::mcs::{spectral_efficiency, MAX_MCS};
 use wheels_radio::pathloss::PathLossModel;
 
 use wheels_radio::shadowing::{gauss, ShadowBank};
@@ -103,7 +103,8 @@ proptest! {
     #[test]
     fn mcs_and_efficiency_monotone(s1 in -30.0f64..50.0, s2 in -30.0f64..50.0) {
         let (lo, hi) = if s1 <= s2 { (s1, s2) } else { (s2, s1) };
-        let (m_lo, m_hi) = (mcs_from_sinr(lo), mcs_from_sinr(hi));
+        let m = CapacityModel::new(100.0, 2.0, 0.8);
+        let (m_lo, m_hi) = (m.capacity(lo, 0.1, 1.0).mcs, m.capacity(hi, 0.1, 1.0).mcs);
         prop_assert!(m_lo <= m_hi);
         prop_assert!(spectral_efficiency(m_lo) <= spectral_efficiency(m_hi));
     }

@@ -33,14 +33,6 @@ pub struct CellSite {
     pub eirp_re_dbm: f64,
 }
 
-impl CellSite {
-    /// 3-D-ish distance from a UE at odometer `od_m`, meters.
-    pub fn distance_m(&self, od_m: f64) -> f64 {
-        let along = od_m - self.odometer_m;
-        (along * along + self.lateral_m * self.lateral_m).sqrt()
-    }
-}
-
 /// One technology layer's cells in struct-of-arrays form, sorted by
 /// odometer.
 ///
@@ -95,12 +87,12 @@ impl LayerCells {
     }
 
     /// Squared lateral offsets by layer position, m².
-    pub fn lat_sq_m2(&self) -> &[f64] {
+    pub(crate) fn lat_sq_m2(&self) -> &[f64] {
         &self.lat_sq_m2
     }
 
     /// Per-RE EIRPs by layer position, dBm.
-    pub fn eirp_re_dbm(&self) -> &[f64] {
+    pub(crate) fn eirp_re_dbm(&self) -> &[f64] {
         &self.eirp_re_dbm
     }
 }
@@ -154,13 +146,13 @@ impl CellDb {
     }
 
     /// One technology layer's cells in columnar form.
-    pub fn layer(&self, tech: Technology) -> &LayerCells {
+    pub(crate) fn layer(&self, tech: Technology) -> &LayerCells {
         &self.layers[tech_index(tech)]
     }
 
     /// Positions (into [`CellDb::layer`]) of `tech` cells whose closest
     /// approach lies within `window_m` of `od_m`.
-    pub fn window_range(
+    pub(crate) fn window_range(
         &self,
         tech: Technology,
         od_m: f64,
@@ -176,15 +168,6 @@ impl CellDb {
     /// `od_m`, in odometer order.
     pub fn cells_near(&self, tech: Technology, od_m: f64, window_m: f64) -> &[CellSite] {
         &self.layers[tech_index(tech)].sites[self.window_range(tech, od_m, window_m)]
-    }
-
-    /// The strongest candidate of `tech` near `od_m` by plain distance
-    /// (before shadowing): used for availability pre-checks.
-    pub fn nearest_cell(&self, tech: Technology, od_m: f64) -> Option<&CellSite> {
-        let window = tech.nominal_range_m() * 2.0;
-        self.cells_near(tech, od_m, window)
-            .iter()
-            .min_by(|a, b| a.distance_m(od_m).total_cmp(&b.distance_m(od_m)))
     }
 }
 
@@ -250,7 +233,7 @@ impl WindowCursor {
 /// `Technology::ALL` lists the variants in declaration order, so the
 /// discriminant IS the index — no scan (this sits on the per-tick hot
 /// path via [`CellDb::cells_near`]). A test pins the correspondence.
-pub fn tech_index(tech: Technology) -> usize {
+pub(crate) fn tech_index(tech: Technology) -> usize {
     tech as usize
 }
 
@@ -297,35 +280,6 @@ mod tests {
             db.cells_near(Technology::Nr5gMid, 5_000.0, 2_000.0).len(),
             1
         );
-    }
-
-    #[test]
-    fn nearest_cell_picks_closest() {
-        let db = CellDb::new(
-            Operator::Verizon,
-            vec![
-                site(1, Technology::Lte, 1_000.0),
-                site(2, Technology::Lte, 4_000.0),
-            ],
-        );
-        assert_eq!(
-            db.nearest_cell(Technology::Lte, 3_500.0).unwrap().id,
-            CellId(2)
-        );
-    }
-
-    #[test]
-    fn nearest_cell_none_when_layer_empty() {
-        let db = CellDb::new(Operator::Verizon, vec![site(1, Technology::Lte, 0.0)]);
-        assert!(db.nearest_cell(Technology::Nr5gMmWave, 0.0).is_none());
-    }
-
-    #[test]
-    fn distance_includes_lateral() {
-        let s = site(1, Technology::Lte, 1_000.0);
-        assert!((s.distance_m(1_000.0) - 100.0).abs() < 1e-9);
-        let d = s.distance_m(1_300.0);
-        assert!((d - (300.0f64 * 300.0 + 100.0 * 100.0).sqrt()).abs() < 1e-9);
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl LinkConfig {
     }
 
     /// Capacity model with `cc` carriers active.
-    pub fn capacity_model(&self, cc: usize) -> CapacityModel {
+    pub(crate) fn capacity_model(&self, cc: usize) -> CapacityModel {
         CapacityModel::new(self.bandwidth_mhz(cc), self.layers, self.overhead)
     }
 
@@ -145,13 +145,17 @@ fn config_index(op: Operator, tech: Technology, dir: Direction) -> usize {
 
 /// Borrow the precomputed configuration for an operator/technology/
 /// direction — same values as [`link_config`], no per-call allocation.
-pub fn link_config_ref(op: Operator, tech: Technology, dir: Direction) -> &'static LinkConfig {
+pub(crate) fn link_config_ref(
+    op: Operator,
+    tech: Technology,
+    dir: Direction,
+) -> &'static LinkConfig {
     &config_table()[config_index(op, tech, dir)].0
 }
 
 /// The linear noise-plus-interference floor `10^(noise_eff_dbm/10)` for a
 /// configuration, precomputed with the exact expression the SINR path uses.
-pub fn link_noise_lin(op: Operator, tech: Technology, dir: Direction) -> f64 {
+pub(crate) fn link_noise_lin(op: Operator, tech: Technology, dir: Direction) -> f64 {
     config_table()[config_index(op, tech, dir)].1
 }
 

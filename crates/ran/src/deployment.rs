@@ -42,15 +42,6 @@ pub struct LayerPlan {
     pub patch_len_m: f64,
 }
 
-impl LayerPlan {
-    /// A layer that simply is not deployed here.
-    pub const NONE: LayerPlan = LayerPlan {
-        coverage: 0.0,
-        spacing_m: f64::INFINITY,
-        patch_len_m: 5_000.0,
-    };
-}
-
 /// Timezone multiplier applied to a base coverage value, clamped to [0, 1].
 fn tz_scaled(base: f64, factor: f64) -> f64 {
     (base * factor).clamp(0.0, 1.0)
@@ -254,7 +245,7 @@ pub fn layer_plan(op: Operator, tech: Technology, region: RegionKind, tz: Timezo
 /// Per-RE EIRP for a cell of `op`/`tech`, dBm. Macro layers sit around
 /// 32 dBm per RE; mmWave folds the operator's beamforming gain in, which is
 /// how the Verizon-vs-AT&T RSRP offset of §5.5 enters the link budget.
-pub fn eirp_re_dbm(op: Operator, tech: Technology, rng: &mut SmallRng) -> f64 {
+pub(crate) fn eirp_re_dbm(op: Operator, tech: Technology, rng: &mut SmallRng) -> f64 {
     let base = match tech {
         Technology::Lte | Technology::LteA => 32.0,
         Technology::Nr5gLow => 33.0,
@@ -268,7 +259,7 @@ pub fn eirp_re_dbm(op: Operator, tech: Technology, rng: &mut SmallRng) -> f64 {
 /// scaled per technology. The neutral tuning reproduces `layer_plan`
 /// bit-for-bit (`x * 1.0 == x`, and clamping a value already in [0, 1] is
 /// the identity).
-pub fn layer_plan_tuned(
+pub(crate) fn layer_plan_tuned(
     op: Operator,
     tech: Technology,
     region: RegionKind,

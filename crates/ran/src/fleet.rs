@@ -212,7 +212,7 @@ impl FleetLoad {
 
     /// Demand-driven utilization of a cell at time `t_s` (0 for unknown
     /// cells, e.g. during outage sentinels).
-    pub fn util_at(&self, cell: CellId, t_s: f64) -> f64 {
+    pub(crate) fn util_at(&self, cell: CellId, t_s: f64) -> f64 {
         match self.slot(cell) {
             Some(s) => s.base_util * self.diurnal[hour_of_day(t_s)],
             None => 0.0,
@@ -224,14 +224,14 @@ impl FleetLoad {
     /// shape, but its median is moved from `median_share` to the
     /// demand-implied target `1 / (1 + util)` (empty cell → the probe
     /// gets nearly everything; overloaded cell → starved).
-    pub fn share_factor(&self, cell: CellId, t_s: f64, median_share: f64) -> f64 {
+    pub(crate) fn share_factor(&self, cell: CellId, t_s: f64, median_share: f64) -> f64 {
         let target = 1.0 / (1.0 + self.util_at(cell, t_s));
         target / median_share.max(1e-6)
     }
 
     /// Multiplier on the upgrade policy's promotion probability: a
     /// congested technology layer attracts fewer promotions.
-    pub fn promo_factor(&self, tech: Technology, t_s: f64) -> f64 {
+    pub(crate) fn promo_factor(&self, tech: Technology, t_s: f64) -> f64 {
         let ti = crate::cell::tech_index(tech);
         let c = (self.tech_base_util[ti] * self.diurnal[hour_of_day(t_s)]).min(1.0);
         1.0 - PROMO_CONGESTION_WEIGHT * c

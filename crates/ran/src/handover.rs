@@ -83,7 +83,7 @@ pub struct HandoverEvent {
 }
 
 /// Median user-plane interruption per operator, ms (Fig. 11b).
-pub fn median_interruption_ms(op: Operator) -> f64 {
+pub(crate) fn median_interruption_ms(op: Operator) -> f64 {
     match op {
         Operator::Verizon => 51.0,
         Operator::TMobile => 75.0,
@@ -139,13 +139,8 @@ impl A3Tracker {
         }
     }
 
-    /// The candidate currently under evaluation, if any.
-    pub fn candidate(&self) -> Option<CellId> {
-        self.candidate
-    }
-
     /// Reset after a handover executes.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.candidate = None;
         self.since_s = 0.0;
     }

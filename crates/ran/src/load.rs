@@ -167,7 +167,7 @@ impl LoadProcess {
     }
 
     /// Handover: the new cell's load is unrelated to the old one's.
-    pub fn redraw(&mut self) {
+    pub(crate) fn redraw(&mut self) {
         self.x = gauss(&mut self.rng) * self.params.sigma;
     }
 

@@ -47,7 +47,7 @@ impl Operator {
     /// beams (lower gain → lower logged RSRP); AT&T uses narrow beams.
     /// T-Mobile's mmWave footprint is negligible; give it the narrow
     /// profile for the rare samples.
-    pub fn mmwave_beams(self) -> BeamProfile {
+    pub(crate) fn mmwave_beams(self) -> BeamProfile {
         match self {
             Operator::Verizon => BeamProfile::wide(),
             Operator::TMobile | Operator::Att => BeamProfile::narrow(),
@@ -103,8 +103,8 @@ mod tests {
     #[test]
     fn verizon_beams_wider_than_att() {
         assert!(
-            Operator::Verizon.mmwave_beams().beamwidth_deg()
-                > Operator::Att.mmwave_beams().beamwidth_deg()
+            Operator::Verizon.mmwave_beams().beams_per_sector
+                < Operator::Att.mmwave_beams().beams_per_sector
         );
     }
 }

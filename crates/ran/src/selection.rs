@@ -29,7 +29,7 @@ pub fn clutter(region: RegionKind) -> f64 {
 
 /// Minimum RSRP (dBm) for a layer to be considered available. High bands
 /// need more signal to be useful.
-pub fn min_rsrp_dbm(tech: Technology) -> f64 {
+pub(crate) fn min_rsrp_dbm(tech: Technology) -> f64 {
     match tech {
         Technology::Lte => -118.0,
         Technology::LteA => -115.0,
@@ -54,7 +54,7 @@ pub struct LayerCandidate {
 
 /// Shadowing parameters (σ dB, decorrelation distance m) per technology.
 /// mmWave shadowing is harsher and changes faster (blockage).
-pub fn shadow_params(tech: Technology) -> (f64, f64) {
+pub(crate) fn shadow_params(tech: Technology) -> (f64, f64) {
     match tech {
         Technology::Nr5gMmWave => (7.0, 25.0),
         Technology::Nr5gMid => (6.0, 60.0),
@@ -109,7 +109,7 @@ impl ShadowStore {
 
     /// Shadowing in dB for the cell at layer position `pos` of `tech`,
     /// which must lie in the layer's current window, caught up first.
-    pub fn shadow_at(&mut self, tech: Technology, pos: usize, ids: &[CellId]) -> f64 {
+    pub(crate) fn shadow_at(&mut self, tech: Technology, pos: usize, ids: &[CellId]) -> f64 {
         let (lo, shadow_db) = self.catch_up(tech, ids);
         shadow_db[pos - lo]
     }
@@ -130,7 +130,7 @@ fn field_seed(ue_seed: u64, cell: CellId) -> u64 {
 /// Effective clutter factor of one layer at one region: what a scan's
 /// [`PathLossModel::new`] takes. Per-UE callers cache the model while the
 /// region is unchanged.
-pub fn layer_clutter(tech: Technology, region: RegionKind, clutter_scale: f64) -> f64 {
+pub(crate) fn layer_clutter(tech: Technology, region: RegionKind, clutter_scale: f64) -> f64 {
     if tech == Technology::Nr5gMmWave {
         // mmWave cells are deployed for street-level LOS; effective clutter
         // is far below the macro environment's.
@@ -164,7 +164,7 @@ type Top2 = [Option<Scored>; 2];
 /// fields up to `od_m` through every window deferred since the layer was
 /// last read ([`ShadowStore::catch_up`]). Pass 2 scores the cells against
 /// the shadowing values, the primed pair first (see [`score_span`]).
-pub fn evaluate_layer_span(
+pub(crate) fn evaluate_layer_span(
     db: &CellDb,
     tech: Technology,
     od_m: f64,
@@ -267,7 +267,7 @@ fn candidate(tech: Technology, ids: &[CellId], top: Top2) -> Option<LayerCandida
 }
 
 /// Draw the small fast-fading residual (dB) a SINR evaluation adds.
-pub fn draw_fade_db(rng: &mut SmallRng) -> f64 {
+pub(crate) fn draw_fade_db(rng: &mut SmallRng) -> f64 {
     rng.gen_range(-1.5..1.5)
 }
 
@@ -275,7 +275,7 @@ pub fn draw_fade_db(rng: &mut SmallRng) -> f64 {
 /// discounted by `tech`'s activity factor: `10^((s − activity)/10)`, or
 /// 0 with no interferer. It depends on neither direction nor noise, so a
 /// step computes it once for its DL and UL SINR.
-pub fn interference_lin(second_rsrp_dbm: Option<f64>, tech: Technology) -> f64 {
+pub(crate) fn interference_lin(second_rsrp_dbm: Option<f64>, tech: Technology) -> f64 {
     let activity_db = match tech {
         // Beamformed mmWave neighbors rarely point at you.
         Technology::Nr5gMmWave => 12.0,
@@ -290,7 +290,12 @@ pub fn interference_lin(second_rsrp_dbm: Option<f64>, tech: Technology) -> f64 {
 /// interferer's linear power `interf_lin`, already discounted by its
 /// activity factor (see [`interference_lin`]), with the fading residual
 /// `fade_db` already drawn (see [`draw_fade_db`]).
-pub fn sinr_db_with_interf(rsrp_dbm: f64, noise_lin: f64, interf_lin: f64, fade_db: f64) -> f64 {
+pub(crate) fn sinr_db_with_interf(
+    rsrp_dbm: f64,
+    noise_lin: f64,
+    interf_lin: f64,
+    fade_db: f64,
+) -> f64 {
     let denom_dbm = 10.0 * (noise_lin + interf_lin).log10();
     rsrp_dbm - denom_dbm + fade_db
 }

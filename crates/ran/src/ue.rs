@@ -203,7 +203,7 @@ impl UeRadio {
     }
 
     /// [`UeRadio::new`] with scenario tuning applied to the upgrade policy.
-    pub fn new_tuned(
+    pub(crate) fn new_tuned(
         op: Operator,
         db: Arc<CellDb>,
         params: UeParams,
@@ -837,7 +837,8 @@ mod tests {
             }
             t += 0.1;
         }
-        let miles = plan.distance_in_window_m(t0, t0 + horizon_s) / wheels_geo::METERS_PER_MILE;
+        let driven_m = plan.state_at(t0 + horizon_s).odometer_m - plan.state_at(t0).odometer_m;
+        let miles = driven_m / wheels_geo::METERS_PER_MILE;
         let per_mile = hos as f64 / miles;
         // Fig. 11a: median 1-3 HOs/mile, extremes to 20+.
         assert!((0.2..12.0).contains(&per_mile), "{per_mile} HOs/mile");

@@ -136,7 +136,7 @@ pub struct TestRecord {
 
 impl TestRecord {
     /// Distance driven during the test, miles.
-    pub fn distance_miles(&self) -> f64 {
+    pub(crate) fn distance_miles(&self) -> f64 {
         (self.end_odometer_m - self.start_odometer_m).max(0.0) / wheels_geo::METERS_PER_MILE
     }
 
@@ -203,7 +203,7 @@ pub struct ConsolidatedDb {
 
 impl ConsolidatedDb {
     /// Records for one operator and test kind.
-    pub fn by_op_kind(
+    pub(crate) fn by_op_kind(
         &self,
         op: Operator,
         kind: TestKind,
@@ -216,24 +216,6 @@ impl ConsolidatedDb {
     /// Driving (non-static) records of one operator and kind.
     pub fn driving(&self, op: Operator, kind: TestKind) -> impl Iterator<Item = &TestRecord> + '_ {
         self.by_op_kind(op, kind).filter(|r| !r.is_static)
-    }
-
-    /// Static baseline records of one operator and kind.
-    pub fn static_runs(
-        &self,
-        op: Operator,
-        kind: TestKind,
-    ) -> impl Iterator<Item = &TestRecord> + '_ {
-        self.by_op_kind(op, kind).filter(|r| r.is_static)
-    }
-
-    /// All driving throughput KPI samples for (operator, direction).
-    pub fn tput_kpi(&self, op: Operator, dir: Direction) -> impl Iterator<Item = &KpiSample> + '_ {
-        let kind = match dir {
-            Direction::Downlink => TestKind::ThroughputDl,
-            Direction::Uplink => TestKind::ThroughputUl,
-        };
-        self.driving(op, kind).flat_map(|r| r.kpi.iter())
     }
 
     /// The passive log for one operator, if present.
@@ -332,15 +314,6 @@ mod tests {
             db.driving(Operator::Verizon, TestKind::ThroughputDl)
                 .count(),
             1
-        );
-        assert_eq!(
-            db.static_runs(Operator::Verizon, TestKind::ThroughputDl)
-                .count(),
-            1
-        );
-        assert_eq!(
-            db.tput_kpi(Operator::Verizon, Direction::Downlink).count(),
-            2
         );
     }
 

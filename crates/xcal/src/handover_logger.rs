@@ -114,7 +114,7 @@ impl PassiveLogger {
             .filter(|w| {
                 w.first()
                     .zip(w.get(1))
-                    .map_or(false, |(a, b)| a.cell != b.cell)
+                    .is_some_and(|(a, b)| a.cell != b.cell)
             })
             .count()
     }

@@ -67,16 +67,6 @@ impl XcalLogger {
         self.messages.push(b);
     }
 
-    /// Record an arbitrary signaling message.
-    pub fn log_message(&mut self, msg: SignalingMessage) {
-        self.messages.push(msg);
-    }
-
-    /// Number of samples logged so far.
-    pub fn sample_count(&self) -> usize {
-        self.samples.len()
-    }
-
     /// Finish the log. `local_tz` is the vehicle's timezone at the test
     /// start — used for the (misleading) filename stamp.
     pub fn finish(self, local_tz: Timezone) -> XcalLog {

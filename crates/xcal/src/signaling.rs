@@ -59,7 +59,7 @@ impl SignalingMessage {
     }
 
     /// The command/complete pair for one executed handover.
-    pub fn pair_for(ev: &HandoverEvent) -> [SignalingMessage; 2] {
+    pub(crate) fn pair_for(ev: &HandoverEvent) -> [SignalingMessage; 2] {
         [
             SignalingMessage::HandoverCommand {
                 time_s: ev.time_s,

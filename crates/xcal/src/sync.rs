@@ -87,7 +87,7 @@ pub fn match_logs(app_logs: &[AppLog], xcal_logs: &[XcalLog]) -> Vec<Option<usiz
             let t = a.plan_s()?;
             let mut best: Option<(usize, f64)> = None;
             for (i, xs) in xcal_starts.iter().enumerate() {
-                if xcal_logs.get(i).map_or(true, |log| log.op != a.op) {
+                if xcal_logs.get(i).is_none_or(|log| log.op != a.op) {
                     continue;
                 }
                 if let Some(x) = xs {
@@ -131,7 +131,7 @@ pub fn match_logs_naive(app_logs: &[AppLog], xcal_logs: &[XcalLog]) -> Vec<Optio
             let t = a.plan_s()?;
             let mut best: Option<(usize, f64)> = None;
             for (i, xs) in xcal_starts.iter().enumerate() {
-                if xcal_logs.get(i).map_or(true, |log| log.op != a.op) {
+                if xcal_logs.get(i).is_none_or(|log| log.op != a.op) {
                     continue;
                 }
                 if let Some(x) = xs {

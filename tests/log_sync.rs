@@ -2,15 +2,53 @@
 //! timezones and timestamp formats — and the naive matcher demonstrably
 //! fails west of Eastern time.
 //!
-//! Note: `CampaignLogs` vectors are in execution order (app[i] belongs to
-//! xcal[i]); the consolidated database is time-sorted, so tests work on
-//! the logs alone.
+//! Note: `CampaignLogs` vectors are in record order (app[i] belongs to
+//! xcal[i]), so tests work on the logs alone.
 
-use wheels::campaign::runner::CampaignLogs;
 use wheels::campaign::{Campaign, CampaignConfig, ScenarioSpec};
-use wheels::xcal::logger::XcalLog;
-use wheels::xcal::sync::{match_logs, match_logs_naive};
+use wheels::xcal::database::ConsolidatedDb;
+use wheels::xcal::logger::{XcalLog, XcalLogger};
+use wheels::xcal::sync::{match_logs, match_logs_naive, AppLog, AppStampFormat};
 use wheels::xcal::timestamp::Timestamp;
+
+/// What the two logging sides (XCAL and the apps) produced in a run.
+struct CampaignLogs {
+    /// XCAL logs, one per test.
+    xcal: Vec<XcalLog>,
+    /// App-side logs, one per test, in the same order.
+    app: Vec<AppLog>,
+}
+
+/// Reconstruct both sides' logs for each record of `db`, in record order.
+fn build_logs(db: &ConsolidatedDb) -> CampaignLogs {
+    let mut logs = CampaignLogs {
+        xcal: Vec::new(),
+        app: Vec::new(),
+    };
+    for record in &db.records {
+        let mut xl = XcalLogger::start(record.op, record.kind.label(), record.start_s);
+        for k in &record.kpi {
+            xl.log_sample(*k);
+        }
+        for h in &record.handovers {
+            xl.log_handover(h);
+        }
+        logs.xcal.push(xl.finish(record.timezone));
+        // Apps alternate stamp formats, like the paper's mixed tooling.
+        let fmt = if record.id.is_multiple_of(2) {
+            AppStampFormat::Utc
+        } else {
+            AppStampFormat::Local(record.timezone)
+        };
+        logs.app.push(AppLog::stamped(
+            record.kind.label(),
+            record.op,
+            record.start_s,
+            fmt,
+        ));
+    }
+    logs
+}
 
 fn logs() -> CampaignLogs {
     let mut cfg = CampaignConfig::quick(8);
@@ -21,7 +59,7 @@ fn logs() -> CampaignLogs {
     spec.schedule.run_passive = false;
     let campaign = Campaign::from_spec(&spec, cfg);
     let db = campaign.run(1, None).expect("tolerant run").db;
-    campaign.build_logs(&db)
+    build_logs(&db)
 }
 
 /// Hours the XCAL filename stamp lags the (EDT) content stamp — 0 in the

@@ -10,7 +10,8 @@ use wheels::geo::route::Route;
 use wheels::geo::timezone::Timezone;
 use wheels::netsim::cubic::Cubic;
 use wheels::netsim::tcp::{CongestionControl, FluidTcp, MSS};
-use wheels::radio::mcs::{mcs_from_sinr, spectral_efficiency, MAX_MCS};
+use wheels::radio::capacity::CapacityModel;
+use wheels::radio::mcs::{spectral_efficiency, MAX_MCS};
 use wheels::netsim::faults::{FaultPlan, FaultProfile};
 use wheels::netsim::rng::{derive_seed, stream, DOMAIN_CYCLE, DOMAIN_PASSIVE, DOMAIN_PHONE, DOMAIN_STATIC};
 use wheels::ran::handover::A3Tracker;
@@ -179,8 +180,9 @@ proptest! {
     #[test]
     fn mcs_map_is_monotone_and_bounded(s1 in -30.0f64..50.0, s2 in -30.0f64..50.0) {
         let (lo, hi) = if s1 <= s2 { (s1, s2) } else { (s2, s1) };
-        let m_lo = mcs_from_sinr(lo);
-        let m_hi = mcs_from_sinr(hi);
+        let m = CapacityModel::new(100.0, 2.0, 0.8);
+        let m_lo = m.capacity(lo, 0.1, 1.0).mcs;
+        let m_hi = m.capacity(hi, 0.1, 1.0).mcs;
         prop_assert!(m_lo <= m_hi);
         prop_assert!(m_hi <= MAX_MCS);
         prop_assert!(spectral_efficiency(m_hi) >= spectral_efficiency(m_lo));
