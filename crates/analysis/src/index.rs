@@ -13,7 +13,7 @@
 //!
 //! Heterogeneous slice queries (filter by technology, server kind,
 //! timezone, or speed bin — the long tail of Fig. 4/5/7/8 cells) go
-//! through [`AnalysisIndex::query`], a lazily filled memo table. The
+//! through `AnalysisIndex::query`, a lazily filled memo table. The
 //! memoized value is a pure function of the query key (the backing
 //! columns are immutable and [`Ecdf::new`] sorts, so fill order is
 //! irrelevant), which keeps report generation byte-identical no matter
@@ -60,7 +60,7 @@ pub struct OpShares {
 /// The six Table 2 KPI columns, in the paper's column order.
 pub const KPI_COLUMNS: usize = 6;
 
-/// Index of the vehicle-speed column in [`AnalysisIndex::kpi_correlations`]
+/// Index of the vehicle-speed column in `AnalysisIndex::kpi_correlations`
 /// (Fig. 7 reports the same Pearson r as Table 2's speed column).
 pub const KPI_SPEED: usize = 4;
 
@@ -106,7 +106,7 @@ pub enum Slice {
     },
 }
 
-/// Which metric a memoized [`AnalysisIndex::query`] draws from.
+/// Which metric a memoized `AnalysisIndex::query` draws from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryMetric {
     /// Driving downlink throughput samples, Mbps.

@@ -23,8 +23,10 @@
 //!    file. Every export the workspace produces routes through it
 //!    (enforced by lint rule D6).
 //!
-//! Resume ([`LoadedCheckpoints::load`] + `repro --resume`) restores every
-//! valid record whose key matches the run, recomputes the rest, and —
+//! Resume (`repro --resume`: [`crate::CheckpointOptions::resume`] reads
+//! the log with `LogScan::read` on a thread of its own, and the run keeps
+//! what `LoadedCheckpoints::from_scan` accepts) restores every valid record
+//! whose key matches the run, recomputes the rest, and —
 //! because every unit's output is a pure function of `(config, unit)` —
 //! merges into a final export **byte-identical** to an uninterrupted run.
 

@@ -12,7 +12,7 @@
 //!
 //! D1–D7 are per-file ([`run`]); D8 (hot-path allocation, one-level
 //! transitive) and D9 (RNG-domain provenance) need the whole analyzed
-//! set and run in [`finalize`].
+//! set and run in `finalize`.
 
 use crate::lexer::{self, Line, Token, TokenKind};
 use crate::parser::{self, is_keyword, FileModel};

@@ -45,7 +45,7 @@ pub(crate) fn mcs_from_bound(bound: f64) -> u8 {
 ///
 /// # Panics
 /// Panics if `mcs > MAX_MCS` — MCS indices are produced by
-/// [`mcs_from_bound`], so an out-of-range index is a programming error.
+/// `mcs_from_bound`, so an out-of-range index is a programming error.
 pub fn spectral_efficiency(mcs: u8) -> f64 {
     EFFICIENCY[mcs as usize]
 }

@@ -174,7 +174,7 @@ impl CellDb {
 /// Incrementally tracked query window over one layer's odometer-sorted
 /// positions.
 ///
-/// [`CellDb::window_range`] answers each query with two binary searches;
+/// `CellDb::window_range` answers each query with two binary searches;
 /// a UE stepping monotonically along the route asks nearly the same
 /// question every tick, so a cursor that only ever slides its `lo`/`hi`
 /// bounds forward answers in O(cells entered/left) instead. The bounds it
@@ -203,7 +203,7 @@ impl Default for WindowCursor {
 
 impl WindowCursor {
     /// Positions in `ods` (sorted ascending) within `window_m` of `od_m`.
-    /// Identical to [`CellDb::window_range`] on the same slice.
+    /// Identical to `CellDb::window_range` on the same slice.
     ///
     /// The sliding fast path requires `od_m - window_m` and
     /// `od_m + window_m` to be non-decreasing across calls; with a fixed
