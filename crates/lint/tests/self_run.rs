@@ -9,10 +9,10 @@
 //! item that no non-test code names is dead weight that tests alone
 //! keep alive.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use wheels_lint::lexer::{tokenize, TokenKind};
+use wheels_lint::lexer::{tokenize, Token, TokenKind};
 use wheels_lint::{
     collect_rs_files, lint_paths, path_is_test, rules, Finding, LintConfig, BUILTIN_ALLOW, SWEEP,
 };
@@ -194,10 +194,11 @@ const NO_CALLER_EXCEPTIONS: &[(&str, &str)] = &[
 /// Item keywords whose `pub` definitions the caller gate collects.
 const ITEM_KEYWORDS: &[&str] = &["fn", "const", "static", "struct", "enum", "trait", "type"];
 
-/// The name a `pub` item definition starting at `tokens[i]` declares, or
-/// `None` when `tokens[i]` does not start one. `pub(crate)` and the like
-/// are not public; `const fn`, `unsafe fn` and `async fn` are fns.
-fn pub_item_name(tokens: &[wheels_lint::lexer::Token], i: usize) -> Option<usize> {
+/// Index of the name token of the `pub` item definition starting at
+/// `tokens[i]`, or `None` when `tokens[i]` does not start one. `pub(crate)`
+/// and the like are not public; `const fn`, `unsafe fn` and `async fn`
+/// are fns.
+fn pub_item_name(tokens: &[Token], i: usize) -> Option<usize> {
     if !tokens[i].is_ident("pub") {
         return None;
     }
@@ -227,11 +228,11 @@ fn every_pub_item_has_a_non_test_caller() {
     }
     files.retain(|p| !p.starts_with(&fixtures));
 
-    // Every `pub` item defined on a non-test line, and how often each
-    // identifier appears on non-test lines outside `use` declarations
-    // and item names (a re-export or a definition calls nothing).
+    // Every `pub` item defined on a non-test line, and every identifier
+    // on non-test lines outside `use` declarations and item names (a
+    // re-export or a definition calls nothing).
     let mut items: Vec<(String, usize, String)> = Vec::new();
-    let mut named: BTreeMap<String, usize> = BTreeMap::new();
+    let mut named: BTreeSet<String> = BTreeSet::new();
     for path in &files {
         let src = std::fs::read_to_string(path).expect("source readable");
         let rel = path.strip_prefix(&root).unwrap_or(path).to_string_lossy();
@@ -252,14 +253,14 @@ fn every_pub_item_has_a_non_test_caller() {
             } else if in_use && t.is_punct(';') {
                 in_use = false;
             } else if t.kind == TokenKind::Ident && !in_use && skip != Some(i) {
-                *named.entry(t.text.clone()).or_default() += 1;
+                named.insert(t.text.clone());
             }
         }
     }
 
     let uncalled: Vec<&(String, usize, String)> = items
         .iter()
-        .filter(|(_, _, name)| !named.contains_key(name))
+        .filter(|(_, _, name)| !named.contains(name))
         .collect();
     for (name, reason) in NO_CALLER_EXCEPTIONS {
         assert!(!reason.is_empty(), "exception `{name}` carries no reason");
